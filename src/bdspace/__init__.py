@@ -17,5 +17,5 @@ from .registry import ElementRecord, Registry
 from .engine import Engine, Point
 from .norms import NormInterval, sup_norm_interval, unconditionalized_norm
 from .mtnorm import MTParams, mt_norm, mt_norm_exhaustive
-from .certificates import Certificate, Ledger, make_certificate
+from .certificates import Certificate, Check, Ledger, judge, make_certificate
 from .errors import BDSpaceError

@@ -4,19 +4,23 @@ Every device here turns an existence proof into an explicit object plus a
 machine-checkable record: RIS certification, local-weight splitting,
 ell_1 averages, lower-estimate elements, exact pairs, dependent
 sequences, the basic-inequality recursion producing a norming tree, and
-the HI probe comparing ||y+z|| against ||y-z||.
+the HI probe comparing ||y+z|| against ||y-z||.  Each check returns a
+`Check` (certificates.py): its verdict, the exact values it computed and
+a detail mapping; a Check certifies as it stands.
 
 Norm-dependent statements are stage-relative: a violation at stage N is
 a disproof, satisfaction is only claimed for the materialized prefix.
+Claims whose prerequisites fail at toy scale get the verdict reported.
 Everything else is exact rational arithmetic with zero tolerance.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .certificates import Check, judge
 from .errors import (AnnihilatorMissing, BDSpaceError, CutTooSmall,
                      EmptySupport, NotBlockSequence, NotCertifiedRIS,
-                     NotSkippedBlock, SearchExhausted, StageOverflow)
+                     NotSkippedBlock, SearchExhausted, StageOverflow, require)
 from .funcs import Func
 from .mtnorm import Leaf, MTParams, Node, tree_action, tree_support, \
     verify_norming_tree
@@ -70,7 +74,7 @@ class CarrierSource:
         else:
             w = 2 * self.weight_j
             rank = max(rank, w + 1)
-        payload = Func.unit(self.registry.base(), role="net")
+        payload = Func.unit(self.registry.base())
         if self.companions:
             forge_even(self.registry, 1, [rank - 1], [payload.copy()])
         carrier = forge_even(self.registry, w // 2, [rank], [payload])
@@ -124,6 +128,12 @@ def _skipped_cuts(engine, xs):
     return rans, [hi + 1 for _, hi in rans]
 
 
+def _at_most(measured, bound, stage, decidable=True, **detail):
+    """The Check of measured <= bound at a stage."""
+    return Check(judge(measured <= bound, decidable),
+                 {"measured": measured, "bound": bound, "stage": stage}, detail)
+
+
 def _sum_point(engine, xs, coeffs=None):
     d = Func()
     for k, x in enumerate(xs):
@@ -134,37 +144,12 @@ def _sum_point(engine, xs, coeffs=None):
 
 # -- RIS certification ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class RISCertificate:
-    C: Fraction
-    js: tuple
-    stage: int
-    norm_lowers: tuple          # per-block stage lower norms, with ok flags
-    cond2_ok: bool              # j_{k+1} > max ran x_k
-    cond3_violations: tuple     # (k, gamma, value, bound)
-
-    @property
-    def passed(self):
-        return (self.cond2_ok and not self.cond3_violations
-                and all(ok for _, ok in self.norm_lowers))
-
-    def to_json(self):
-        from .funcs import frac_str
-        return {
-            "C": frac_str(self.C), "js": list(self.js), "stage": self.stage,
-            "cond1": [[frac_str(v), ok] for v, ok in self.norm_lowers],
-            "cond2": self.cond2_ok,
-            "cond3_violations": [[k, g, frac_str(v), frac_str(b)]
-                                 for k, g, v, b in self.cond3_violations],
-            "passed": self.passed,
-        }
-
-
 def check_ris(engine, xs, C, js, N):
     """Certify xs as a C-RIS with indices js, exactly over Gamma_N.
 
     Condition (1) is stage-relative (lower norms at stage N); conditions
-    (2) and (3) are exact over the materialized prefix.
+    (2) and (3) are exact over the materialized prefix.  The Check's
+    values carry C, js and the stage N for the constructions built on it.
     """
     C = Fraction(C)
     js = list(js)
@@ -179,7 +164,7 @@ def check_ris(engine, xs, C, js, N):
     norm_lowers = []
     for x in xs:
         lo = sup_norm_interval(engine, x, N).lower
-        norm_lowers.append((lo, lo <= C))
+        norm_lowers.append([lo, lo <= C])
     cond2_ok = all(js[k + 1] > rans[k][1] for k in range(len(xs) - 1))
     violations = []
     gammas = engine.registry.gammas_up_to(N)
@@ -192,10 +177,11 @@ def check_ris(engine, xs, C, js, N):
             bound = C * sched.weight_value(i)
             v = abs(x.e_cache[gid])
             if v > bound:
-                violations.append((k, gid, v, bound))
-    return RISCertificate(C=C, js=tuple(js), stage=N,
-                          norm_lowers=tuple(norm_lowers), cond2_ok=cond2_ok,
-                          cond3_violations=tuple(violations))
+                violations.append([k, gid, v, bound])
+    ok = cond2_ok and not violations and all(ok for _, ok in norm_lowers)
+    return Check(judge(ok), {"C": C, "js": js, "stage": N,
+                             "cond1": norm_lowers, "cond2": cond2_ok,
+                             "cond3_violations": violations})
 
 
 # -- local weight ---------------------------------------------------------------
@@ -266,9 +252,9 @@ def lower_estimate_witness(engine, xs, j):
 
     Cuts sit one rank above each block; each analysis row carries the
     signed unit functional at the block's max-abs element over its
-    window.  The identity <e*_gamma, sum x_r> = m_{2j}^{-1} sum_r
-    |x_r(eta_r)| is exact; the 1/2-sum-of-norms comparison is recorded
-    against stage-truncated block norms.
+    window.  The Check judges the exact identity <e*_gamma, sum x_r> =
+    m_{2j}^{-1} sum_r |x_r(eta_r)|; its detail records the
+    1/2-sum-of-norms comparison against stage-truncated block norms.
     """
     registry = engine.registry
     rans, cuts = _skipped_cuts(engine, xs)
@@ -290,7 +276,7 @@ def lower_estimate_witness(engine, xs, j):
         if eta is None:
             raise BDSpaceError("window (%d, %d] holds no elements" % (prev, top))
         sign = Fraction(-1) if best_v < 0 else Fraction(1)
-        payloads.append(Func.unit(eta, sign, role="net"))
+        payloads.append(Func.unit(eta, sign))
         etas.append(eta)
         maxima.append(abs(best_v))
         prev = cuts[r]
@@ -302,13 +288,11 @@ def lower_estimate_witness(engine, xs, j):
     block_lowers = [sup_norm_interval(engine, x, cuts[r] - 1).lower
                     for r, x in enumerate(xs)]
     half = beta * sum(block_lowers) / 2
-    report = {
-        "gamma": gamma, "cuts": cuts, "etas": etas, "maxima": maxima,
-        "lhs": lhs, "rhs": rhs, "identity_ok": lhs == rhs,
-        "half_sum": half, "half_ok": lhs >= half,
-        "block_lowers": block_lowers, "stage_truncated_norms": True,
-    }
-    return gamma, report
+    return gamma, Check(
+        judge(lhs == rhs),
+        {"cuts": cuts, "etas": etas, "maxima": maxima, "lhs": lhs, "rhs": rhs},
+        {"half_sum": half, "half_ok": lhs >= half,
+         "block_lowers": block_lowers})
 
 
 def make_l1_average(engine, source, n, C, N=None):
@@ -333,9 +317,9 @@ def make_l1_average(engine, source, n, C, N=None):
         j = next((jj for jj in range(1, len(sched.m) // 2 + 1)
                   if sched.length_value(2 * jj) >= n), None)
         if j is not None:
-            _, wit = lower_estimate_witness(engine, blocks, j)
-            stage = max(stage, engine.registry.rank_of(wit["gamma"]))
-            lam = max(lam, wit["rhs"] / n)
+            gamma, wit = lower_estimate_witness(engine, blocks, j)
+            stage = max(stage, engine.registry.rank_of(gamma))
+            lam = max(lam, wit.values["rhs"] / n)
             lam = max(lam, sup_norm_interval(engine, avg, stage).lower)
     if lam == 0 or 1 / lam > C:
         raise SearchExhausted(
@@ -348,30 +332,6 @@ def make_l1_average(engine, source, n, C, N=None):
 
 # -- exact pairs ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExactPairReport:
-    C: Fraction                 # the RIS constant of the input blocks
-    pair_constant: Fraction     # 22C (eps = 1) or 12C (eps = 0)
-    j: int
-    eps: int
-    gamma: int
-    stage: int
-    theta: Fraction
-    theta_ok: bool
-    value_at_gamma: Fraction
-    clause1: tuple              # (max |<d*,x>|, bound, ok)
-    clause2_norm: tuple         # (stage lower norm, bound, ok)  [stage-relative]
-    clause3_violations: tuple   # (gamma', weight index, value, bound)
-    toy_length: bool
-    claimed_index: int
-    notes: tuple = ()
-
-    @property
-    def passed(self):
-        return (self.value_at_gamma == self.eps and self.clause1[2]
-                and self.clause2_norm[2] and not self.clause3_violations)
-
-
 def _window_annihilator(engine, x, lo, hi):
     """A unit-ball functional on ranks (lo, hi] with <b, x> = 0."""
     registry = engine.registry
@@ -382,12 +342,12 @@ def _window_annihilator(engine, x, lo, hi):
             continue
         v = x.e_cache[gid]
         if v == 0:
-            return Func.unit(gid, role="net")
+            return Func.unit(gid)
         nonzero.append((gid, v))
         if len(nonzero) == 2:
             (g1, v1), (g2, v2) = nonzero
             scale = abs(v1) + abs(v2)
-            return Func(((g1, v2 / scale), (g2, -v1 / scale)), role="net")
+            return Func(((g1, v2 / scale), (g2, -v1 / scale)))
     raise AnnihilatorMissing(
         "window (%d, %d] admits no annihilator of the block" % (lo, hi))
 
@@ -399,7 +359,7 @@ def make_exact_pair(engine, xs, j, eps, C, annihilators=None,
     eps = 1 scales the block sum so that x(gamma) = 1 exactly, gamma being
     the lower-estimate witness.  eps = 0 forges gamma from annihilating
     rows (supplied, or synthesized per window) so z(gamma) = 0 exactly.
-    Returns (theta, x, gamma, report); the report checks the definition's
+    Returns (theta, x, gamma, check); the check judges the definition's
     three clauses over the materialized prefix.
     """
     if eps not in (0, 1):
@@ -416,13 +376,13 @@ def make_exact_pair(engine, xs, j, eps, C, annihilators=None,
         notes.append("toy length a = %d instead of n_{2j} = %d" % (a, n2j))
     if eps == 1:
         gamma, wit = lower_estimate_witness(engine, xs, j)
-        total = wit["rhs"] / beta          # sum of window maxima
+        total = wit.values["rhs"] / beta   # sum of window maxima
         if total == 0:
             raise SearchExhausted("every block vanishes on its window")
         theta = Fraction(a) / total
         x = _sum_point(engine, xs).scaled(theta * m2j / a)
         theta_ok = abs(theta) <= 2
-        if not wit["half_ok"]:
+        if not wit.detail["half_ok"]:
             notes.append("half-bound failed at stage scope; theta reported")
         default_claim = 2 * j
     else:
@@ -472,17 +432,19 @@ def make_exact_pair(engine, xs, j, eps, C, annihilators=None,
         bound = pair_constant * (sched.weight_value(i) if i < 2 * j else beta)
         v = abs(x.e_cache[gid])
         if v > bound:
-            violations.append((gid, i, v, bound))
-    report = ExactPairReport(
-        C=C, pair_constant=pair_constant, j=2 * j, eps=eps, gamma=gamma,
-        stage=N, theta=theta, theta_ok=theta_ok, value_at_gamma=value,
-        clause1=(max_d, c1_bound, max_d <= c1_bound),
-        clause2_norm=(norm_lower, pair_constant, norm_lower <= pair_constant),
-        clause3_violations=tuple(violations), toy_length=(a != n2j),
-        claimed_index=claimed_index if claimed_index is not None
-        else default_claim,
-        notes=tuple(notes))
-    return theta, x, gamma, report
+            violations.append([gid, i, v, bound])
+    ok = (max_d <= c1_bound and norm_lower <= pair_constant
+          and not violations)
+    check = Check(judge(ok), {
+        "C": C, "pair_constant": pair_constant, "j": 2 * j, "eps": eps,
+        "gamma": gamma, "stage": N, "theta": theta, "value_at_gamma": value,
+        "clause1": [max_d, c1_bound],             # max |<d*, x>|, bound
+        "clause2_norm": [norm_lower, pair_constant],   # stage-relative
+        "clause3_violations": violations,         # gamma', index, value, bound
+    }, {"theta_ok": theta_ok, "toy_length": a != n2j, "notes": notes,
+        "claimed_index": default_claim if claimed_index is None
+        else claimed_index})
+    return theta, x, gamma, check
 
 
 # -- dependent sequences ---------------------------------------------------------
@@ -498,7 +460,7 @@ class DependentSequenceRecord:
     etas: list
     xs: list                    # the pair vectors
     thetas: list
-    pair_reports: list
+    pair_checks: list           # the Check of each exact pair
     first_even_j: int
 
     def partial_sums(self, engine):
@@ -513,27 +475,29 @@ class DependentSequenceRecord:
         return rows
 
     def validate(self, engine):
-        """Exact structural checks of the dependent-sequence definition."""
+        """Exact structural checks of the dependent-sequence definition;
+        raises InvariantViolation at the first one that fails."""
         registry = engine.registry
-        w = 2 * self.j0 - 1
+        require(len(self.xs) == len(self.cuts) == len(self.xis)
+                == len(self.etas) == self.length, "link lists differ in length")
         prev = 0
-        for i in range(self.length):
-            rng = engine.ran(self.xs[i])
-            p = self.cuts[i]
-            assert prev < rng[0] and rng[1] < p, "range outside (p_{i-1}, p_i)"
-            erank = registry.rank_of(self.etas[i])
-            assert prev < erank <= p - 1, "eta_i outside its window"
-            rec = registry.record(self.xis[i])
-            assert rec.weight_index == w and rec.rank == p
-            (target,) = rec.payload
-            assert target == self.etas[i]
-            if i:
-                assert rec.predecessor == self.xis[i - 1]
-                ew = registry.record(self.etas[i]).weight_index
-                assert ew == 4 * registry.sigma(self.xis[i - 1])
-            else:
-                ew = registry.record(self.etas[i]).weight_index
-                assert ew == 4 * self.first_even_j - 2
+        for i, (x, p, xi, eta) in enumerate(zip(self.xs, self.cuts, self.xis,
+                                                self.etas)):
+            lo, hi = engine.ran(x)
+            rec = registry.record(xi)
+            pred = self.xis[i - 1] if i else None
+            want = 4 * registry.sigma(pred) if i else 4 * self.first_even_j - 2
+            for ok, what in (
+                    (prev < lo and hi < p, "range outside (p_{i-1}, p_i)"),
+                    (prev < registry.rank_of(eta) < p, "eta outside its window"),
+                    (rec.weight_index == 2 * self.j0 - 1 and rec.rank == p,
+                     "xi off the chain weight or cut"),
+                    (list(rec.payload) == [eta], "xi does not evaluate eta"),
+                    (rec.predecessor == pred, "xi does not extend the chain"),
+                    (registry.record(eta).weight_index == want,
+                     "eta weight index is not %d" % want)):
+                require(ok, "link %d: %s" % (i + 1, what))
+            prev = p
         return True
 
 
@@ -561,7 +525,7 @@ def make_dependent_sequence(engine, j0, sources, eps, C, length,
     sources = list(sources)
     rec = DependentSequenceRecord(
         j0=j0, eps=eps, C=Fraction(C), length=length, cuts=[], xis=[],
-        etas=[], xs=[], thetas=[], pair_reports=[], first_even_j=first_even_j)
+        etas=[], xs=[], thetas=[], pair_checks=[], first_even_j=first_even_j)
     xi = None
     prev_cut = 0
     for i in range(1, length + 1):
@@ -590,7 +554,7 @@ def make_dependent_sequence(engine, j0, sources, eps, C, length,
         rec.etas.append(eta)
         rec.xs.append(x)
         rec.thetas.append(theta)
-        rec.pair_reports.append(pr)
+        rec.pair_checks.append(pr)
         prev_cut = p_i
     rec.validate(engine)
     return rec
@@ -598,11 +562,11 @@ def make_dependent_sequence(engine, j0, sources, eps, C, length,
 
 def alternating_report(engine, rec, N):
     """Exact interval sums of (-1)^i x_i at odd-weight elements, plus the
-    stage-N norms of the plain and alternating averages.
+    stage-N norms of the plain and alternating averages: {claim: Check}.
 
-    The paper bounds (4C; 12C m^{-2} / 4C m^{-2}) are asserted only when
-    the schedule satisfies the quoted prerequisites; otherwise the rows
-    carry verdict "reported".
+    The paper bounds (4C; 12C m^{-2} / 4C m^{-2}) are judged only when
+    the schedule satisfies the quoted prerequisites; otherwise the
+    verdict is reported.
     """
     registry = engine.registry
     sched = registry.schedule
@@ -635,28 +599,18 @@ def alternating_report(engine, rec, N):
     ni_plain = sup_norm_interval(engine, plain, N)
     ni_alt = sup_norm_interval(engine, alt, N)
     C = rec.C
-    rows = []
-    if rec.eps == 1:
-        rows.append({
-            "claim": "interval alternating sums at odd-weight elements",
-            "measured": worst, "witness": worst_at, "bound": 4 * C,
-            "verdict": ("verified" if worst <= 4 * C else "violated")
-            if guard_ok else "reported"})
-        rows.append({
-            "claim": "plain average lower value",
-            "measured": ni_plain.lower, "bound": beta,
-            "verdict": "verified" if ni_plain.lower >= beta else "violated"})
-        rows.append({
-            "claim": "alternating average norm",
-            "measured": ni_alt.lower, "bound": 12 * C * beta * beta,
-            "verdict": "reported"})
-    else:
-        rows.append({
-            "claim": "plain average norm (eps = 0)",
-            "measured": ni_plain.lower, "bound": 4 * C * beta * beta,
-            "verdict": "reported"})
-    return {"rows": rows, "stage": N, "guard_ok": guard_ok,
-            "plain": ni_plain, "alternating": ni_alt}
+    if rec.eps == 0:
+        return {"plain average norm (eps = 0)":
+                _at_most(ni_plain.lower, 4 * C * beta * beta, N, False)}
+    return {
+        "interval alternating sums at odd-weight elements":
+            _at_most(worst, 4 * C, N, guard_ok, witness=worst_at),
+        "plain average lower value":
+            Check(judge(ni_plain.lower >= beta),
+                  {"measured": ni_plain.lower, "bound": beta, "stage": N}),
+        "alternating average norm":
+            _at_most(ni_alt.lower, 12 * C * beta * beta, N, False),
+    }
 
 
 def hi_probe(engine, Y, Z, j0, length, C=Fraction(45), N=None,
@@ -664,7 +618,10 @@ def hi_probe(engine, Y, Z, j0, length, C=Fraction(45), N=None,
     """The ||y+z|| vs ||y-z|| experiment along an alternating dependent
     sequence: y sums the odd-indexed pairs (from Y), z the even-indexed
     (from Z).  The plus-norm lower value is the exact chain identity
-    length * m_{2j0-1}^{-1}; the minus norm is stage-truncated."""
+    length * m_{2j0-1}^{-1}; the minus norm is stage-truncated.
+
+    Returns the stage-N norm intervals of y+z and y-z and the reported
+    Check of the minus norm against the witness and the paper bound."""
     rec = make_dependent_sequence(engine, j0, [Y, Z], eps=1, C=C,
                                   length=length,
                                   blocks_per_pair=blocks_per_pair,
@@ -676,22 +633,19 @@ def hi_probe(engine, Y, Z, j0, length, C=Fraction(45), N=None,
     witness_value = length * beta
     ni_plus = sup_norm_interval(engine, y + z, N)
     ni_minus = sup_norm_interval(engine, y - z, N)
-    assert ni_plus.lower >= witness_value, "chain witness missing from stage"
-    return {
-        "record": rec, "stage": N,
-        "witness_value": witness_value,
-        "plus": ni_plus, "minus": ni_minus,
-        "ratio_vs_witness": ni_minus.lower / witness_value,
-        "strict": ni_minus.lower < witness_value,
-        "paper_bound": {"value": 12 * Fraction(C) * length * beta * beta,
-                        "verdict": "reported"},
-    }
+    require(ni_plus.lower >= witness_value, "chain witness missing from stage")
+    paper_bound = 12 * Fraction(C) * length * beta * beta
+    return ni_plus, ni_minus, Check(
+        judge(ni_minus.lower <= paper_bound, decidable=False),
+        {"witness": witness_value, "minus_lower": ni_minus.lower,
+         "ratio": ni_minus.lower / witness_value, "paper_bound": paper_bound},
+        {"strict": ni_minus.lower < witness_value})
 
 
 # -- the basic inequality --------------------------------------------------------
 
 def basic_inequality_witness(engine, xs, lams, s, gamma, cert, j0=None):
-    """Run the basic-inequality recursion, returning (k0, g*, certificate).
+    """Run the basic-inequality recursion, returning (k0, g*, check).
 
     g* is a norming tree over the block indices in W[(A_{3n_j}, m_j^{-1})]
     (excluding j0 when given); the certificate checks tree membership,
@@ -702,8 +656,7 @@ def basic_inequality_witness(engine, xs, lams, s, gamma, cert, j0=None):
     if cert is None or not cert.passed:
         raise NotCertifiedRIS("blocks lack a passing RIS certificate")
     registry = engine.registry
-    C = cert.C
-    js = cert.js
+    C, js, stage = (cert.values[k] for k in ("C", "js", "stage"))
     lams = [Fraction(l) for l in lams]
     if len(lams) != len(xs):
         raise ValueError("need one coefficient per block")
@@ -711,7 +664,7 @@ def basic_inequality_witness(engine, xs, lams, s, gamma, cert, j0=None):
     params = MTParams.from_schedule(registry.schedule, factor=3, excluded=j0)
 
     if j0 is not None:
-        _check_excluded_hypothesis(engine, xs, lams, C, j0, cert.stage)
+        _check_excluded_hypothesis(engine, xs, lams, C, j0, stage)
 
     def argmax_lam(pool):
         best = pool[0]
@@ -798,15 +751,12 @@ def basic_inequality_witness(engine, xs, lams, s, gamma, cert, j0=None):
         action = tree_action(gstar, params).dot(
             {k: abs(lams[k]) for k in range(len(xs))})
     rhs = 5 * C * abs(lams[k0]) + 5 * C * action
-    certificate = {
-        "k0": k0, "gamma": gamma, "s": s, "stage": cert.stage,
-        "lhs": lhs, "rhs": rhs, "inequality_ok": lhs <= rhs,
-        "tree_ok": tree_ok, "tree_reason": tree_reason,
-        "supp_ok": supp_ok, "weight_ok": weight_ok,
-        "excluded": j0,
-        "passed": lhs <= rhs and tree_ok and supp_ok and weight_ok,
-    }
-    return k0, gstar, certificate
+    return k0, gstar, Check(
+        judge(lhs <= rhs and tree_ok and supp_ok and weight_ok),
+        {"k0": k0, "gamma": gamma, "s": s, "stage": stage, "lhs": lhs,
+         "rhs": rhs, "inequality_ok": lhs <= rhs, "tree_ok": tree_ok,
+         "supp_ok": supp_ok, "weight_ok": weight_ok, "excluded": j0},
+        {"tree_reason": tree_reason})
 
 
 def _check_excluded_hypothesis(engine, xs, lams, C, j0, N):
@@ -832,16 +782,18 @@ def _check_excluded_hypothesis(engine, xs, lams, C, j0, N):
 
 def ris_average_report(engine, xs, j0, cert, lams=None, N=None):
     """Stage-N maxima of |n^{-1} sum lam_k x_k(gamma)| grouped by the
-    weight class of gamma, against the bound table (11C m_{j0}^{-1}
-    m_h^{-1} below j0; 5C/n + 5C m_h^{-1} at or above).
+    weight class h of gamma, against the bound table (11C m_{j0}^{-1}
+    m_h^{-1} below j0; 5C/n + 5C m_h^{-1} at or above): {"h=<h>": Check},
+    plus "norm", the stage-N norm against 6C m_{j0}^{-1}.
 
-    Rows are "verified"/"violated" only when the schedule satisfies the
-    quoted prerequisite n_{j0} > 5 m_{j0}^2; otherwise "reported"."""
+    A class is judged only when the schedule satisfies the quoted
+    prerequisite n_{j0} > 5 m_{j0}^2 at length n = n_{j0}; otherwise,
+    and always for the norm, the verdict is reported."""
     if cert is None or not cert.passed:
         raise NotCertifiedRIS("blocks lack a passing RIS certificate")
     registry = engine.registry
     sched = registry.schedule
-    C = cert.C
+    C = cert.values["C"]
     n = len(xs)
     lams = [Fraction(1)] * n if lams is None else [Fraction(l) for l in lams]
     avg = _sum_point(engine, xs, lams).scaled(Fraction(1, n))
@@ -858,22 +810,16 @@ def ris_average_report(engine, xs, j0, cert, lams=None, N=None):
     m_j0 = sched.m[j0 - 1]
     prereq = sched.length_value(j0) > 5 * m_j0 * m_j0
     toy_length = n != sched.length_value(j0)
-    rows = []
+    checks = {}
     for h in sorted(per_class):
         measured, at = per_class[h]
         if h < j0:
             bound = 11 * C * Fraction(1, m_j0) * sched.weight_value(h)
-            case = "h < j0"
         else:
             bound = 5 * C * Fraction(1, n) + 5 * C * sched.weight_value(h)
-            case = "h >= j0"
-        verdict = ("verified" if measured <= bound else "violated") \
-            if prereq and not toy_length else "reported"
-        rows.append({"weight_index": h, "case": case, "measured": measured,
-                     "witness": at, "bound": bound, "verdict": verdict})
-    norm = sup_norm_interval(engine, avg, N)
-    return {"rows": rows, "stage": N, "prereq_ok": prereq,
-            "toy_length": toy_length,
-            "norm": norm,
-            "norm_bound": {"value": 6 * C * Fraction(1, m_j0),
-                           "verdict": "reported"}}
+        checks["h=%d" % h] = _at_most(
+            measured, bound, N, prereq and not toy_length, witness=at,
+            prereq_ok=prereq, toy_length=toy_length)
+    checks["norm"] = _at_most(sup_norm_interval(engine, avg, N).lower,
+                              6 * C * Fraction(1, m_j0), N, False)
+    return checks

@@ -1,8 +1,10 @@
-"""Machine-checkable certificates and the run ledger.
+"""Checks, machine-checkable certificates and the run ledger.
 
-A Certificate binds a named claim to the exact inputs it was checked
-against (as a content digest), the exact rational values computed, and a
-verdict.  Serialization is canonical -- sorted keys, rationals as "p/q",
+Every exact check returns one Check: a verdict, the exact values it
+computed, and a detail mapping of explanations.  `judge` turns the
+outcome of a check into its verdict.  A Certificate binds a Check to a
+named claim and to the exact inputs it was checked against (as a content
+digest).  Serialization is canonical -- sorted keys, rationals as "p/q",
 no timestamps -- so re-running a suite with identical inputs reproduces
 every certificate byte for byte.
 
@@ -21,7 +23,7 @@ certificate; reported rows never affect the exit code.
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -32,6 +34,26 @@ REPORTED = "reported"
 VIOLATED = "violated"
 
 _VERDICTS = (VERIFIED, REPORTED, VIOLATED)
+
+
+def judge(ok, decidable=True):
+    """The verdict of a check: reported when the claim is not decidable
+    at this scale, otherwise verified or violated as ok says."""
+    if not decidable:
+        return REPORTED
+    return VERIFIED if ok else VIOLATED
+
+
+@dataclass(frozen=True)
+class Check:
+    """The outcome of one exact check; values keep exact Fractions."""
+    verdict: str
+    values: dict
+    detail: dict = field(default_factory=dict)
+
+    @property
+    def passed(self):
+        return self.verdict == VERIFIED
 
 
 def _canon(obj):
@@ -81,31 +103,20 @@ class Certificate:
             raise ValueError("verdict %r not in %r" % (self.verdict, _VERDICTS))
 
     def to_json(self):
-        return {
-            "claim_id": self.claim_id,
-            "claim": self.claim,
-            "schedule": _canon(self.schedule),
-            "inputs_digest": self.inputs_digest,
-            "values": _canon(self.values),
-            "verdict": self.verdict,
-            "stage": self.stage,
-            "net_policy": self.net_policy,
-            "odd_guard": self.odd_guard,
-            "seed": self.seed,
-            "detail": _canon(self.detail),
-        }
+        return {f.name: _canon(getattr(self, f.name)) for f in fields(self)}
 
     def to_bytes(self):
         return canonical_json(self.to_json())
 
 
-def make_certificate(claim_id, claim, schedule, inputs, values, verdict,
-                     **kw):
-    """Build a Certificate, digesting the inputs mapping."""
+def make_certificate(claim_id, claim, schedule, inputs, check, **kw):
+    """Certify a Check: digest the inputs mapping, keep its verdict,
+    values and detail."""
     sched = schedule.to_json() if hasattr(schedule, "to_json") else dict(schedule)
     return Certificate(claim_id=claim_id, claim=claim, schedule=sched,
                        inputs_digest=inputs_digest(inputs),
-                       values=_canon(values), verdict=verdict, **kw)
+                       values=_canon(check.values), verdict=check.verdict,
+                       detail=check.detail, **kw)
 
 
 def emit_certificate(cert, sink):

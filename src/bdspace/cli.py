@@ -2,10 +2,16 @@
 verification suites, and certificate/table export.
 
 Subcommands: schedule | gen | forge | norm | mtnorm | verify | hiprobe |
-export.  Every randomized suite takes a mandatory-defaulted seed and is
-fully deterministic given (schedule, seed, stage, cap): re-running
-reproduces byte-identical certificates.  Exit code 0 iff no certificate
-carries verdict "violated"; "reported" rows never affect the exit code.
+export; each accepts only the options it reads.  The verification suites
+come from two factories: a stage suite judges one claim over a generated
+stage, a seeded suite runs seeded cases, each on a fresh forging arena
+(`forge_arena`).  Every suite takes a seed (default 7) and is fully
+deterministic given (schedule, seed, stage, cap): re-running reproduces
+byte-identical certificates.
+
+Exit codes: 0 when no certificate carries verdict "violated" ("reported"
+rows never affect it), 1 when one does, and 2 on bad input or usage,
+with a one-line message naming the error.
 """
 
 import argparse
@@ -18,34 +24,53 @@ from fractions import Fraction
 from .analysis import (CarrierSource, basic_inequality_witness, check_ris,
                        hi_probe, lower_estimate_witness,
                        make_dependent_sequence, suggested_js)
-from .certificates import (Ledger, REPORTED, VERIFIED, VIOLATED,
-                           make_certificate)
+from .certificates import Check, Ledger, judge, make_certificate
 from .engine import Engine
-from .errors import BDSpaceError
+from .errors import BDSpaceError, InputError
 from .funcs import Func, frac_str, parse_frac
 from .mtnorm import MTParams, mt_norm, mt_norm_exhaustive, verify_norming_tree
 from .norms import sup_norm_interval
-from .registry import ENFORCE, Registry, WAIVE, XK, BMT
+from .registry import BASE, BMT, ENFORCE, Registry, WAIVE, XK
 from .schedule import (geometric_toy_schedule, slow_toy_schedule,
                        validate_schedule)
-from .spaces import (DyadicAverages, PaperFactorial, SignedUnits, forge_even,
+from .spaces import (DyadicAverages, PaperFactorial, SignedUnits,
+                     check_treelike, forge_even, forge_odd_chain,
                      generate_up_to)
-from .spaces import check_treelike
 
 DEFAULT_SEED = 7
 
 
 # -- shared plumbing -----------------------------------------------------------
 
-def load_schedule(path):
-    with open(path) as fh:
-        obj = json.load(fh)
-    return validate_schedule(obj["m"], obj["n"])
-
-
 def default_stage6_schedule():
     """The standard toy generation schedule: two weights, short lengths."""
     return validate_schedule((4, 16), (6, 1))
+
+
+def read_input(path, parse):
+    """parse(the JSON document in a file); InputError when the file cannot
+    be read or its content does not have the shape parse expects."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (OSError, AttributeError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
+        raise InputError("cannot read %s (%s: %s)"
+                         % (path, type(exc).__name__, exc)) from None
+
+
+def load_schedule(path):
+    """The schedule in a JSON file {"m": [...], "n": [...]}; the default
+    toy schedule when path is None."""
+    if path is None:
+        return default_stage6_schedule()
+    return read_input(path, lambda obj: validate_schedule(obj["m"], obj["n"]))
+
+
+def read_coordinates(path):
+    """{index: Fraction} from a JSON file [[k, "p/q"], ...]."""
+    return read_input(path, lambda rows: {int(k): parse_frac(v)
+                                          for k, v in rows})
 
 
 def net_policy(name):
@@ -53,9 +78,10 @@ def net_policy(name):
         return SignedUnits()
     if name == "paper":
         return PaperFactorial()
-    if name.startswith("dyadic:"):
-        return DyadicAverages(int(name.split(":", 1)[1]))
-    raise ValueError("unknown net policy %r" % name)
+    kind, _, k = name.partition(":")
+    if kind == "dyadic" and k.isdigit():
+        return DyadicAverages(int(k))
+    raise InputError("unknown net policy %r (paper | units | dyadic:K)" % name)
 
 
 def build_registry(schedule, stage, net="units", cap=20000, discipline=XK,
@@ -66,85 +92,94 @@ def build_registry(schedule, stage, net="units", cap=20000, discipline=XK,
     return registry
 
 
+def registry_of(args, **kw):
+    """The registry that the registry options of a subcommand describe."""
+    return build_registry(load_schedule(args.schedule), args.stage, args.net,
+                          args.cap, **kw)
+
+
+def forge_arena(schedule):
+    """A registry holding Gamma_1 only, the ground for forged towers."""
+    return build_registry(schedule, 1)
+
+
 # -- verification suites -------------------------------------------------------
 
-def suite_biorthogonality(ledger, schedule=None, stage=6, net="units",
-                          cap=20000, seed=DEFAULT_SEED):
-    schedule = schedule or default_stage6_schedule()
-    registry = build_registry(schedule, stage, net, cap)
-    engine = Engine(registry)
+def tally(values, failures, name="failures"):
+    """The Check of a list of failures: verified when it is empty, with
+    its length among the values and its first five rows in the detail."""
+    return Check(judge(not failures), dict(values, **{name: len(failures)}),
+                 {"first_" + name: failures[:5]})
+
+
+def stage_suite(claim_id, claim, check):
+    """A suite judging one claim over Gamma_stage of a generated registry;
+    check(engine, stage) returns its Check."""
+    def suite(ledger, schedule=None, stage=6, net="units", cap=20000,
+              seed=DEFAULT_SEED):
+        schedule = schedule or default_stage6_schedule()
+        registry = build_registry(schedule, stage, net, cap)
+        ledger.add(make_certificate(
+            claim_id, claim, schedule,
+            {"stage": stage, "net": net, "cap": cap},
+            check(Engine(registry), stage),
+            stage=stage, net_policy=net, odd_guard=registry.odd_guard,
+            seed=seed))
+        return ledger
+    return suite
+
+
+def _biorthogonality(engine, stage):
     sm = engine.stage_matrix(stage)
     defects = sm.biorthogonality_defects()
-    ledger.add(make_certificate(
-        "biorthogonality",
-        "the dual basis rows pair with the basis columns to the exact "
-        "identity matrix at the generated stage",
-        schedule,
-        {"stage": stage, "net": net, "cap": cap},
-        {"elements": len(sm.ids), "defects": len(defects)},
-        VIOLATED if defects else VERIFIED,
-        stage=stage, net_policy=net, odd_guard=registry.odd_guard, seed=seed,
-        detail={"first_defects": [[x, g, v] for x, g, v in defects[:5]]}))
-    return ledger
+    return tally({"elements": len(sm.ids)}, defects, "defects")
 
 
-def suite_eval_analysis(ledger, schedule=None, stage=6, net="units",
-                        cap=20000, seed=DEFAULT_SEED):
-    schedule = schedule or default_stage6_schedule()
-    registry = build_registry(schedule, stage, net, cap)
-    engine = Engine(registry)
+def _eval_analysis(engine, stage):
+    registry = engine.registry
     checked, bad = 0, []
     for gid in registry.gammas_up_to(stage):
-        if registry.records[gid].kind == "Base":
+        if registry.records[gid].kind == BASE:
             continue
         for tail in (False, True):
             lhs, rhs = engine.analysis_identity_sides(gid, tail_variant=tail)
             checked += 1
             if lhs != rhs:
                 bad.append([gid, tail])
-    ledger.add(make_certificate(
-        "eval-analysis",
-        "every non-Base evaluation functional equals its chain "
-        "reconstruction, in both the window and the tail form, exactly",
-        schedule,
-        {"stage": stage, "net": net, "cap": cap},
-        {"checked": checked, "mismatches": len(bad)},
-        VIOLATED if bad else VERIFIED,
-        stage=stage, net_policy=net, odd_guard=registry.odd_guard, seed=seed,
-        detail={"first_mismatches": bad[:5]}))
-    return ledger
+    return tally({"checked": checked}, bad, "mismatches")
 
 
-def suite_projections(ledger, schedule=None, stage=6, net="units",
-                      cap=20000, seed=DEFAULT_SEED):
-    schedule = schedule or default_stage6_schedule()
-    registry = build_registry(schedule, stage, net, cap)
-    engine = Engine(registry)
+def _projections(engine, stage):
     bc = engine.basis_constant(stage)
     interval_sums, tail_sums = engine.fdd_row_norms(stage)
-    max_interval = max(interval_sums.values())
-    max_tail = max(tail_sums.values())
-    max_dstar = max(engine.d_star(g).l1()
-                    for g in registry.gammas_up_to(stage))
-    ok = (bc <= 2 and max_interval <= 4 and max_tail <= 3 and max_dstar <= 3)
-    ledger.add(make_certificate(
-        "projections",
-        "exact operator-norm bounds: prefix column sums at most 2, "
-        "interval row sums at most 4, tail row sums at most 3, dual-basis "
-        "ell_1 norms at most 3",
-        schedule,
-        {"stage": stage, "net": net, "cap": cap},
-        {"basis_constant": bc, "max_interval_rowsum": max_interval,
-         "max_tail_rowsum": max_tail, "max_dstar_l1": max_dstar},
-        VERIFIED if ok else VIOLATED,
-        stage=stage, net_policy=net, odd_guard=registry.odd_guard, seed=seed))
-    return ledger
+    interval, tail = max(interval_sums.values()), max(tail_sums.values())
+    dstar = max(engine.d_star(g).l1()
+                for g in engine.registry.gammas_up_to(stage))
+    return Check(judge(bc <= 2 and interval <= 4 and tail <= 3 and dstar <= 3),
+                 {"basis_constant": bc, "max_interval_rowsum": interval,
+                  "max_tail_rowsum": tail, "max_dstar_l1": dstar})
 
 
-def suite_treelike(ledger, schedule=None, stage=5, net="units", cap=20000,
-                   forged_pairs=20, seed=DEFAULT_SEED):
-    schedule = schedule or validate_schedule((4, 16), (6, 2))
-    registry = build_registry(schedule, stage, net, cap)
+suite_biorthogonality = stage_suite(
+    "biorthogonality",
+    "the dual basis rows pair with the basis columns to the exact "
+    "identity matrix at the generated stage", _biorthogonality)
+
+suite_eval_analysis = stage_suite(
+    "eval-analysis",
+    "every non-Base evaluation functional equals its chain "
+    "reconstruction, in both the window and the tail form, exactly",
+    _eval_analysis)
+
+suite_projections = stage_suite(
+    "projections",
+    "exact operator-norm bounds: prefix column sums at most 2, "
+    "interval row sums at most 4, tail row sums at most 3, dual-basis "
+    "ell_1 norms at most 3", _projections)
+
+
+def _treelike_pairs(engine, stage):
+    registry = engine.registry
     checked, failures = 0, []
     by_weight = {}
     for gid in registry.gammas_up_to(stage):
@@ -159,26 +194,28 @@ def suite_treelike(ledger, schedule=None, stage=5, net="units", cap=20000,
                     check_treelike(registry, group[i], group[k])
                 except BDSpaceError as exc:
                     failures.append([group[i], group[k], str(exc)])
-    ledger.add(make_certificate(
-        "treelike-exhaustive",
-        "every pair of same-odd-weight chains in the generated prefix has "
-        "a unique branching index",
-        schedule,
-        {"stage": stage, "net": net, "cap": cap},
-        {"pairs": checked, "failures": len(failures)},
-        VIOLATED if failures else VERIFIED,
-        stage=stage, net_policy=net, odd_guard=registry.odd_guard, seed=seed,
-        detail={"first_failures": failures[:5]}))
+    return tally({"pairs": checked}, failures)
+
+
+_suite_treelike_exhaustive = stage_suite(
+    "treelike-exhaustive",
+    "every pair of same-odd-weight chains in the generated prefix has "
+    "a unique branching index", _treelike_pairs)
+
+
+def suite_treelike(ledger, schedule=None, stage=5, net="units", cap=20000,
+                   forged_pairs=20, seed=DEFAULT_SEED):
+    _suite_treelike_exhaustive(
+        ledger, schedule or validate_schedule((4, 16), (6, 2)), stage, net,
+        cap, seed)
 
     # forged pairs: towers sharing a prefix (branch point 2) and
     # independent towers (branch point 1), on a slow schedule
     rng = random.Random(seed)
     f_sched = slow_toy_schedule(2048)
-    f_reg = Registry(f_sched, discipline=XK, odd_guard=WAIVE)
-    f_reg.base()
-    f_reg.generated_stage = 1
+    f_reg = forge_arena(f_sched)
     f_checked, f_failures = 0, []
-    unit_base = lambda: Func.unit(f_reg.base(), role="net")
+    unit_base = lambda: Func.unit(f_reg.base())
 
     def forge_head():
         r = max(f_reg.max_rank(), 2) + rng.randint(1, 3)
@@ -216,10 +253,8 @@ def suite_treelike(ledger, schedule=None, stage=5, net="units", cap=20000,
         "shared prefixes at the split link, independent towers at the root",
         f_sched,
         {"forged_pairs": forged_pairs, "seed": seed},
-        {"pairs": f_checked, "failures": len(f_failures)},
-        VIOLATED if f_failures else VERIFIED,
-        stage=f_reg.max_rank(), odd_guard=WAIVE, seed=seed,
-        detail={"first_failures": f_failures[:5]}))
+        tally({"pairs": f_checked}, f_failures),
+        stage=f_reg.max_rank(), odd_guard=WAIVE, seed=seed))
     return ledger
 
 
@@ -250,118 +285,92 @@ def suite_mt_oracle(ledger, cases=200, seed=DEFAULT_SEED):
         "successive-subset oracle, and the attaining trees verify",
         {"m": [], "n": [], "mode": "n/a"},
         {"cases": cases, "seed": seed},
-        {"cases": ran_cases, "failures": len(failures)},
-        VIOLATED if failures else VERIFIED,
-        seed=seed, detail={"first_failures": failures[:5]}))
+        tally({"cases": ran_cases}, failures),
+        seed=seed))
     return ledger
 
 
-def suite_lowerest(ledger, cases=50, seed=DEFAULT_SEED):
-    rng = random.Random(seed)
-    sched = slow_toy_schedule(2048)
-    failures = []
-    for case in range(cases):
-        registry = Registry(sched, discipline=XK, odd_guard=WAIVE)
-        registry.base()
-        registry.generated_stage = 1
-        engine = Engine(registry)
-        source = CarrierSource(registry, engine, companions=False, gap=2)
-        nblocks = rng.randint(2, 4)
-        blocks = []
-        for _ in range(nblocks):
-            b = source.next_block()
-            scale = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
-                             rng.randint(1, 3))
-            blocks.append(b.scaled(scale))
-        _, report = lower_estimate_witness(engine, blocks, 1)
-        if not report["identity_ok"]:
-            failures.append([case, frac_str(report["lhs"]),
-                             frac_str(report["rhs"])])
-    ledger.add(make_certificate(
-        "lowerest",
-        "the forged even-weight witness pairs with the block sum to "
-        "exactly the weighted sum of the window maxima",
-        sched,
-        {"cases": cases, "seed": seed},
-        {"cases": cases, "failures": len(failures)},
-        VIOLATED if failures else VERIFIED,
-        seed=seed, detail={"first_failures": failures[:5]}))
-    return ledger
+def seeded_suite(claim_id, claim, make_schedule, default_cases, run_case):
+    """A suite of seeded cases, each on a fresh forging arena over
+    make_schedule(); run_case(case, rng, engine) returns None when the
+    case holds and the tail of its failure row otherwise."""
+    def suite(ledger, cases=default_cases, seed=DEFAULT_SEED):
+        schedule = make_schedule()
+        rng = random.Random(seed)
+        failures = []
+        for case in range(cases):
+            try:
+                failure = run_case(case, rng, Engine(forge_arena(schedule)))
+            except BDSpaceError as exc:
+                failure = [str(exc)]
+            if failure:
+                failures.append([case] + failure)
+        ledger.add(make_certificate(
+            claim_id, claim, schedule, {"cases": cases, "seed": seed},
+            tally({"cases": cases}, failures),
+            seed=seed))
+        return ledger
+    return suite
 
 
-def suite_basicineq(ledger, cases=20, seed=DEFAULT_SEED):
-    rng = random.Random(seed)
-    failures = []
-    for case in range(cases):
-        registry = Registry(geometric_toy_schedule(64), discipline=XK,
-                            odd_guard=WAIVE)
-        registry.base()
-        registry.generated_stage = 1
-        engine = Engine(registry)
-        source = CarrierSource(registry, engine, companions=False, gap=2)
-        nblocks = rng.randint(3, 5)
-        xs = [source.next_block() for _ in range(nblocks)]
-        js = suggested_js(engine, xs)
-        cert = check_ris(engine, xs, Fraction(2), js, registry.max_rank())
-        gamma, _ = lower_estimate_witness(engine, xs, 1)
-        lams = [Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
-                for _ in xs]
-        s = rng.choice([0, engine.ran(xs[0])[0] - 1])
-        j0 = 1 if case % 5 == 4 else None
-        try:
-            _, _, wit = basic_inequality_witness(engine, xs, lams, s, gamma,
-                                                 cert, j0=j0)
-            if not wit["passed"]:
-                failures.append([case, wit["tree_reason"] or "inequality"])
-        except BDSpaceError as exc:
-            failures.append([case, str(exc)])
-    ledger.add(make_certificate(
-        "basicineq",
-        "the recursive norming-tree construction bounds the projected "
-        "evaluation by the direct term plus the tree action, exactly, "
-        "with the tree inside the admissible norming set",
-        geometric_toy_schedule(64),
-        {"cases": cases, "seed": seed},
-        {"cases": cases, "failures": len(failures)},
-        VIOLATED if failures else VERIFIED,
-        seed=seed, detail={"first_failures": failures[:5]}))
-    return ledger
+def _lowerest_case(case, rng, engine):
+    source = CarrierSource(engine.registry, engine, companions=False, gap=2)
+    blocks = []
+    for _ in range(rng.randint(2, 4)):
+        b = source.next_block()
+        blocks.append(b.scaled(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                        rng.randint(1, 3))))
+    _, check = lower_estimate_witness(engine, blocks, 1)
+    if not check.passed:
+        return [frac_str(check.values["lhs"]), frac_str(check.values["rhs"])]
 
 
-def suite_depseq(ledger, cases=10, seed=DEFAULT_SEED):
-    rng = random.Random(seed)
-    sched = slow_toy_schedule(2048)
-    failures = []
-    for case in range(cases):
-        length = 2 + case % 4
-        eps = 0 if case % 2 else 1
-        registry = Registry(sched, discipline=XK, odd_guard=WAIVE)
-        registry.base()
-        registry.generated_stage = 1
-        engine = Engine(registry)
-        sources = [CarrierSource(registry, engine, companions=(eps == 0),
-                                 gap=3 if eps == 0 else 2)
-                   for _ in range(rng.randint(1, 2))]
-        try:
-            rec = make_dependent_sequence(engine, 1, sources, eps,
-                                          Fraction(45), length,
-                                          blocks_per_pair=2)
-            rows = rec.partial_sums(engine)
-            if not all(ok for _, _, _, ok in rows):
-                failures.append([case, "partial sums"])
-        except BDSpaceError as exc:
-            failures.append([case, str(exc)])
-    ledger.add(make_certificate(
-        "depseq",
-        "dependent-sequence partial sums at the chain links equal the "
-        "index times the chain weight exactly (and vanish when the pairs "
-        "are annihilating)",
-        sched,
-        {"cases": cases, "seed": seed},
-        {"cases": cases, "failures": len(failures)},
-        VIOLATED if failures else VERIFIED,
-        seed=seed, detail={"first_failures": failures[:5]}))
-    return ledger
+def _basicineq_case(case, rng, engine):
+    registry = engine.registry
+    source = CarrierSource(registry, engine, companions=False, gap=2)
+    xs = [source.next_block() for _ in range(rng.randint(3, 5))]
+    ris = check_ris(engine, xs, Fraction(2), suggested_js(engine, xs),
+                    registry.max_rank())
+    gamma, _ = lower_estimate_witness(engine, xs, 1)
+    lams = [Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
+            for _ in xs]
+    s = rng.choice([0, engine.ran(xs[0])[0] - 1])
+    _, _, check = basic_inequality_witness(
+        engine, xs, lams, s, gamma, ris, j0=1 if case % 5 == 4 else None)
+    if not check.passed:
+        return [check.detail["tree_reason"] or "inequality"]
+
+
+def _depseq_case(case, rng, engine):
+    eps = 0 if case % 2 else 1
+    sources = [CarrierSource(engine.registry, engine, companions=(eps == 0),
+                             gap=3 if eps == 0 else 2)
+               for _ in range(rng.randint(1, 2))]
+    rec = make_dependent_sequence(engine, 1, sources, eps, Fraction(45),
+                                  2 + case % 4, blocks_per_pair=2)
+    if not all(ok for _, _, _, ok in rec.partial_sums(engine)):
+        return ["partial sums"]
+
+
+suite_lowerest = seeded_suite(
+    "lowerest",
+    "the forged even-weight witness pairs with the block sum to "
+    "exactly the weighted sum of the window maxima",
+    lambda: slow_toy_schedule(2048), 50, _lowerest_case)
+
+suite_basicineq = seeded_suite(
+    "basicineq",
+    "the recursive norming-tree construction bounds the projected "
+    "evaluation by the direct term plus the tree action, exactly, "
+    "with the tree inside the admissible norming set",
+    lambda: geometric_toy_schedule(64), 20, _basicineq_case)
+
+suite_depseq = seeded_suite(
+    "depseq",
+    "dependent-sequence partial sums at the chain links equal the "
+    "index times the chain weight exactly (and vanish when the pairs "
+    "are annihilating)",
+    lambda: slow_toy_schedule(2048), 10, _depseq_case)
 
 
 SUITES = {
@@ -378,65 +387,52 @@ SUITES = {
 
 def run_hi_probes(ledger, cases=10, length=5, seed=DEFAULT_SEED):
     sched = slow_toy_schedule(8192)
+    if cases < 1:
+        raise InputError("the probe needs at least one case, got %d" % cases)
+    if not 1 <= length <= sched.length_value(1):
+        raise InputError("probe length %d not in 1..%d"
+                         % (length, sched.length_value(1)))
     rng = random.Random(seed)
-    strict = 0
+    gap, fe = 2, 1
     rows = []
     for case in range(cases):
-        registry = Registry(sched, discipline=XK, odd_guard=WAIVE)
-        registry.base()
-        registry.generated_stage = 1
-        engine = Engine(registry)
-        gap = 2
-        fe = 1
-        case_length = length
+        engine = Engine(forge_arena(sched))
+        registry = engine.registry
         # a seeded pilot element shifts every later rank in the towers,
         # giving each case a genuinely different instance of the same size
         forge_even(registry, 1, [2 + rng.randint(0, 3)],
-                   [Func.unit(registry.base(), role="net")])
+                   [Func.unit(registry.base())])
         Y = CarrierSource(registry, engine, companions=False, gap=gap)
         Z = CarrierSource(registry, engine, companions=False, gap=gap)
-        probe = hi_probe(engine, Y, Z, j0=1, length=case_length,
-                         first_even_j=fe)
-        strict += probe["strict"]
-        rows.append({"case": case, "witness": probe["witness_value"],
-                     "minus_lower": probe["minus"].lower,
-                     "ratio": probe["ratio_vs_witness"],
-                     "strict": probe["strict"]})
+        _, minus, probe = hi_probe(engine, Y, Z, j0=1, length=length,
+                                   first_even_j=fe)
+        rows.append({"case": case, "witness": probe.values["witness"],
+                     "minus_lower": probe.values["minus_lower"],
+                     "ratio": probe.values["ratio"],
+                     "strict": probe.detail["strict"]})
         ledger.add(make_certificate(
             "hiprobe-%d" % case,
             "stage-truncated difference norm against the exact chain "
             "witness for the sum norm (direction probe; the asymptotic "
             "bound is out of reach at this scale)",
             sched,
-            {"case": case, "length": case_length, "gap": gap,
-             "first_even_j": fe,
-             "seed": seed},
-            {"witness": probe["witness_value"],
-             "minus_lower": probe["minus"].lower,
-             "ratio": probe["ratio_vs_witness"],
-             "paper_bound": probe["paper_bound"]["value"]},
-            REPORTED,
-            stage=probe["stage"], odd_guard=WAIVE, seed=seed,
-            detail={"strict": probe["strict"]}))
+            {"case": case, "length": length, "gap": gap,
+             "first_even_j": fe, "seed": seed},
+            probe, stage=minus.stage, odd_guard=WAIVE, seed=seed))
+    strict = sum(r["strict"] for r in rows)
     ledger.add(make_certificate(
         "hiprobe-direction",
         "the stage-truncated difference norm falls strictly below the "
         "exact sum-norm witness in at least nine of ten probes",
         sched,
         {"cases": cases, "length": length, "seed": seed},
-        {"strict": strict, "cases": cases},
-        VERIFIED if strict * 10 >= cases * 9 else VIOLATED,
+        Check(judge(strict * 10 >= cases * 9),
+              {"strict": strict, "cases": cases}),
         odd_guard=WAIVE, seed=seed))
     return ledger, rows
 
 
 # -- file formats --------------------------------------------------------------
-
-def load_point(engine, path):
-    with open(path) as fh:
-        rows = json.load(fh)
-    return engine.point_from_d({int(k): parse_frac(v) for k, v in rows})
-
 
 def write_rows(rows, out, fmt):
     if fmt == "csv":
@@ -444,18 +440,25 @@ def write_rows(rows, out, fmt):
             return
         writer = csv.DictWriter(out, fieldnames=sorted(rows[0]))
         writer.writeheader()
-        for r in rows:
-            writer.writerow(r)
+        writer.writerows(rows)
     else:
         json.dump(rows, out, indent=1, default=str)
         out.write("\n")
 
 
+def emit_rows(rows, args):
+    """Write rows to --out, or to standard output, in --format."""
+    if args.out:
+        with open(args.out, "w") as sink:
+            write_rows(rows, sink, args.format)
+    else:
+        write_rows(rows, sys.stdout, args.format)
+
+
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_schedule(args):
-    sched = load_schedule(args.schedule) if args.schedule \
-        else default_stage6_schedule()
+    sched = load_schedule(args.schedule)
     print(json.dumps({"m": list(sched.m), "n": list(sched.n),
                       "mode": sched.mode, "theta": frac_str(sched.theta),
                       "M": frac_str(sched.M)}))
@@ -463,67 +466,50 @@ def cmd_schedule(args):
 
 
 def cmd_gen(args):
-    sched = load_schedule(args.schedule) if args.schedule \
-        else default_stage6_schedule()
-    registry = build_registry(sched, args.stage, args.net, args.cap,
-                              discipline=BMT if args.discipline == "BmT"
-                              else XK,
-                              guard=ENFORCE if args.mode == "admissible"
-                              else WAIVE)
-    rows = registry.export_stage_table(args.stage)
-    sink = open(args.out, "w") if args.out else sys.stdout
-    try:
-        write_rows(rows, sink, args.format)
-    finally:
-        if args.out:
-            sink.close()
+    registry = registry_of(args, discipline=args.discipline,
+                           guard=ENFORCE if args.mode == "admissible"
+                           else WAIVE)
+    emit_rows(registry.export_stage_table(args.stage), args)
     print("generated %d elements to stage %d"
           % (registry.count_up_to(args.stage), args.stage), file=sys.stderr)
     return 0
 
 
 def cmd_forge(args):
-    sched = load_schedule(args.schedule) if args.schedule \
-        else default_stage6_schedule()
-    registry = build_registry(sched, args.stage, args.net, args.cap)
-    with open(args.spec) as fh:
-        spec = json.load(fh)
-    forged = []
-    for tower in spec.get("even", []):
-        payloads = [Func.from_json(p, role="net") for p in tower["payloads"]]
-        forged.append(forge_even(registry, tower["j"], tower["cuts"],
-                                 payloads))
-    from .spaces import forge_odd_chain
-    for tower in spec.get("odd", []):
-        forged.append(forge_odd_chain(registry, tower["j0"],
-                                      [tuple(t) for t in tower["targets"]]))
+    even, odd = read_input(args.spec, lambda spec: (
+        [(t["j"], t["cuts"], [Func.from_json(p) for p in t["payloads"]])
+         for t in spec.get("even", [])],
+        [(t["j0"], [tuple(x) for x in t["targets"]])
+         for t in spec.get("odd", [])]))
+    registry = registry_of(args)
+    forged = ([forge_even(registry, *tower) for tower in even]
+              + [forge_odd_chain(registry, *tower) for tower in odd])
     print(json.dumps({"forged": forged}))
     return 0
 
 
 def cmd_norm(args):
-    sched = load_schedule(args.schedule) if args.schedule \
-        else default_stage6_schedule()
-    registry = build_registry(sched, args.stage, args.net, args.cap)
-    engine = Engine(registry)
-    point = load_point(engine, args.point)
-    ni = sup_norm_interval(engine, point, args.stage)
+    coords = read_coordinates(args.point)
+    engine = Engine(registry_of(args))
+    ni = sup_norm_interval(engine, engine.point_from_d(coords), args.stage)
     print(json.dumps(ni.to_json()))
     return 0
 
 
 def cmd_mtnorm(args):
-    sched = load_schedule(args.schedule) if args.schedule \
-        else default_stage6_schedule()
+    sched = load_schedule(args.schedule)
+    if args.avg:
+        _, _, j0 = args.avg.partition("=")
+        if not j0.isdigit():
+            raise InputError("--avg takes j0=J, got %r" % args.avg)
+        n = sched.length_value(int(j0))
+        x = {k: Fraction(1, n) for k in range(1, n + 1)}
+    elif args.point:
+        x = read_coordinates(args.point)
+    else:
+        raise InputError("mtnorm needs --point or --avg")
     params = MTParams.from_schedule(sched, factor=args.factor,
                                     excluded=args.excluded)
-    if args.avg:
-        j0 = int(args.avg.split("=", 1)[1])
-        n = sched.length_value(j0)
-        x = {k: Fraction(1, n) for k in range(1, n + 1)}
-    else:
-        with open(args.point) as fh:
-            x = {int(k): parse_frac(v) for k, v in json.load(fh)}
     value, tree = mt_norm(x, params)
     print(frac_str(value))
     if args.tree and tree is not None:
@@ -538,21 +524,18 @@ def cmd_verify(args):
         if args.cases:
             kw["cases"] = args.cases
     else:
+        kw.update(net=args.net, cap=args.cap)
         if args.schedule:
             kw["schedule"] = load_schedule(args.schedule)
         if args.stage:
             kw["stage"] = args.stage
-        kw["cap"] = args.cap
-        kw["net"] = args.net
     SUITES[args.suite](ledger, **kw)
-    counts = ledger.counts()
-    print(json.dumps({"suite": args.suite, "counts": counts}))
+    print(json.dumps({"suite": args.suite, "counts": ledger.counts()}))
     return ledger.exit_code()
 
 
 def cmd_hiprobe(args):
-    ledger = Ledger(path=args.out)
-    ledger, rows = run_hi_probes(ledger, cases=args.cases or 10,
+    ledger, rows = run_hi_probes(Ledger(path=args.out), cases=args.cases,
                                  length=args.length, seed=args.seed)
     for r in rows:
         print(json.dumps({k: (frac_str(v) if isinstance(v, Fraction) else v)
@@ -561,37 +544,30 @@ def cmd_hiprobe(args):
 
 
 def cmd_export(args):
-    sched = load_schedule(args.schedule) if args.schedule \
-        else default_stage6_schedule()
-    registry = build_registry(sched, args.stage, args.net, args.cap)
-    engine = Engine(registry)
+    registry = registry_of(args)
     if args.what == "table":
         rows = registry.export_stage_table(args.stage)
     else:
-        sm = engine.stage_matrix(args.stage)
+        sm = Engine(registry).stage_matrix(args.stage)
         rows = [{"xi": xi,
                  "row": sorted((g, frac_str(c))
                                for g, c in sm.rows[xi].items())}
                 for xi in sm.ids]
-    sink = open(args.out, "w") if args.out else sys.stdout
-    try:
-        write_rows(rows, sink, args.format)
-    finally:
-        if args.out:
-            sink.close()
+    emit_rows(rows, args)
     return 0
 
 
-def _add_common(p, stage_default=6):
-    p.add_argument("--schedule", help="JSON schedule file {m: [...], n: [...]}")
-    p.add_argument("--mode", choices=["admissible", "toy"], default="toy")
-    p.add_argument("--net", default="units",
-                   help="net policy: paper | units | dyadic:K")
-    p.add_argument("--stage", type=int, default=stage_default)
-    p.add_argument("--cap", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", help="output file (ledger/table)")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+OPTIONS = {
+    "schedule": {"help": "JSON schedule file {m: [...], n: [...]}"},
+    "net": {"default": "units", "help": "net policy: paper | units | dyadic:K"},
+    "stage": {"type": int, "default": 6},
+    "cap": {"type": int, "default": 20000},
+    "mode": {"choices": ["admissible", "toy"], "default": "toy"},
+    "seed": {"type": int, "default": DEFAULT_SEED},
+    "out": {"help": "output file (ledger/table)"},
+    "format": {"choices": ["json", "csv"], "default": "json"},
+}
+REGISTRY_OPTIONS = ("schedule", "net", "stage", "cap")
 
 
 def main(argv=None):
@@ -601,54 +577,50 @@ def main(argv=None):
                     "verification certificates")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("schedule", help="validate/derive a schedule")
-    _add_common(p)
-    p.set_defaults(fn=cmd_schedule)
+    def add(name, fn, help, options):
+        p = sub.add_parser(name, help=help)
+        for opt in options:
+            p.add_argument("--" + opt, **OPTIONS[opt])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("gen", help="materialize stages")
-    _add_common(p)
-    p.add_argument("--discipline", choices=["XK", "BmT"], default="XK")
-    p.set_defaults(fn=cmd_gen)
+    add("schedule", cmd_schedule, "validate/derive a schedule", ("schedule",))
 
-    p = sub.add_parser("forge", help="forge towers from a JSON description")
-    _add_common(p)
+    p = add("gen", cmd_gen, "materialize stages",
+            REGISTRY_OPTIONS + ("mode", "out", "format"))
+    p.add_argument("--discipline", choices=[XK, BMT], default=XK)
+
+    p = add("forge", cmd_forge, "forge towers from a JSON description",
+            REGISTRY_OPTIONS)
     p.add_argument("spec", help="JSON tower description")
-    p.set_defaults(fn=cmd_forge)
 
-    p = sub.add_parser("norm", help="sup-norm interval of a point file")
-    _add_common(p)
+    p = add("norm", cmd_norm, "sup-norm interval of a point file",
+            REGISTRY_OPTIONS)
     p.add_argument("point", help="JSON d-coordinates [[gid, 'p/q'], ...]")
-    p.set_defaults(fn=cmd_norm)
 
-    p = sub.add_parser("mtnorm", help="mixed Tsirelson norm")
-    _add_common(p)
+    p = add("mtnorm", cmd_mtnorm, "mixed Tsirelson norm", ("schedule",))
     p.add_argument("--point", help="JSON coordinates [[k, 'p/q'], ...]")
     p.add_argument("--avg", help="j0=J: norm of the length-n_J unit average")
     p.add_argument("--factor", type=int, default=4)
     p.add_argument("--excluded", type=int, default=None)
     p.add_argument("--tree", action="store_true")
-    p.set_defaults(fn=cmd_mtnorm)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    _add_common(p, stage_default=0)
+    p = add("verify", cmd_verify, "run a verification suite",
+            REGISTRY_OPTIONS + ("seed", "out"))
+    p.set_defaults(stage=None)      # each suite has its own default stage
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--cases", type=int, default=0)
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("hiprobe", help="run the indecomposability probe")
-    _add_common(p)
+    p = add("hiprobe", cmd_hiprobe, "run the indecomposability probe",
+            ("seed", "out"))
     p.add_argument("--cases", type=int, default=10)
     p.add_argument("--length", type=int, default=5)
-    p.set_defaults(fn=cmd_hiprobe)
 
-    p = sub.add_parser("export", help="dump stage tables/matrices")
-    _add_common(p)
+    p = add("export", cmd_export, "dump stage tables/matrices",
+            REGISTRY_OPTIONS + ("out", "format"))
     p.add_argument("--what", choices=["table", "matrix"], default="table")
-    p.set_defaults(fn=cmd_export)
 
     args = parser.parse_args(argv)
-    if getattr(args, "stage", None) == 0:
-        args.stage = None
     try:
         return args.fn(args)
     except BDSpaceError as exc:

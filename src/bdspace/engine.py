@@ -24,9 +24,6 @@ class Point:
     d_coords: Func = field(default_factory=Func)
     e_cache: dict = field(default_factory=dict)
 
-    def copy(self):
-        return Point(d_coords=self.d_coords.copy(), e_cache=dict(self.e_cache))
-
     def is_zero(self):
         return not self.d_coords
 
@@ -91,14 +88,13 @@ class Engine:
             return memo[gid]
         rec = self.registry.record(gid)
         if rec.kind == BASE:
-            out = Func(role="bd")
+            out = Func()
         else:
             beta = self.registry.schedule.weight_value(rec.weight_index)
             tail = rec.payload - self.project_prefix(rec.cut, rec.payload)
             out = tail.scaled(beta)
             if rec.kind == TYPE2:
                 out.iadd(rec.predecessor, Fraction(1))
-            out.role = "bd"
         memo[gid] = out
         return out
 
@@ -108,7 +104,6 @@ class Engine:
             return memo[gid]
         out = self.c_star(gid).scaled(-1)
         out.iadd(gid, Fraction(1))
-        out.role = "dual-basis"
         memo[gid] = out
         return out
 
@@ -134,7 +129,7 @@ class Engine:
 
     def project_prefix(self, q, f):
         """P*_{(0,q]} f for any Func f."""
-        out = Func(role=f.role)
+        out = Func()
         for gid, coef in f.items():
             out.accumulate(self.prefix_estar(q, gid), coef)
         return out
@@ -145,7 +140,7 @@ class Engine:
         if hi is None:
             return f - self.project_prefix(lo, f)
         if hi <= lo:
-            return Func(role=f.role)
+            return Func()
         return self.project_prefix(hi, f) - self.project_prefix(lo, f)
 
     def project_open(self, lo, hi, f):
@@ -262,8 +257,6 @@ class Engine:
         if rng is None:
             return None, set()
         q = rng[1]
-        if any(self.registry.rank_of(g) > q for g in point.e_cache):
-            pass  # extra cached stages are harmless
         self.evaluate(point, q)
         support = {g for g in self.registry.gammas_up_to(q)
                    if point.e_cache.get(g)}

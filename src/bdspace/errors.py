@@ -5,6 +5,20 @@ class BDSpaceError(Exception):
     """Base class for all library errors."""
 
 
+class InputError(BDSpaceError):
+    """An input file or option value cannot be read."""
+
+
+class InvariantViolation(BDSpaceError):
+    """A stored record breaks an invariant its construction established."""
+
+
+def require(ok, message):
+    """Raise InvariantViolation(message) unless ok; python -O keeps it."""
+    if not ok:
+        raise InvariantViolation(message)
+
+
 # -- schedules ---------------------------------------------------------------
 
 class ScheduleViolation(BDSpaceError):
@@ -41,10 +55,6 @@ class StageOverflow(BDSpaceError):
     """An operation needs a stage that was never materialized."""
 
 
-class StaleCache(BDSpaceError):
-    """A point's coordinate cache does not cover the requested stage."""
-
-
 class BaseHasNoAnalysis(BDSpaceError):
     """Evaluation analyses exist for Type1/Type2 elements only."""
 
@@ -56,14 +66,8 @@ class NetTooLarge(BDSpaceError):
 
 
 class CombinatorialBlowup(BDSpaceError):
-    """Stage generation exceeds the element cap.
-
-    Carries a report naming the offending family.
-    """
-
-    def __init__(self, message, family=None):
-        super().__init__(message)
-        self.family = family
+    """Stage generation exceeds the element cap; the message names the
+    family being emitted."""
 
 
 class CutTooSmall(BDSpaceError):

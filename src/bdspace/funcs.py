@@ -27,11 +27,10 @@ def parse_frac(s):
 class Func(dict):
     """Finitely supported map id -> nonzero Fraction."""
 
-    __slots__ = ("role",)
+    __slots__ = ()
 
-    def __init__(self, entries=(), role="generic"):
+    def __init__(self, entries=()):
         super().__init__()
-        self.role = role
         if isinstance(entries, dict):
             entries = entries.items()
         for k, v in entries:
@@ -55,8 +54,8 @@ class Func(dict):
         else:
             dict.__setitem__(self, key, value)
 
-    def copy(self, role=None):
-        out = Func(role=role or self.role)
+    def copy(self):
+        out = Func()
         for k, v in self.items():
             dict.__setitem__(out, k, v)
         return out
@@ -77,7 +76,7 @@ class Func(dict):
 
     def scaled(self, scalar):
         scalar = Fraction(scalar)
-        out = Func(role=self.role)
+        out = Func()
         if scalar != 0:
             for k, v in self.items():
                 dict.__setitem__(out, k, scalar * v)
@@ -100,7 +99,7 @@ class Func(dict):
 
     def restrict(self, keep):
         """New Func keeping only keys for which keep(id) is true."""
-        out = Func(role=self.role)
+        out = Func()
         for k, v in self.items():
             if keep(k):
                 dict.__setitem__(out, k, v)
@@ -113,12 +112,12 @@ class Func(dict):
         return [[k, frac_str(v)] for k, v in sorted(self.items())]
 
     @classmethod
-    def from_json(cls, rows, role="generic"):
-        return cls(((k, parse_frac(v)) for k, v in rows), role=role)
+    def from_json(cls, rows):
+        return cls((k, parse_frac(v)) for k, v in rows)
 
     @classmethod
-    def unit(cls, gid, coef=Fraction(1), role="evaluation"):
-        return cls([(gid, coef)], role=role)
+    def unit(cls, gid, coef=Fraction(1)):
+        return cls([(gid, coef)])
 
     def __repr__(self):
         inner = ", ".join(

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .errors import (AgeOverflow, OddWeightRuleViolation, ScheduleViolation,
                      StageOverflow, SupportOutOfWindow, UnknownGamma,
-                     WeightMismatch)
+                     WeightMismatch, require)
 from .funcs import Func, frac_str
 
 BASE = "Base"
@@ -124,7 +124,7 @@ class Registry:
                                               kind=BASE))
 
     def intern(self, kind, rank, weight_index=None, cut=0, predecessor=None,
-               payload=None, _bypass_stage_guard=False):
+               payload=None):
         """Validate a draft element and return its id (idempotent)."""
         if kind == BASE:
             if rank != 1:
@@ -140,7 +140,7 @@ class Registry:
         if weight_index > rank:
             raise ScheduleViolation(
                 "weight index %d exceeds rank %d" % (weight_index, rank))
-        payload = Func(payload or (), role="net")
+        payload = Func(payload or ())
         for gid in payload:
             self.record(gid)  # UnknownGamma if dangling
         if payload.l1() > 1:
@@ -183,7 +183,7 @@ class Registry:
                frozenset(payload.items()))
         if key in self._by_key:
             return self._by_key[key]
-        if rank <= self.generated_stage and not _bypass_stage_guard:
+        if rank <= self.generated_stage:
             raise StageOverflow(
                 "rank %d is inside the enumerated prefix (stage %d); "
                 "forged towers must sit above it" % (rank, self.generated_stage))
@@ -237,27 +237,38 @@ class Registry:
     # -- integrity -----------------------------------------------------------
 
     def revalidate(self):
-        """Re-check every record invariant; returns the number of records."""
+        """Re-check every record invariant; returns the number of records.
+
+        Raises InvariantViolation at the first broken invariant."""
         seen_sigma = set()
         for rec in self.records:
+            at = "element %d: " % rec.id
             if rec.sigma is not None:
-                assert rec.sigma not in seen_sigma, "sigma not injective"
-                assert 4 * rec.sigma > rec.rank, "sigma too small"
+                require(rec.sigma not in seen_sigma, at + "sigma not injective")
+                require(4 * rec.sigma > rec.rank, at + "sigma too small")
                 seen_sigma.add(rec.sigma)
             if rec.kind == BASE:
-                assert rec.rank == 1 and rec.payload is None
+                require(rec.rank == 1 and rec.payload is None,
+                        at + "malformed Base")
                 continue
-            assert rec.weight_index is not None and rec.weight_index <= rec.rank
+            require(rec.weight_index is not None
+                    and rec.weight_index <= rec.rank,
+                    at + "weight index above rank")
             if rec.kind == TYPE1:
-                assert rec.age == 1 and rec.cut == 0 and rec.predecessor is None
+                require(rec.age == 1 and rec.cut == 0
+                        and rec.predecessor is None, at + "Type1 in a chain")
             else:
                 pred = self.record(rec.predecessor)
-                assert pred.weight_index == rec.weight_index
-                assert rec.cut == pred.rank and rec.age == pred.age + 1
-                assert rec.age <= self.schedule.length_value(rec.weight_index)
-            assert rec.payload.l1() <= 1
+                require(pred.weight_index == rec.weight_index,
+                        at + "weight differs from the predecessor's")
+                require(rec.cut == pred.rank and rec.age == pred.age + 1,
+                        at + "cut or age off the chain")
+                require(rec.age <= self.schedule.length_value(rec.weight_index),
+                        at + "age above n_j")
+            require(rec.payload.l1() <= 1, at + "payload ell_1-norm above 1")
             for gid in rec.payload:
-                assert rec.cut < self.rank_of(gid) <= rec.rank - 1
+                require(rec.cut < self.rank_of(gid) <= rec.rank - 1,
+                        at + "payload outside its window")
         return len(self.records)
 
     # -- export --------------------------------------------------------------

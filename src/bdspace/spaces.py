@@ -28,31 +28,21 @@ from .registry import BASE, BMT, ENFORCE, TYPE1, TYPE2, XK
 class SignedUnits:
     """B_{n,p} = {+-e*_eta : eta in Gamma_n \\ Gamma_p}."""
 
-    kind = "signed_units"
-
-    def describe(self):
-        return "units"
-
     def elements(self, registry, n, p):
         out = []
         for eta in registry.gammas_up_to(n):
             if registry.rank_of(eta) > p:
-                out.append(Func.unit(eta, Fraction(1), role="net"))
-                out.append(Func.unit(eta, Fraction(-1), role="net"))
+                out.append(Func.unit(eta, Fraction(1)))
+                out.append(Func.unit(eta, Fraction(-1)))
         return out
 
 
 class DyadicAverages:
     """Signed units plus 2^{-ceil(log2 K')}-weighted signed sums, K' <= K."""
 
-    kind = "dyadic_averages"
-
     def __init__(self, K, cap=100000):
         self.K = K
         self.cap = cap
-
-    def describe(self):
-        return "dyadic:%d" % self.K
 
     def elements(self, registry, n, p):
         window = [g for g in registry.gammas_up_to(n) if registry.rank_of(g) > p]
@@ -67,8 +57,8 @@ class DyadicAverages:
                         raise NetTooLarge(
                             "dyadic net over window of %d exceeds cap %d"
                             % (len(window), self.cap))
-                    out.append(Func(((g, weight * s) for g, s in zip(combo, signs)),
-                                    role="net"))
+                    out.append(Func((g, weight * s)
+                                    for g, s in zip(combo, signs)))
         return out
 
 
@@ -78,14 +68,9 @@ class PaperFactorial:
     N_n defaults to n itself; a cap guards the lattice enumeration.
     """
 
-    kind = "paper_factorial"
-
     def __init__(self, n_of=None, cap=100000):
         self.n_of = n_of or (lambda n: n)
         self.cap = cap
-
-    def describe(self):
-        return "paper"
 
     def elements(self, registry, n, p):
         window = [g for g in registry.gammas_up_to(n) if registry.rank_of(g) > p]
@@ -99,8 +84,7 @@ class PaperFactorial:
                         raise NetTooLarge(
                             "factorial net over window of %d exceeds cap %d"
                             % (len(window), self.cap))
-                    out.append(Func(((g, Fraction(a, denom)) for g, a in acc),
-                                    role="net"))
+                    out.append(Func((g, Fraction(a, denom)) for g, a in acc))
                 return
             rec(idx + 1, budget, acc)
             for a in range(1, budget + 1):
@@ -144,7 +128,7 @@ def generate_stage(registry, q, policy=None):
         if len(registry) >= budget:
             raise CombinatorialBlowup(
                 "stage %d exceeds cap %d while emitting %s"
-                % (q, budget, family), family=family)
+                % (q, budget, family))
         gid = registry.intern(rank=q, **kw)
         if gid not in seen and registry.records[gid].rank == q:
             seen.add(gid)
@@ -157,48 +141,31 @@ def generate_stage(registry, q, policy=None):
             nets[p] = net_elements(registry, n, p, policy)
         return nets[p]
 
-    if registry.discipline == BMT:
-        for j in range(1, min(n + 1, len(sched.m)) + 1):
-            for b in net(0):
-                admit("Type1 weight m_%d" % j, kind=TYPE1, weight_index=j,
-                      payload=b)
-        for p in range(1, n):
-            for j in range(1, min(p, len(sched.m)) + 1):
-                for xi in registry.stage(p):
-                    rec = registry.records[xi]
-                    if (rec.kind == BASE or rec.weight_index != j
-                            or rec.age >= sched.length_value(j)):
-                        continue
-                    for b in net(p):
-                        admit("Type2 weight m_%d cut %d" % (j, p), kind=TYPE2,
-                              weight_index=j, predecessor=xi, payload=b)
-    else:
-        # even-weight Type1
-        for j in range(1, (n + 1) // 2 + 1):
-            if 2 * j > len(sched.m):
-                break
-            for b in net(0):
-                admit("even Type1 weight m_%d" % (2 * j), kind=TYPE1,
-                      weight_index=2 * j, payload=b)
-        # even-weight Type2
-        for p in range(1, n):
-            for j in range(1, p // 2 + 1):
-                if 2 * j > len(sched.m):
-                    break
-                for xi in registry.stage(p):
-                    rec = registry.records[xi]
-                    if (rec.kind == BASE or rec.weight_index != 2 * j
-                            or rec.age >= sched.length_value(2 * j)):
-                        continue
-                    for b in net(p):
-                        admit("even Type2 weight m_%d cut %d" % (2 * j, p),
-                              kind=TYPE2, weight_index=2 * j, predecessor=xi,
-                              payload=b)
+    # nets carry every weight under BmT and the even ones under XK
+    step, label = (1, "") if registry.discipline == BMT else (2, "even ")
+
+    def weights(top, first=step):
+        """Weight indices up to `top` (at most the rank of the element)."""
+        return range(first, min(top, len(sched.m)) + 1, step)
+
+    for w in weights(n + 1):
+        for b in net(0):
+            admit("%sType1 weight m_%d" % (label, w), kind=TYPE1,
+                  weight_index=w, payload=b)
+    for p in range(1, n):
+        for w in weights(p):
+            for xi in registry.stage(p):
+                rec = registry.records[xi]
+                if (rec.kind == BASE or rec.weight_index != w
+                        or rec.age >= sched.length_value(w)):
+                    continue
+                for b in net(p):
+                    admit("%sType2 weight m_%d cut %d" % (label, w, p),
+                          kind=TYPE2, weight_index=w, predecessor=xi,
+                          payload=b)
+    if registry.discipline == XK:
         # odd-weight Type1: single targets of weight index = 2 mod 4
-        for j in range(1, (n + 2) // 2 + 1):
-            w = 2 * j - 1
-            if w > len(sched.m):
-                break
+        for w in weights(n + 1, 1):
             for eta in registry.gammas_up_to(n):
                 erec = registry.records[eta]
                 if erec.weight_index is None or erec.weight_index % 4 != 2:
@@ -211,10 +178,7 @@ def generate_stage(registry, q, policy=None):
                       payload=Func.unit(eta))
         # odd-weight Type2: coded targets
         for p in range(1, n):
-            for j in range(1, (p + 1) // 2 + 1):
-                w = 2 * j - 1
-                if w > len(sched.m):
-                    break
+            for w in weights(p, 1):
                 for xi in registry.stage(p):
                     rec = registry.records[xi]
                     if (rec.kind == BASE or rec.weight_index != w

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bdspace.cli import forge_arena as arena
 from bdspace.engine import Engine
 from bdspace.registry import Registry, WAIVE, XK
 from bdspace.schedule import slow_toy_schedule, validate_schedule
@@ -33,10 +34,7 @@ def forge_arena():
     """Factory for empty slow-schedule registries for tower forging."""
 
     def build(length=2048, n_factor=2):
-        registry = Registry(slow_toy_schedule(length, n_factor),
-                            discipline=XK, odd_guard=WAIVE)
-        registry.base()
-        registry.generated_stage = 1
+        registry = arena(slow_toy_schedule(length, n_factor))
         return registry, Engine(registry)
 
     return build

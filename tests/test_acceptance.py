@@ -5,6 +5,7 @@ explicitly stage-truncated, in which case the direction of the truncated
 comparison is fixed and stated inline.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -12,7 +13,7 @@ from fractions import Fraction
 from bdspace.analysis import (CarrierSource, lower_estimate_witness,
                               make_dependent_sequence)
 from bdspace.certificates import Ledger
-from bdspace.cli import (run_hi_probes, suite_basicineq,
+from bdspace.cli import (SUITES, forge_arena, run_hi_probes, suite_basicineq,
                          suite_biorthogonality, suite_depseq,
                          suite_eval_analysis, suite_lowerest,
                          suite_mt_oracle, suite_projections, suite_treelike)
@@ -22,6 +23,36 @@ from bdspace.mtnorm import (MTParams, mt_norm, mt_norm_exhaustive,
 from bdspace.registry import Registry, WAIVE, XK
 from bdspace.schedule import slow_toy_schedule, validate_schedule
 from bdspace.spaces import generate_up_to
+
+
+# sha256 of each suite's ledger bytes at its defaults (seed 7), and of
+# the 10-case HI-probe ledger; a refactor must leave these unchanged
+GOLDEN_LEDGERS = {
+    "biorthogonality":
+        "de4ebbceeefb4adc6172a0d6de4feea77d9455d339a7374e5c0687359a76935f",
+    "eval-analysis":
+        "4c76d588542ce68f614ade77298755655e7de6fb57a63af93f4c400d3cdcf6e8",
+    "projections":
+        "e99455ebe41442c64bb9a1338f919e14f9b0c0bd9621c7c2b8390f26f7a6c161",
+    "treelike":
+        "d0ceb6f56f7b60b2529113f244f3dd165eedbb8a1a713f640ab6657098c23a73",
+    "mt-oracle":
+        "c3ef3f40b80fe38fed87a0bdc8cb2a329913079351aecfc5aabc6586b26b500b",
+    "lowerest":
+        "24a17583a272e077adff94b952fce357284d33bb3deb2e1aedca342ddb35c8a7",
+    "basicineq":
+        "f94b495e399c593a22c78a61e0dd344b702c7291102be29f3d83a7e01f927c23",
+    "depseq":
+        "3730571d9b973fc8df8fdc8b55ed86f4bdbab53b7ff147b0f24b3673fc6308c8",
+}
+GOLDEN_HIPROBE = \
+    "4754457146a909686dcd6af3e08a2d4a27ceb45a2a1fe5f16f2a11ef5a1c7752"
+
+
+def ledger_digest(ledger):
+    """sha256 of the bytes the ledger writes to its JSON-lines file."""
+    return hashlib.sha256(b"".join(c.to_bytes() + b"\n"
+                                   for c in ledger.certificates)).hexdigest()
 
 
 def timed(budget):
@@ -135,9 +166,7 @@ def test_08_dependent_sequences():
     beta = Fraction(1, 4)
     for case in range(10):
         length = 2 + case % 4
-        registry = Registry(sched, discipline=XK, odd_guard=WAIVE)
-        registry.base()
-        registry.generated_stage = 1
+        registry = forge_arena(sched)
         engine = Engine(registry)
         src = CarrierSource(registry, engine, companions=False, gap=2)
         rec = make_dependent_sequence(engine, 1, [src], 1, Fraction(45),
@@ -145,9 +174,7 @@ def test_08_dependent_sequences():
         for s, lhs, rhs, ok in rec.partial_sums(engine):
             assert ok and lhs == s * beta
     for length in (2, 3):
-        registry = Registry(sched, discipline=XK, odd_guard=WAIVE)
-        registry.base()
-        registry.generated_stage = 1
+        registry = forge_arena(sched)
         engine = Engine(registry)
         src = CarrierSource(registry, engine, companions=True)
         rec = make_dependent_sequence(engine, 1, [src], 0, Fraction(45),
@@ -164,6 +191,7 @@ def test_09_hi_probe_direction():
     summary = ledger.certificates[-1]
     assert summary.claim_id == "hiprobe-direction"
     assert summary.verdict == "verified"
+    assert ledger_digest(ledger) == GOLDEN_HIPROBE
 
 
 def test_10_basic_inequality_20():
@@ -177,13 +205,16 @@ def test_10_basic_inequality_20():
 
 def test_11_determinism():
     """Identical manifest and seed reproduce byte-identical certificates
-    across suites."""
+    across suites, and every suite's default ledger matches its golden
+    digest."""
     for suite in (suite_biorthogonality, suite_eval_analysis,
                   suite_projections, suite_depseq):
         a = suite(Ledger(), seed=7)
         b = suite(Ledger(), seed=7)
         assert [c.to_bytes() for c in a.certificates] == \
             [c.to_bytes() for c in b.certificates]
+    for name, suite in SUITES.items():
+        assert ledger_digest(suite(Ledger())) == GOLDEN_LEDGERS[name], name
     # a different seed changes the digest of seeded suites
     x = suite_mt_oracle(Ledger(), cases=5, seed=1)
     y = suite_mt_oracle(Ledger(), cases=5, seed=2)

@@ -5,15 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from bdspace.analysis import (CarrierSource, DependentSequenceRecord,
-                              alternating_report, basic_inequality_witness,
-                              check_ris, classify_local_weight, hi_probe,
+from dataclasses import replace
+
+from bdspace.analysis import (CarrierSource, alternating_report,
+                              basic_inequality_witness, check_ris,
+                              classify_local_weight, hi_probe,
                               lower_estimate_witness, make_dependent_sequence,
                               make_exact_pair, make_l1_average,
                               ris_average_report, split_by_local_weight,
                               suggested_js)
-from bdspace.errors import (CutTooSmall, NotBlockSequence, NotCertifiedRIS,
-                            NotSkippedBlock, SearchExhausted)
+from bdspace.certificates import REPORTED, VERIFIED, VIOLATED
+from bdspace.errors import (CutTooSmall, InvariantViolation, NotBlockSequence,
+                            NotCertifiedRIS, NotSkippedBlock, SearchExhausted)
 from bdspace.norms import sup_norm_interval
 
 
@@ -37,9 +40,8 @@ def test_ris_certificate(forge_arena):
     js = suggested_js(engine, xs)
     cert = check_ris(engine, xs, Fraction(2), js, registry.max_rank())
     assert cert.passed
-    assert cert.cond2_ok and not cert.cond3_violations
-    data = cert.to_json()
-    assert data["passed"] and data["js"] == js
+    assert cert.values["cond2"] and not cert.values["cond3_violations"]
+    assert cert.verdict == VERIFIED and cert.values["js"] == js
 
 
 def test_ris_rejects_overlapping_blocks(forge_arena):
@@ -84,9 +86,9 @@ def test_lower_estimate_identity(forge_arena):
     registry, engine, source, xs = escalating_blocks(forge_arena, n=3)
     xs = [x.scaled(c) for x, c in zip(xs, (1, Fraction(-1, 2), 2))]
     gamma, report = lower_estimate_witness(engine, xs, 1)
-    assert report["identity_ok"]
+    assert report.passed
     beta = registry.schedule.weight_value(2)
-    assert report["lhs"] == beta * sum(report["maxima"])
+    assert report.values["lhs"] == beta * sum(report.values["maxima"])
     assert registry.records[gamma].weight_index == 2
     assert registry.records[gamma].age == 3
 
@@ -100,7 +102,7 @@ def test_lower_estimate_needs_skipping(forge_arena):
     from bdspace.funcs import Func
     nxt = forge_even(registry, registry.max_rank() // 2,
                      [registry.max_rank() + 1],
-                     [Func.unit(registry.base(), role="net")])
+                     [Func.unit(registry.base())])
     x2 = engine.point_from_d({nxt: Fraction(1)})
     with pytest.raises(NotSkippedBlock):
         lower_estimate_witness(engine, [x1, x2], 1)
@@ -125,11 +127,11 @@ def test_l1_average(forge_arena):
 def test_exact_pair_eps1(forge_arena):
     registry, engine, source, xs = escalating_blocks(forge_arena, n=3)
     theta, x, gamma, report = make_exact_pair(engine, xs, 1, 1, Fraction(2))
-    assert report.value_at_gamma == 1
+    assert report.values["value_at_gamma"] == 1
     assert engine.value(x, gamma) == 1
     assert report.passed
-    assert report.pair_constant == 44
-    assert report.theta_ok
+    assert report.values["pair_constant"] == 44
+    assert report.detail["theta_ok"]
 
 
 def test_exact_pair_eps0(forge_arena):
@@ -139,9 +141,9 @@ def test_exact_pair_eps0(forge_arena):
     theta, z, gamma, report = make_exact_pair(engine, xs, 1, 0, Fraction(2))
     assert engine.value(z, gamma) == 0
     assert report.passed
-    assert report.pair_constant == 24
+    assert report.values["pair_constant"] == 24
     assert theta == 1
-    assert any("middle index" in note for note in report.notes)
+    assert any("middle index" in note for note in report.detail["notes"])
 
 
 def test_dependent_sequence_partial_sums(forge_arena):
@@ -154,11 +156,26 @@ def test_dependent_sequence_partial_sums(forge_arena):
     for s, lhs, rhs, ok in rows:
         assert ok and lhs == s * beta
     assert rec.validate(engine)
+    assert all(pc.passed for pc in rec.pair_checks)
     # chain weights follow the coding rule
     assert registry.records[rec.etas[0]].weight_index == 2
     for i in range(1, rec.length):
         assert registry.records[rec.etas[i]].weight_index == \
             4 * registry.sigma(rec.xis[i - 1])
+
+
+def test_dependent_sequence_validate_names_corruption(forge_arena):
+    """A corrupted record raises InvariantViolation, which python -O keeps."""
+    registry, engine = forge_arena()
+    sources = [CarrierSource(registry, engine, companions=False, gap=2)]
+    rec = make_dependent_sequence(engine, 1, sources, 1, Fraction(45), 2,
+                                  blocks_per_pair=2)
+    for field, value in (("cuts", [rec.cuts[0] - 1] + rec.cuts[1:]),
+                         ("etas", rec.etas[::-1]),
+                         ("xis", rec.xis[::-1]),
+                         ("first_even_j", 2)):
+        with pytest.raises(InvariantViolation):
+            replace(rec, **{field: value}).validate(engine)
 
 
 def test_dependent_sequence_eps0(forge_arena):
@@ -176,21 +193,21 @@ def test_alternating_report(forge_arena):
     rec = make_dependent_sequence(engine, 1, sources, 1, Fraction(45), 3,
                                   blocks_per_pair=2)
     out = alternating_report(engine, rec, registry.max_rank())
-    assert out["rows"]
-    assert all(r["verdict"] in ("verified", "reported", "violated")
-               for r in out["rows"])
-    assert not any(r["verdict"] == "violated" for r in out["rows"])
+    assert out
+    assert all(c.verdict in (VERIFIED, REPORTED, VIOLATED)
+               for c in out.values())
+    assert not any(c.verdict == VIOLATED for c in out.values())
 
 
 def test_hi_probe_strict(forge_arena):
     registry, engine = forge_arena(8192)
     Y = CarrierSource(registry, engine, companions=False, gap=2)
     Z = CarrierSource(registry, engine, companions=False, gap=2)
-    probe = hi_probe(engine, Y, Z, j0=1, length=5)
-    assert probe["witness_value"] == Fraction(5, 4)
-    assert probe["plus"].lower >= Fraction(5, 4)
-    assert probe["strict"]
-    assert probe["paper_bound"]["verdict"] == "reported"
+    plus, minus, probe = hi_probe(engine, Y, Z, j0=1, length=5)
+    assert probe.values["witness"] == Fraction(5, 4)
+    assert plus.lower >= Fraction(5, 4)
+    assert probe.detail["strict"]
+    assert probe.verdict == REPORTED
 
 
 def test_basic_inequality(forge_arena):
@@ -203,10 +220,10 @@ def test_basic_inequality(forge_arena):
     lams = [Fraction(1), Fraction(-1, 2), Fraction(2), Fraction(1, 3)]
     k0, gstar, wit = basic_inequality_witness(engine, xs, lams, 0, gamma,
                                               cert)
-    assert wit["passed"]
-    assert wit["inequality_ok"] and wit["tree_ok"]
+    assert wit.passed
+    assert wit.values["inequality_ok"] and wit.values["tree_ok"]
     if gstar is not None:
-        assert wit["supp_ok"] and wit["weight_ok"]
+        assert wit.values["supp_ok"] and wit.values["weight_ok"]
 
 
 def test_basic_inequality_requires_certificate(forge_arena):
@@ -228,10 +245,10 @@ def test_ris_average_report(forge_arena):
     js = suggested_js(engine, xs)
     cert = check_ris(engine, xs, Fraction(2), js, registry.max_rank())
     out = ris_average_report(engine, xs, js[0], cert)
-    assert out["rows"]
+    assert set(out) - {"norm"}
     # toy scale: rows are reports, never violations
-    assert all(r["verdict"] == "reported" for r in out["rows"])
-    assert out["norm_bound"]["verdict"] == "reported"
+    assert all(c.verdict == REPORTED for c in out.values())
+    assert out["norm"].verdict == REPORTED
 
 
 def test_search_exhausted_past_schedule(forge_arena):

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from bdspace.certificates import (Certificate, Ledger, canonical_json,
-                                  emit_certificate, inputs_digest,
+from bdspace.certificates import (Certificate, Check, Ledger, canonical_json,
+                                  emit_certificate, inputs_digest, judge,
                                   make_certificate, read_ledger)
 from bdspace.schedule import validate_schedule
 
@@ -17,8 +17,8 @@ def cert(verdict="verified", seed=7):
     return make_certificate(
         "demo", "a demonstration claim", SCHED,
         {"stage": 6, "x": Fraction(1, 3)},
-        {"value": Fraction(-2, 5), "count": 3},
-        verdict, stage=6, net_policy="units", odd_guard="waive", seed=seed)
+        Check(verdict, {"value": Fraction(-2, 5), "count": 3}),
+        stage=6, net_policy="units", odd_guard="waive", seed=seed)
 
 
 def test_canonical_json_sorts_and_renders_fractions():
@@ -53,6 +53,24 @@ def test_no_timestamps_in_serialization():
 def test_invalid_verdict():
     with pytest.raises(ValueError):
         cert(verdict="maybe")
+
+
+def test_judge_and_passed():
+    assert judge(True) == "verified" and judge(False) == "violated"
+    assert judge(True, decidable=False) == "reported"
+    assert Check(judge(True), {}).passed
+    assert not Check(judge(True, decidable=False), {}).passed
+    assert not Check(judge(False), {}).passed
+
+
+def test_certificate_keeps_the_check():
+    data = json.loads(cert().to_bytes())
+    assert data["verdict"] == "verified" and data["detail"] == {}
+    c = make_certificate("demo", "claim", SCHED, {}, Check(
+        "violated", {"x": Fraction(1, 2)}, {"why": [(1, Fraction(2))]}))
+    data = json.loads(c.to_bytes())
+    assert data["values"] == {"x": "1/2"}
+    assert data["detail"] == {"why": [[1, "2/1"]]}
 
 
 def test_ledger_exit_codes(tmp_path):

@@ -105,3 +105,38 @@ def test_verify_rerun_is_byte_identical(tmp_path):
 def test_usage_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["hiprobe", "--schedule", "s.json"],
+    ["mtnorm", "--stage", "3"],
+    ["schedule", "--seed", "1"],
+    ["forge", "--out", "o.json", "spec.json"],
+])
+def test_unread_options_are_rejected(argv):
+    with pytest.raises(SystemExit):
+        main(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "biorthogonality", "--net", "bogus"],
+    ["gen", "--net", "dyadic:x"],
+    ["norm", "{zero_point}"],
+    ["norm", "{missing}"],
+    ["schedule", "--schedule", "{bad_json}"],
+    ["schedule", "--schedule", "{no_n}"],
+    ["mtnorm", "--avg", "j0=x"],
+    ["mtnorm"],
+    ["hiprobe", "--length", "99"],
+    ["hiprobe", "--cases", "0"],
+])
+def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    files = {"zero_point": '[[1, "1/0"]]', "bad_json": "{",
+             "no_n": '{"m": [4, 16]}'}
+    paths = {"missing": str(tmp_path / "missing.json")}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        paths[name] = str(tmp_path / name)
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InputError: ") and err.count("\n") == 1

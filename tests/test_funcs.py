@@ -28,7 +28,7 @@ def test_unit_and_dot():
 
 
 def test_json_roundtrip():
-    f = Func([(3, Fraction(-5, 7)), (1, Fraction(2))], role="net")
+    f = Func([(3, Fraction(-5, 7)), (1, Fraction(2))])
     assert Func.from_json(f.to_json()) == f
 
 

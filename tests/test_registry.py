@@ -1,12 +1,14 @@
 """Interning, structural validation, and the sigma-coding."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from bdspace.errors import (AgeOverflow, OddWeightRuleViolation,
-                            ScheduleViolation, StageOverflow,
-                            SupportOutOfWindow, UnknownGamma, WeightMismatch)
+from bdspace.errors import (AgeOverflow, InvariantViolation,
+                            OddWeightRuleViolation, ScheduleViolation,
+                            StageOverflow, SupportOutOfWindow, UnknownGamma,
+                            WeightMismatch)
 from bdspace.funcs import Func
 from bdspace.registry import Registry, TYPE1, TYPE2, WAIVE, XK
 from bdspace.schedule import slow_toy_schedule, validate_schedule
@@ -20,7 +22,7 @@ def fresh(schedule=None):
 
 
 def unit_payload(reg):
-    return Func.unit(reg.base(), role="net")
+    return Func.unit(reg.base())
 
 
 def test_base_is_unique():
@@ -46,7 +48,7 @@ def test_chain_age_and_cut():
     mid = reg.intern(kind=TYPE1, rank=5, weight_index=4,
                      payload=unit_payload(reg))
     link = reg.intern(kind=TYPE2, rank=7, weight_index=2, predecessor=head,
-                      payload=Func.unit(mid, role="net"))
+                      payload=Func.unit(mid))
     rec = reg.records[link]
     assert rec.age == 2 and rec.cut == 4
 
@@ -63,10 +65,10 @@ def test_validation_errors():
     with pytest.raises(SupportOutOfWindow):
         # payload below the cut of the extension
         reg.intern(kind=TYPE2, rank=7, weight_index=2, predecessor=head,
-                   payload=Func.unit(reg.base(), role="net"))
+                   payload=Func.unit(reg.base()))
     with pytest.raises(WeightMismatch):
         reg.intern(kind=TYPE2, rank=7, weight_index=3, predecessor=head,
-                   payload=Func.unit(head, role="net"))
+                   payload=Func.unit(head))
     with pytest.raises(UnknownGamma):
         reg.intern(kind=TYPE1, rank=4, weight_index=2,
                    payload=Func.unit(99))
@@ -78,7 +80,7 @@ def test_age_cap():
                       payload=unit_payload(reg))
     with pytest.raises(AgeOverflow):
         reg.intern(kind=TYPE2, rank=7, weight_index=2, predecessor=head,
-                   payload=Func.unit(head, role="net"))
+                   payload=Func.unit(head))
 
 
 def test_forging_below_generated_prefix_is_refused():
@@ -100,6 +102,28 @@ def test_sigma_lazy_injective_and_above_quarter_rank():
         assert 4 * v > reg.records[g].rank
         assert reg.sigma(g) == v  # stable on re-demand
     assert reg.revalidate() == len(reg)
+
+
+def test_revalidate_names_corruption():
+    """Each corrupted record raises InvariantViolation, which python -O
+    keeps."""
+    corruptions = [(0, {"rank": 2}), (1, {"age": 2}), (1, {"cut": 3}),
+                   (1, {"rank": 1}), (1, {"sigma": 1}),
+                   (1, {"payload": Func.unit(0, Fraction(2))}),
+                   (3, {"age": 3}), (3, {"weight_index": 4}),
+                   (3, {"cut": 5})]
+    for gid, change in corruptions:
+        reg = fresh()
+        head = reg.intern(kind=TYPE1, rank=4, weight_index=2,
+                          payload=unit_payload(reg))
+        mid = reg.intern(kind=TYPE1, rank=5, weight_index=4,
+                         payload=unit_payload(reg))
+        reg.intern(kind=TYPE2, rank=7, weight_index=2, predecessor=head,
+                   payload=Func.unit(mid))
+        assert reg.revalidate() == 4
+        reg.records[gid] = replace(reg.records[gid], **change)
+        with pytest.raises(InvariantViolation):
+            reg.revalidate()
 
 
 def test_odd_rules():

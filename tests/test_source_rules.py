@@ -1,0 +1,25 @@
+"""Source rules: checks are not asserts, and verdicts have one home."""
+
+import ast
+import pathlib
+
+import bdspace
+
+VERDICTS = {"verified", "reported", "violated"}
+SOURCES = sorted(pathlib.Path(bdspace.__file__).parent.glob("*.py"))
+
+
+def test_no_asserts_and_verdict_literals_only_in_certificates():
+    """`python -O` strips asserts, so library checks must raise; verdict
+    strings are spelled once, in certificates.py."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append("%s:%d assert" % (path.name, node.lineno))
+            elif (isinstance(node, ast.Constant) and node.value in VERDICTS
+                  and path.name != "certificates.py"):
+                found.append("%s:%d %r" % (path.name, node.lineno,
+                                           node.value))
+    assert len(SOURCES) > 5
+    assert found == []

@@ -63,7 +63,7 @@ def test_paper_factorial_net_lattice(stage6):
 
 def test_forge_even_validation(forge_arena):
     registry, _ = forge_arena()
-    pay = Func.unit(registry.base(), role="net")
+    pay = Func.unit(registry.base())
     with pytest.raises(CutTooSmall):
         forge_even(registry, 2, [3], [pay])
     with pytest.raises(ValueError):
@@ -74,7 +74,7 @@ def test_forge_even_validation(forge_arena):
 
 def test_forge_even_age_cap(forge_arena):
     registry, _ = forge_arena()
-    base_pay = Func.unit(registry.base(), role="net")
+    base_pay = Func.unit(registry.base())
     # n_2 = 10 for the slow schedule; an 11-row chain must overflow.
     # Rows r >= 2 need payloads inside their windows, so forge a weight-2
     # carrier one rank below each later cut first.
@@ -82,14 +82,14 @@ def test_forge_even_age_cap(forge_arena):
     pays = [base_pay]
     for c in cuts[1:]:
         carrier = forge_even(registry, 1, [c - 1], [base_pay.copy()])
-        pays.append(Func.unit(carrier, role="net"))
+        pays.append(Func.unit(carrier))
     with pytest.raises(AgeOverflow):
         forge_even(registry, 1, cuts, pays)
 
 
 def test_forge_odd_chain_and_treelike(forge_arena):
     registry, _ = forge_arena()
-    unit = lambda: Func.unit(registry.base(), role="net")
+    unit = lambda: Func.unit(registry.base())
     # two weight-2 targets for the chain heads
     eta1 = forge_even(registry, 1, [4], [unit()])
     eta1b = forge_even(registry, 1, [5], [unit()])

@@ -142,6 +142,12 @@ def _sum_point(engine, xs, coeffs=None):
     return engine.point_from_d(d)
 
 
+def _window(registry, lo, hi):
+    """The ids of ranks (lo, hi] in (rank, id) order."""
+    for q in range(lo + 1, hi + 1):
+        yield from registry.stage(q)
+
+
 # -- RIS certification ---------------------------------------------------------
 
 def check_ris(engine, xs, C, js, N):
@@ -167,15 +173,13 @@ def check_ris(engine, xs, C, js, N):
         norm_lowers.append([lo, lo <= C])
     cond2_ok = all(js[k + 1] > rans[k][1] for k in range(len(xs) - 1))
     violations = []
-    gammas = engine.registry.gammas_up_to(N)
     for k, x in enumerate(xs):
-        engine.evaluate(x, N)
-        for gid in gammas:
+        for gid, v in engine.nonzeros(x, N):
             i = engine.registry.records[gid].weight_index
             if i is None or i >= js[k]:
                 continue
             bound = C * sched.weight_value(i)
-            v = abs(x.e_cache[gid])
+            v = abs(v)
             if v > bound:
                 violations.append([k, gid, v, bound])
     ok = cond2_ok and not violations and all(ok for _, ok in norm_lowers)
@@ -199,12 +203,8 @@ def split_by_local_weight(engine, x, N_thresh):
         zero = engine.point_from_d({})
         return zero, zero
     q = rng[1]
-    engine.evaluate(x, q)
     u_low, u_high = {}, {}
-    for gid in engine.registry.gammas_up_to(q):
-        v = x.e_cache.get(gid)
-        if not v:
-            continue
+    for gid, v in engine.nonzeros(x, q):
         w = engine.registry.records[gid].weight_index
         (u_low if w is None or w <= N_thresh else u_high)[gid] = v
     return engine.extend(q, u_low, q), engine.extend(q, u_high, q)
@@ -265,16 +265,17 @@ def lower_estimate_witness(engine, xs, j):
     prev = 0
     for r, x in enumerate(xs):
         top = cuts[r] - 1
-        engine.evaluate(x, top)
         best_v, eta = None, None
-        for gid in registry.gammas_up_to(top):
-            if registry.rank_of(gid) <= prev:
-                continue
-            v = x.e_cache[gid]
-            if best_v is None or abs(v) > abs(best_v):
+        for gid, v in engine.nonzeros(x, top):
+            if registry.rank_of(gid) > prev and (
+                    best_v is None or abs(v) > abs(best_v)):
                 best_v, eta = v, gid
-        if eta is None:
-            raise BDSpaceError("window (%d, %d] holds no elements" % (prev, top))
+        if eta is None:     # x vanishes on the window: its first element
+            eta = next(_window(registry, prev, top), None)
+            if eta is None:
+                raise BDSpaceError(
+                    "window (%d, %d] holds no elements" % (prev, top))
+            best_v = Fraction(0)
         sign = Fraction(-1) if best_v < 0 else Fraction(1)
         payloads.append(Func.unit(eta, sign))
         etas.append(eta)
@@ -334,14 +335,11 @@ def make_l1_average(engine, source, n, C, N=None):
 
 def _window_annihilator(engine, x, lo, hi):
     """A unit-ball functional on ranks (lo, hi] with <b, x> = 0."""
-    registry = engine.registry
-    engine.evaluate(x, hi)
+    values = dict(engine.nonzeros(x, hi))
     nonzero = []
-    for gid in registry.gammas_up_to(hi):
-        if registry.rank_of(gid) <= lo:
-            continue
-        v = x.e_cache[gid]
-        if v == 0:
+    for gid in _window(engine.registry, lo, hi):
+        v = values.get(gid)
+        if v is None:
             return Func.unit(gid)
         nonzero.append((gid, v))
         if len(nonzero) == 2:
@@ -417,20 +415,19 @@ def make_exact_pair(engine, xs, j, eps, C, annihilators=None,
                      "checked with weight index 2j")
     pair_constant = (22 if eps == 1 else 12) * C
     N = registry.rank_of(gamma)
-    engine.evaluate(x, N)
-    value = x.e_cache[gamma]
+    value = engine.value(x, gamma)
     if value != eps:
         raise BDSpaceError("pair value %s != eps = %d" % (value, eps))
     max_d = max((abs(v) for v in x.d_coords.values()), default=Fraction(0))
     c1_bound = pair_constant * beta
     norm_lower = sup_norm_interval(engine, x, N).lower
     violations = []
-    for gid in registry.gammas_up_to(N):
+    for gid, v in engine.nonzeros(x, N):
         i = registry.records[gid].weight_index
         if i is None or i == 2 * j:
             continue
         bound = pair_constant * (sched.weight_value(i) if i < 2 * j else beta)
-        v = abs(x.e_cache[gid])
+        v = abs(v)
         if v > bound:
             violations.append([gid, i, v, bound])
     ok = (max_d <= c1_bound and norm_lower <= pair_constant
@@ -798,15 +795,16 @@ def ris_average_report(engine, xs, j0, cert, lams=None, N=None):
     lams = [Fraction(1)] * n if lams is None else [Fraction(l) for l in lams]
     avg = _sum_point(engine, xs, lams).scaled(Fraction(1, n))
     N = N or max(registry.max_rank(), registry.generated_stage)
-    engine.evaluate(avg, N)
     per_class = {}
-    for gid in registry.gammas_up_to(N):
+    for gid, v in engine.nonzeros(avg, N):
         h = registry.records[gid].weight_index
-        if h is None:
-            continue
-        v = abs(avg.e_cache[gid])
-        if h not in per_class or v > per_class[h][0]:
+        v = abs(v)
+        if h is not None and (h not in per_class or v > per_class[h][0]):
             per_class[h] = (v, gid)
+    for gid in registry.gammas_up_to(N):   # a class where avg vanishes
+        h = registry.records[gid].weight_index
+        if h is not None and h not in per_class:
+            per_class[h] = (Fraction(0), gid)
     m_j0 = sched.m[j0 - 1]
     prereq = sched.length_value(j0) > 5 * m_j0 * m_j0
     toy_length = n != sched.length_value(j0)

@@ -92,8 +92,15 @@ def build_registry(schedule, stage, net="units", cap=20000, discipline=XK,
     return registry
 
 
+def at_least_one(value, option):
+    """InputError when an integer option is given and below 1."""
+    if value is not None and value < 1:
+        raise InputError("--%s must be at least 1, got %d" % (option, value))
+
+
 def registry_of(args, **kw):
     """The registry that the registry options of a subcommand describe."""
+    at_least_one(args.stage, "stage")
     return build_registry(load_schedule(args.schedule), args.stage, args.net,
                           args.cap, **kw)
 
@@ -520,14 +527,16 @@ def cmd_mtnorm(args):
 def cmd_verify(args):
     ledger = Ledger(path=args.out)
     kw = {"seed": args.seed}
+    at_least_one(args.cases, "cases")
+    at_least_one(args.stage, "stage")
     if args.suite in ("mt-oracle", "lowerest", "basicineq", "depseq"):
-        if args.cases:
+        if args.cases is not None:
             kw["cases"] = args.cases
     else:
         kw.update(net=args.net, cap=args.cap)
         if args.schedule:
             kw["schedule"] = load_schedule(args.schedule)
-        if args.stage:
+        if args.stage is not None:
             kw["stage"] = args.stage
     SUITES[args.suite](ledger, **kw)
     print(json.dumps({"suite": args.suite, "counts": ledger.counts()}))
@@ -609,7 +618,7 @@ def main(argv=None):
             REGISTRY_OPTIONS + ("seed", "out"))
     p.set_defaults(stage=None)      # each suite has its own default stage
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--cases", type=int, default=0)
+    p.add_argument("--cases", type=int, default=None)
 
     p = add("hiprobe", cmd_hiprobe, "run the indecomposability probe",
             ("seed", "out"))

@@ -6,12 +6,18 @@ P*_{(p,q]}, the biorthogonal vectors d_gamma (columns of the inverse
 stage matrix), extension operators, and evaluation analyses.
 
 All functionals are Funcs in e*-coordinates.  X-side vectors are Points:
-coefficient vectors in the d-basis with a lazily grown cache of their
-e-coordinates x(gamma).  Everything is exact rational.
+coefficient vectors in the d-basis plus the nonzero e-coordinates x(gamma)
+solved so far.  Ids are a topological order of the basis (c*_gamma only
+mentions older ids), so a Point is evaluated by a sparse triangular solve
+in the style of Gilbert & Peierls: the engine keeps a reverse-dependency
+index (for each id, the ids whose c* mentions it), walks it from the
+d-support up to the requested stage, and solves only the ids it reaches.
+Everything is exact rational.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .errors import BaseHasNoAnalysis, StageOverflow
 from .funcs import Func
@@ -20,25 +26,28 @@ from .registry import BASE, TYPE1, TYPE2
 
 @dataclass
 class Point:
-    """X-side vector: d-basis coefficients plus cached e-coordinates."""
+    """X-side vector: d-basis coefficients plus solved e-coordinates.
+
+    `e_cache` holds only the nonzero values x(gamma).  It is complete for
+    the elements that `covered` = (stage, size) names: those with
+    rank <= stage and id < size, so a missing key there means zero.  Only
+    the Engine reads and grows it (`evaluate`, `value`, `nonzeros`).
+    """
     d_coords: Func = field(default_factory=Func)
     e_cache: dict = field(default_factory=dict)
+    covered: tuple = (0, 0)
 
     def is_zero(self):
         return not self.d_coords
 
     def scaled(self, scalar):
         scalar = Fraction(scalar)
-        return Point(d_coords=self.d_coords.scaled(scalar),
-                     e_cache={k: scalar * v for k, v in self.e_cache.items()})
+        cache = {k: scalar * v for k, v in self.e_cache.items()} if scalar \
+            else {}
+        return Point(self.d_coords.scaled(scalar), cache, self.covered)
 
     def __add__(self, other):
-        out = Point(d_coords=self.d_coords + other.d_coords)
-        # keep only cache entries both summands know
-        for k, v in self.e_cache.items():
-            if k in other.e_cache:
-                out.e_cache[k] = v + other.e_cache[k]
-        return out
+        return Point(d_coords=self.d_coords + other.d_coords)
 
     def __sub__(self, other):
         return self + other.scaled(-1)
@@ -79,24 +88,73 @@ class Engine:
         self._c_star = {}
         self._d_star = {}
         self._prefix = {}  # (q, gid) -> P*_{(0,q]} e*_gid
+        self._users = []   # id -> ids whose c* mentions it, ascending
 
     # -- BD-functionals and the dual basis ------------------------------------
 
     def c_star(self, gid):
-        memo = self._c_star
-        if gid in memo:
-            return memo[gid]
-        rec = self.registry.record(gid)
-        if rec.kind == BASE:
-            out = Func()
-        else:
-            beta = self.registry.schedule.weight_value(rec.weight_index)
-            tail = rec.payload - self.project_prefix(rec.cut, rec.payload)
-            out = tail.scaled(beta)
-            if rec.kind == TYPE2:
-                out.iadd(rec.predecessor, Fraction(1))
-        memo[gid] = out
+        out = self._c_star.get(gid)
+        if out is None:
+            self.registry.record(gid)  # UnknownGamma if dangling
+            self._fill((None, gid))
+            out = self._c_star[gid]
         return out
+
+    def _fill(self, key):
+        """Memoize c*_gid (key (None, gid)) or P*_{(0,q]} e*_gid (key
+        (q, gid), q >= 1) and every memo entry it needs.
+
+        c*_gid needs the prefixes of its payload at its cut, and a prefix
+        of e*_gid above its rank needs c*_gid and the prefixes of its
+        entries.  A forged tower nests these once per chain link, deeper
+        than Python's recursion limit, so an explicit stack replaces the
+        recursion; it visits the entries in the recursion's order."""
+        c_memo, p_memo = self._c_star, self._prefix
+        records = self.registry.records
+        stack = [key]
+        while stack:
+            q, gid = stack[-1]
+            rec = records[gid]
+            if q is None:
+                if gid in c_memo:
+                    stack.pop()
+                    continue
+                if rec.kind == BASE:
+                    out = Func()
+                else:
+                    need = [(rec.cut, h) for h in rec.payload
+                            if rec.cut > 0 and (rec.cut, h) not in p_memo]
+                    if need:
+                        stack.extend(reversed(need))
+                        continue
+                    beta = self.registry.schedule.weight_value(
+                        rec.weight_index)
+                    tail = rec.payload - self.project_prefix(rec.cut,
+                                                             rec.payload)
+                    out = tail.scaled(beta)
+                    if rec.kind == TYPE2:
+                        out.iadd(rec.predecessor, Fraction(1))
+                c_memo[gid] = out
+            else:
+                if (q, gid) in p_memo:
+                    stack.pop()
+                    continue
+                if rec.rank <= q:
+                    out = Func.unit(gid)
+                else:
+                    cs = c_memo.get(gid)
+                    if cs is None:
+                        stack.append((None, gid))
+                        continue
+                    need = [(q, h) for h in cs if (q, h) not in p_memo]
+                    if need:
+                        stack.extend(reversed(need))
+                        continue
+                    out = Func()
+                    for hid, coef in cs.items():
+                        out.accumulate(p_memo[(q, hid)], coef)
+                p_memo[(q, gid)] = out
+            stack.pop()
 
     def d_star(self, gid):
         memo = self._d_star
@@ -113,18 +171,11 @@ class Engine:
         """P*_{(0,q]} e*_gid, memoized."""
         if q <= 0:
             return Func()
-        key = (q, gid)
-        memo = self._prefix
-        if key in memo:
-            return memo[key]
-        rec = self.registry.record(gid)
-        if rec.rank <= q:
-            out = Func.unit(gid)
-        else:
-            out = Func()
-            for hid, coef in self.c_star(gid).items():
-                out.accumulate(self.prefix_estar(q, hid), coef)
-        memo[key] = out
+        out = self._prefix.get((q, gid))
+        if out is None:
+            self.registry.record(gid)  # UnknownGamma if dangling
+            self._fill((q, gid))
+            out = self._prefix[(q, gid)]
         return out
 
     def project_prefix(self, q, f):
@@ -188,24 +239,77 @@ class Engine:
 
     # -- points ---------------------------------------------------------------
 
+    def _index(self):
+        """The reverse-dependency index, grown to the whole registry."""
+        users = self._users
+        for gid in range(len(users), len(self.registry)):
+            users.append([])
+            for hid in self.c_star(gid):
+                users[hid].append(gid)
+        return users
+
     def evaluate(self, point, stage):
-        """Fill point.e_cache with x(gamma) for every gamma of rank <= stage."""
+        """Solve for every nonzero x(gamma) of rank <= stage into
+        point.e_cache and return it.
+
+        x(gamma) = d_gamma + <c*_gamma, x> is nonzero only on the d-support
+        or where c*_gamma meets a nonzero value, so candidates are the
+        d-support and the users of nonzero values; they are solved in id
+        order, pruned at rank > stage.  Elements the coverage marker names
+        are final and skipped, so a registry grown since the last call,
+        even below its stage, is caught up.  The covered stage never
+        shrinks."""
         cache = point.e_cache
-        for gid in self.registry.gammas_up_to(stage):
-            if gid in cache:
+        old_stage, old_size = point.covered
+        size = len(self.registry)
+        if stage <= old_stage and size == old_size:
+            return cache
+        stage = max(stage, old_stage)
+        records = self.registry.records
+        users = self._index()
+        c_memo = self._c_star
+        d = point.d_coords
+
+        def fresh(gid):
+            rank = records[gid].rank
+            return rank <= stage and (gid >= old_size or rank > old_stage)
+
+        heap = []
+        for gid in d:
+            self.registry.record(gid)  # UnknownGamma if dangling
+            if fresh(gid):
+                heap.append(gid)
+        for hid in cache:
+            heap.extend(gid for gid in users[hid] if fresh(gid))
+        heapify(heap)
+        last = None
+        while heap:
+            gid = heappop(heap)
+            if gid == last:
                 continue
-            val = point.d_coords.get(gid, Fraction(0))
-            cs = self.c_star(gid)
-            if cs:
-                val = val + cs.dot(cache)
-            cache[gid] = val
+            last = gid
+            val = d.get(gid, 0) + c_memo[gid].dot(cache)
+            if val:
+                cache[gid] = val
+                for uid in users[gid]:
+                    if fresh(uid):
+                        heappush(heap, uid)
+        point.covered = (stage, size)
         return cache
 
     def value(self, point, gid):
         """x(gamma) for one element."""
-        if gid not in point.e_cache:
-            self.evaluate(point, self.registry.rank_of(gid))
-        return point.e_cache[gid]
+        self.evaluate(point, self.registry.rank_of(gid))
+        return point.e_cache.get(gid, Fraction(0))
+
+    def nonzeros(self, point, n):
+        """[(gid, x(gid))] for the nonzero values of rank <= n, in the
+        canonical (rank, id) order."""
+        self.evaluate(point, n)
+        records = self.registry.records
+        return sorted(((gid, v) for gid, v in point.e_cache.items()
+                       if records[gid].rank <= n),
+                      key=lambda item: (records[item[0]].rank, item[0]))
 
     def pair(self, f, point):
         """<f, x> for a Func f against a Point x."""
@@ -257,10 +361,7 @@ class Engine:
         if rng is None:
             return None, set()
         q = rng[1]
-        self.evaluate(point, q)
-        support = {g for g in self.registry.gammas_up_to(q)
-                   if point.e_cache.get(g)}
-        return rng, support
+        return rng, {gid for gid, _ in self.nonzeros(point, q)}
 
     # -- stage matrices and operator norms --------------------------------------
 

@@ -36,11 +36,10 @@ def sup_norm_interval(engine, x, n):
     q = rng[1]
     if n < q:
         raise StageOverflow("stage %d does not cover ran x = %s" % (n, rng))
-    engine.evaluate(x, n)
     lower, witness = Fraction(0), None
     local_max = Fraction(0)
-    for gid in engine.registry.gammas_up_to(n):
-        v = abs(x.e_cache.get(gid, Fraction(0)))
+    for gid, v in engine.nonzeros(x, n):
+        v = abs(v)
         if v > lower:
             lower, witness = v, gid
         if engine.registry.rank_of(gid) <= q and v > local_max:

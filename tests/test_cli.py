@@ -129,10 +129,18 @@ def test_unread_options_are_rejected(argv):
     ["mtnorm"],
     ["hiprobe", "--length", "99"],
     ["hiprobe", "--cases", "0"],
+    ["verify", "lowerest", "--cases", "-3"],
+    ["verify", "lowerest", "--cases", "0"],
+    ["verify", "biorthogonality", "--stage", "0"],
+    ["gen", "--stage", "-1"],
+    ["norm", "--stage", "0", "{point}"],
+    ["forge", "--stage", "0", "{empty_spec}"],
+    ["export", "--stage", "0"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     files = {"zero_point": '[[1, "1/0"]]', "bad_json": "{",
-             "no_n": '{"m": [4, 16]}'}
+             "no_n": '{"m": [4, 16]}', "point": '[[1, "1/1"]]',
+             "empty_spec": "{}"}
     paths = {"missing": str(tmp_path / "missing.json")}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -140,3 +148,14 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert main([a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: InputError: ") and err.count("\n") == 1
+
+
+def test_hiprobe_long_tower(capsys):
+    """A length-6 chain nests the c*/prefix memos deeper than Python's
+    recursion limit; lengths 7 and 8 outgrow the probe's schedule."""
+    assert main(["hiprobe", "--cases", "1", "--length", "6"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert row["case"] == 0 and row["strict"]
+    assert main(["hiprobe", "--cases", "1", "--length", "7"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SearchExhausted: ") and err.count("\n") == 1

@@ -1,4 +1,5 @@
-"""Source rules: checks are not asserts, and verdicts have one home."""
+"""Source rules: checks are not asserts, verdicts have one home, and the
+sparse e-coordinate cache of a Point stays private to the engine."""
 
 import ast
 import pathlib
@@ -22,4 +23,18 @@ def test_no_asserts_and_verdict_literals_only_in_certificates():
                 found.append("%s:%d %r" % (path.name, node.lineno,
                                            node.value))
     assert len(SOURCES) > 5
+    assert found == []
+
+
+def test_e_cache_stays_in_the_engine():
+    """`Point.e_cache` holds nonzeros under a coverage marker; outside
+    engine.py a missing key would be misread, so values go through the
+    engine's accessors (`value`, `pair`, `nonzeros`)."""
+    found = []
+    for path in SOURCES:
+        if path.name == "engine.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "e_cache":
+                found.append("%s:%d" % (path.name, node.lineno))
     assert found == []

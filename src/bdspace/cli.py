@@ -392,22 +392,48 @@ SUITES = {
 }
 
 
+PILOT_RANKS = (2, 5)   # lowest, highest rank of a probe case's pilot
+
+
+def probe_length_limit(sched, gap, first_even_j):
+    """The longest HI-probe chain that fits in `sched` from the highest
+    pilot rank, capped at n_1 (the chain has odd weight index 1).
+
+    Pair i, of coded weight index w, takes min(m_w, n_w) carrier blocks
+    `gap` ranks apart, the first `gap` above max(frontier, w); a block of
+    rank r carries the even weight index at most r, which the schedule
+    must hold.  The pair's witness sits one rank above its last block
+    and the chain link one above that, at the cut p; the link's sigma
+    code, the smallest integer above p/4, codes the next weight 4*sigma.
+    """
+    frontier, w, length = PILOT_RANKS[1], 4 * first_even_j - 2, 0
+    while length < sched.length_value(1) and w <= len(sched.m):
+        last = max(frontier, w) + gap * min(sched.m[w - 1],
+                                            sched.length_value(w))
+        if last - last % 2 > len(sched.m):
+            break
+        length += 1
+        frontier = last + 2
+        w = 4 * (frontier // 4 + 1)
+    return length
+
+
 def run_hi_probes(ledger, cases=10, length=5, seed=DEFAULT_SEED):
     sched = slow_toy_schedule(8192)
+    gap, fe = 2, 1
     if cases < 1:
         raise InputError("the probe needs at least one case, got %d" % cases)
-    if not 1 <= length <= sched.length_value(1):
-        raise InputError("probe length %d not in 1..%d"
-                         % (length, sched.length_value(1)))
+    longest = probe_length_limit(sched, gap, fe)
+    if not 1 <= length <= longest:
+        raise InputError("probe length %d not in 1..%d" % (length, longest))
     rng = random.Random(seed)
-    gap, fe = 2, 1
     rows = []
     for case in range(cases):
         engine = Engine(forge_arena(sched))
         registry = engine.registry
         # a seeded pilot element shifts every later rank in the towers,
         # giving each case a genuinely different instance of the same size
-        forge_even(registry, 1, [2 + rng.randint(0, 3)],
+        forge_even(registry, 1, [rng.randint(*PILOT_RANKS)],
                    [Func.unit(registry.base())])
         Y = CarrierSource(registry, engine, companions=False, gap=gap)
         Z = CarrierSource(registry, engine, companions=False, gap=gap)

@@ -12,7 +12,9 @@ mentions older ids), so a Point is evaluated by a sparse triangular solve
 in the style of Gilbert & Peierls: the engine keeps a reverse-dependency
 index (for each id, the ids whose c* mentions it), walks it from the
 d-support up to the requested stage, and solves only the ids it reaches.
-Everything is exact rational.
+A stage-matrix column d_gamma is the same solve from the unit d-vector at
+gamma, and the biorthogonality check forms the sparse product D*.D and
+compares it with the identity.  Everything is exact rational.
 """
 
 from dataclasses import dataclass, field
@@ -63,20 +65,41 @@ class AnalysisRow:
 
 @dataclass
 class StageMatrix:
+    """The dual-basis rows d*_xi and the basis columns d_gamma over
+    Gamma_N.  Each column is reach-solved from the unit d-vector at gamma
+    and lists its nonzeros in (rank, id) order."""
     stage: int
     ids: list                    # Gamma_N in (rank, id) order
     rows: dict                   # xi -> d*_xi as Func (e*-coordinates)
     columns: dict                # gamma -> d_gamma restricted to Gamma_N
 
     def biorthogonality_defects(self):
-        """All (xi, gamma) with <d*_xi, d_gamma> != delta -- empty when exact."""
+        """All (xi, gamma, <d*_xi, d_gamma>) off the identity, in the
+        (xi, gamma) order of `ids` -- empty when exact.
+
+        D*.D is formed sparsely: the rows are transposed once into
+        delta -> [(xi, coef)] and each column is scattered into the rows
+        that meet its support.  An entry the scatter never reaches is a
+        structural zero, so a missing diagonal is still a defect."""
+        ids = self.ids
+        meets = {}
+        for xi in ids:
+            for delta, coef in self.rows[xi].items():
+                meets.setdefault(delta, []).append((xi, coef))
         defects = []
-        for xi in self.ids:
-            row = self.rows[xi]
-            for gamma in self.ids:
-                val = row.dot(self.columns[gamma])
-                if val != (1 if xi == gamma else 0):
-                    defects.append((xi, gamma, val))
+        for gamma in ids:
+            product = {}
+            for delta, val in self.columns[gamma].items():
+                for xi, coef in meets.get(delta, ()):
+                    if xi in product:
+                        product[xi] += coef * val
+                    else:
+                        product[xi] = coef * val
+            product.setdefault(gamma, Fraction(0))
+            defects.extend((xi, gamma, val) for xi, val in product.items()
+                           if val != (1 if xi == gamma else 0))
+        order = {gid: i for i, gid in enumerate(ids)}
+        defects.sort(key=lambda d: (order[d[0]], order[d[1]]))
         return defects
 
 
@@ -366,22 +389,15 @@ class Engine:
     # -- stage matrices and operator norms --------------------------------------
 
     def stage_matrix(self, n):
+        """Rows d*_xi and columns d_gamma over Gamma_n; each column is the
+        point with the single d-coordinate gamma, reach-solved to stage n."""
         if n < 1 or (n > self.registry.max_rank()
                      and n > self.registry.generated_stage):
             raise StageOverflow("Gamma_%d not materialized" % n)
         ids = self.registry.gammas_up_to(n)
         rows = {gid: self.d_star(gid) for gid in ids}
-        columns = {}
-        for gamma in ids:
-            col = {}
-            for xi in ids:
-                val = Fraction(1) if xi == gamma else Fraction(0)
-                for delta, coef in rows[xi].items():
-                    if delta != xi and delta in col:
-                        val -= coef * col[delta]
-                if val:
-                    col[xi] = val
-            columns[gamma] = col
+        columns = {gamma: dict(self.nonzeros(Point(Func.unit(gamma)), n))
+                   for gamma in ids}
         return StageMatrix(stage=n, ids=ids, rows=rows, columns=columns)
 
     def basis_constant(self, n):
@@ -395,14 +411,14 @@ class Engine:
                 best = max(best, self.prefix_estar(q, gid).l1())
         return best
 
-    def fdd_row_norms(self, n, matrix=None):
+    def fdd_row_norms(self, n):
         """Stage-n max-row-sums of every P_{(p,q]} and every tail P_{(p,inf)}.
 
         Returns ({(p, q): value}, {p: value}).  The matrix of P_I in
         e-coordinates over Gamma_n is sum over xi with rank in I of the
         outer product d_gamma-column x d*_xi-row.
         """
-        sm = matrix or self.stage_matrix(n)
+        sm = self.stage_matrix(n)
         ids = sm.ids
         # prefix[q] maps gamma -> {delta: entry} for P_{(0,q]}
         running = {g: {} for g in ids}

@@ -1,6 +1,8 @@
-"""The dense point evaluator, kept as the oracle for the engine's sparse
-solve: x(gamma) = d_gamma + <c*_gamma, x> for every gamma of Gamma_n in
-the canonical (rank, id) order, zeros included."""
+"""Dense oracles for the engine's sparse paths: the point evaluator
+x(gamma) = d_gamma + <c*_gamma, x> for every gamma of Gamma_n in the
+canonical (rank, id) order, zeros included; the stage-matrix columns by
+forward substitution through every row; and the biorthogonality check
+as the full |Gamma_n|^2 sweep of row-column pairings."""
 
 from fractions import Fraction
 
@@ -32,3 +34,33 @@ def dense_sup_norm(engine, point, n):
             local_max = v
     upper = max(engine.registry.schedule.M * local_max, lower)
     return lower, upper, witness
+
+
+def dense_columns(ids, rows):
+    """{gamma: d_gamma} solving <d*_xi, d_gamma> = delta row by row over
+    all of `ids`, each column's nonzeros in the order of `ids`."""
+    columns = {}
+    for gamma in ids:
+        col = {}
+        for xi in ids:
+            val = Fraction(1) if xi == gamma else Fraction(0)
+            for delta, coef in rows[xi].items():
+                if delta != xi and delta in col:
+                    val -= coef * col[delta]
+            if val:
+                col[xi] = val
+        columns[gamma] = col
+    return columns
+
+
+def dense_defects(sm):
+    """All (xi, gamma, <d*_xi, d_gamma>) off the identity, pairing every
+    row with every column."""
+    defects = []
+    for xi in sm.ids:
+        row = sm.rows[xi]
+        for gamma in sm.ids:
+            val = row.dot(sm.columns[gamma])
+            if val != (1 if xi == gamma else 0):
+                defects.append((xi, gamma, val))
+    return defects

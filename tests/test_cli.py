@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from bdspace.cli import main
+from bdspace.analysis import CarrierSource, make_dependent_sequence
+from bdspace.cli import PILOT_RANKS, forge_arena, main, probe_length_limit
+from bdspace.engine import Engine
+from bdspace.errors import SearchExhausted
+from bdspace.funcs import Func
+from bdspace.schedule import slow_toy_schedule
+from bdspace.spaces import forge_even
 
 
 def write_schedule(tmp_path, m, n, name="sched.json"):
@@ -152,10 +158,50 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
 
 def test_hiprobe_long_tower(capsys):
     """A length-6 chain nests the c*/prefix memos deeper than Python's
-    recursion limit; lengths 7 and 8 outgrow the probe's schedule."""
+    recursion limit; lengths 7 and 8 outgrow the probe's schedule and
+    are rejected before any forging."""
     assert main(["hiprobe", "--cases", "1", "--length", "6"]) == 0
     row = json.loads(capsys.readouterr().out)
     assert row["case"] == 0 and row["strict"]
-    assert main(["hiprobe", "--cases", "1", "--length", "7"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: SearchExhausted: ") and err.count("\n") == 1
+    for length in ("7", "8"):
+        assert main(["hiprobe", "--cases", "1", "--length", length]) == 2
+        assert capsys.readouterr().err == (
+            "error: InputError: probe length %s not in 1..6\n" % length)
+
+
+@pytest.mark.parametrize("size, limit", [(65, 1), (66, 2), (221, 2),
+                                         (222, 3)])
+def test_probe_length_limit_is_tight(size, limit):
+    """Around the schedule sizes where the derived limit steps up, a
+    chain of the limit forges from every pilot rank and one more link
+    outgrows the schedule from the highest."""
+    sched = slow_toy_schedule(size)
+    assert probe_length_limit(sched, 2, 1) == limit
+    for pilot in range(PILOT_RANKS[0], PILOT_RANKS[1] + 1):
+        assert len(forge_probe_chain(sched, pilot, limit).xs) == limit
+    with pytest.raises(SearchExhausted):
+        forge_probe_chain(sched, PILOT_RANKS[1], limit + 1)
+
+
+def forge_probe_chain(sched, pilot, length):
+    """The dependent sequence of one HI-probe case, pilot rank given."""
+    engine = Engine(forge_arena(sched))
+    registry = engine.registry
+    forge_even(registry, 1, [pilot], [Func.unit(registry.base())])
+    Y, Z = (CarrierSource(registry, engine, companions=False, gap=2)
+            for _ in range(2))
+    return make_dependent_sequence(engine, 1, [Y, Z], eps=1, C=45,
+                                   length=length, blocks_per_pair="weight")
+
+
+@pytest.mark.parametrize("suite, values", [
+    ("biorthogonality", {"elements": 7953, "defects": 0}),
+    # both forms of the identity for every element but Base
+    ("eval-analysis", {"checked": 2 * 7952, "mismatches": 0}),
+])
+def test_verify_stage_8(suite, values, tmp_path):
+    """Stage 8 of the default schedule (7953 elements) verifies."""
+    out = tmp_path / "ledger.jsonl"
+    assert main(["verify", suite, "--stage", "8", "--out", str(out)]) == 0
+    (cert,) = [json.loads(line) for line in out.read_text().splitlines()]
+    assert cert["verdict"] == "verified" and cert["values"] == values

@@ -1,9 +1,12 @@
-"""The engine's reach-driven sparse evaluation against the dense oracle.
+"""The engine's reach-driven sparse paths against the dense oracles.
 
 Points are random sparse d-vectors over the generated stage-6 and rich
 stage-5 registries and over random forged towers, whose ids are not in
 rank order.  Values, the nonzero listing, norm intervals, sums, scalings
-and a registry grown after an evaluation must all agree exactly."""
+and a registry grown after an evaluation must all agree exactly.  Stage
+matrices over the same registries must have the dense solve's columns,
+in order, and the sparse D*.D check must list the dense sweep's defects,
+also for deliberately corrupted matrices."""
 
 import random
 from fractions import Fraction
@@ -12,13 +15,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bdspace.cli import forge_arena
-from bdspace.engine import Engine
+from bdspace.engine import Engine, StageMatrix
 from bdspace.errors import UnknownGamma
 from bdspace.funcs import Func
 from bdspace.norms import sup_norm_interval
 from bdspace.schedule import slow_toy_schedule
 from bdspace.spaces import forge_even
-from dense_oracle import dense_sup_norm, dense_values
+from dense_oracle import (dense_columns, dense_defects, dense_sup_norm,
+                          dense_values)
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -143,3 +147,87 @@ def test_unknown_d_coordinate_is_named(stage6):
     for gid in (len(registry), -1):
         with pytest.raises(UnknownGamma):
             engine.evaluate(engine.point_from_d({gid: Fraction(1)}), 6)
+
+
+# -- stage matrices ----------------------------------------------------------
+
+def assert_stage_matrix_matches_dense(engine, n):
+    """Columns equal to the dense solve as ordered item lists, and no
+    defects by either check; returns the matrix."""
+    sm = engine.stage_matrix(n)
+    dense = dense_columns(sm.ids, sm.rows)
+    assert list(sm.columns) == sm.ids
+    assert [list(sm.columns[g].items()) for g in sm.ids] == \
+        [list(dense[g].items()) for g in sm.ids]
+    assert sm.biorthogonality_defects() == dense_defects(sm) == []
+    return sm
+
+
+def assert_defects_match_dense(sm):
+    sparse, dense = sm.biorthogonality_defects(), dense_defects(sm)
+    assert sparse == dense
+    assert [type(v) for *_, v in sparse] == [type(v) for *_, v in dense]
+
+
+CORRUPTIONS = ("perturb", "off-support", "drop-diagonal", "row")
+
+
+def corrupt(sm, data):
+    """A copy of sm with one to three drawn corruptions: a column entry
+    perturbed (possibly to a stored zero), an entry added off the
+    column's support, a column's diagonal dropped, or a row entry added
+    or perturbed."""
+    rows = dict(sm.rows)
+    columns = {g: dict(c) for g, c in sm.columns.items()}
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(CORRUPTIONS))
+        gamma = data.draw(st.sampled_from(sm.ids))
+        col = columns[gamma]
+        if kind == "perturb" and col:
+            key = data.draw(st.sampled_from(sorted(col)))
+            col[key] = col[key] + data.draw(coefs)
+        elif kind == "off-support":
+            free = [g for g in sm.ids if g not in col]
+            if free:
+                col[data.draw(st.sampled_from(free))] = data.draw(coefs)
+        elif kind == "drop-diagonal":
+            col.pop(gamma, None)
+        elif kind == "row":
+            rows[gamma] = rows[gamma] + Func.unit(
+                data.draw(st.sampled_from(sm.ids)), data.draw(coefs))
+    return StageMatrix(sm.stage, sm.ids, rows, columns)
+
+
+@pytest.mark.parametrize("name, n", [("stage6", n) for n in range(1, 7)]
+                         + [("rich5", n) for n in range(1, 5)])
+def test_stage_matrix_matches_dense(request, name, n):
+    _, engine = request.getfixturevalue(name)
+    assert_stage_matrix_matches_dense(engine, n)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_corrupted_stage_matrix_defects_match_dense(stage6, rich5, data):
+    _, engine = data.draw(st.sampled_from([stage6, rich5]))
+    sm = engine.stage_matrix(data.draw(st.integers(1, 4)))
+    assert_defects_match_dense(corrupt(sm, data))
+
+
+@SETTINGS
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_forged_tower_stage_matrices_match_dense(seed, data):
+    _, registry, engine = random_tower(seed)
+    n = data.draw(st.integers(1, registry.max_rank()))
+    sm = assert_stage_matrix_matches_dense(engine, n)
+    assert_defects_match_dense(corrupt(sm, data))
+
+
+def test_missing_diagonal_is_a_defect(stage6):
+    """A column without its diagonal pairs with its own row to a
+    structural zero that the scatter never reaches."""
+    _, engine = stage6
+    sm = engine.stage_matrix(4)
+    gamma = sm.ids[-1]
+    del sm.columns[gamma][gamma]
+    assert sm.biorthogonality_defects() == dense_defects(sm) == [
+        (gamma, gamma, Fraction(0))]

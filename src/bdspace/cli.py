@@ -530,7 +530,11 @@ def cmd_norm(args):
 
 
 def cmd_mtnorm(args):
+    at_least_one(args.factor, "factor")
     sched = load_schedule(args.schedule)
+    if args.excluded is not None and not 1 <= args.excluded <= len(sched.m):
+        raise InputError("--excluded %d not in 1..%d"
+                         % (args.excluded, len(sched.m)))
     if args.avg:
         _, _, j0 = args.avg.partition("=")
         if not j0.isdigit():

@@ -9,15 +9,36 @@ restriction, an optimal decomposition may be taken to consist of
 intervals of the support.  The brute-force successive-subset oracle in
 the test suite checks exactly this reduction.
 
+The DP runs in exact integers.  Every value it compares is a sum of
+|x_t| * prod theta_j along the paths of a tree.  With theta_j = a_j/b_j
+and H = `norming_height` a bound on the height of every tree compared,
+scale once by S = lcm(denominators of x) * lcm(b_j)^H.  A window value
+of height h is then an integer multiple of lcm(b_j)^(H-h), so theta_j
+times it is divmod(v * a_j, b_j) with remainder 0; a nonzero remainder
+raises InvariantViolation.  The norm is Fraction(value, S).
+H = max(1, n - c + 1), with c the cap of the first non-excluded index:
+a window of at most c points is a leaf or the ell_1 node, and a node of
+cap >= 2 has pieces at least one point shorter than its window.  A
+cap-1 node over its own window is theta_j times its norm, so it never
+attains and is skipped.  When c covers the whole support the norm is
+the closed form max(max |x_t|, theta * sum |x_t|), in O(n) with no
+tables.
+
 Ties among optimal trees are broken towards the lexicographically
 smallest (weight index, split points), so results are reproducible.
+The candidates come in strictly increasing key order: a window's leaves
+by position and then its nodes by weight index, a split's candidates by
+their first cut.  So a scan that replaces its best only on a strictly
+larger value keeps this tie-break, a split stores only its first cut,
+and the tree is rebuilt from these back-pointers.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
-from .errors import IndexOutOfSchedule
+from .errors import IndexOutOfSchedule, require
 from .funcs import Func
 
 
@@ -135,6 +156,21 @@ def verify_norming_tree(tree, params):
     return False, "not a tree node"
 
 
+def norming_height(n, params):
+    """H: no tree that the DP compares over n support points is taller.
+
+    With c the cap of the first non-excluded index, a window of at most
+    c points takes only a leaf or the ell_1 node, of height <= 1.  A
+    larger window's nodes of cap >= 2 split it into pieces at least one
+    point shorter, and cap-1 nodes never attain, so each further point
+    adds at most one level.
+    """
+    live = [j for j in range(1, len(params.pairs) + 1)
+            if j != params.excluded]
+    c = params.cap(live[0]) if live else n
+    return max(1, n - c + 1)
+
+
 def mt_norm(x, params):
     """Exact mixed Tsirelson norm of a finitely supported rational vector.
 
@@ -146,84 +182,93 @@ def mt_norm(x, params):
     if not entries:
         return Fraction(0), None
     pos = sorted(entries)
-    vals = [entries[p] for p in pos]
-    memo = {}
+    n = len(pos)
+    mags = [abs(entries[p]) for p in pos]
+    scale = (lcm(*(v.denominator for v in mags))
+             * lcm(*(th.denominator for _, th in params.pairs))
+             ** norming_height(n, params))
+    a = [v.numerator * (scale // v.denominator) for v in mags]
+    pre = [0]
+    for v in a:
+        pre.append(pre[-1] + v)
 
-    def window(i, k):
-        """(value, decision) for the support window [i, k)."""
-        key = (i, k)
-        if key in memo:
-            return memo[key]
-        best_val = None
-        best_key = None
-        best_dec = None
-        for t in range(i, k):
-            v = abs(vals[t])
-            cand_key = (0, (t,))
-            if best_val is None or v > best_val or (v == best_val
-                                                    and cand_key < best_key):
-                best_val, best_key = v, cand_key
-                best_dec = ("leaf", t)
-        size = k - i
-        for j in params.active_indices(size):
+    def weigh(v, j):
+        """theta_j * v, an exact integer at this scale."""
+        th = params.theta(j)
+        q, r = divmod(v * th.numerator, th.denominator)
+        require(r == 0, "theta_%d times a window value leaves remainder %d "
+                "at the DP's integer scale" % (j, r))
+        return q
+
+    def choose(i, k, t, plan, splits):
+        """(value, decision) of the window [i, k) whose first largest
+        entry is at t.  The candidates come in key order, the leaves by
+        t and then the nodes by j, so only a strictly larger value
+        replaces the best.  A decision is j for a node, ~t for a leaf."""
+        best, dec = a[t], ~t
+        for j in plan:
             cap = params.cap(j)
-            theta = params.theta(j)
-            if cap >= size:
-                # singleton split attains the ell_1 bound
-                v = theta * sum(abs(vals[t]) for t in range(i, k))
-                cuts = tuple(range(i + 1, k))
-                cand_key = (j, cuts)
+            if cap >= k - i:
+                v = weigh(pre[k] - pre[i], j)
+            elif cap == 1:
+                continue        # theta_j times this window's own norm
             else:
-                v, cuts = best_split(i, k, cap)
-                v = theta * v
-                cand_key = (j, cuts)
-            if v > best_val or (v == best_val and cand_key < best_key):
-                best_val, best_key = v, cand_key
-                best_dec = ("node", j, cand_key[1])
-        memo[key] = (best_val, best_dec)
-        return memo[key]
+                v = weigh(splits[cap][k][i], j)
+            if v > best:
+                best, dec = v, j
+        return best, dec
 
-    split_memo = {}
+    def leaf(t):
+        return Leaf(sign=1 if entries[pos[t]] > 0 else -1, k=pos[t])
 
-    def best_split(i, k, pieces):
-        """Max sum of window norms over exactly min(pieces, k-i) intervals.
+    def build(i, k, dec):
+        if dec < 0:
+            return leaf(~dec)
+        cap = params.cap(dec)
+        if cap >= k - i:
+            return Node(j=dec, children=tuple(leaf(t) for t in range(i, k)))
+        bounds = [i]
+        for p in range(cap, 1, -1):
+            bounds.append(cuts[p][k][bounds[-1]])
+        bounds.append(k)
+        return Node(j=dec, children=tuple(
+            build(lo, hi, decs[lo][hi]) for lo, hi in zip(bounds, bounds[1:])))
 
-        Returns (value, interior cut tuple); refining a split never
-        decreases the sum (triangle inequality), so the maximal piece
-        count is optimal.
-        """
-        pieces = min(pieces, k - i)
-        key = (i, k, pieces)
-        if key in split_memo:
-            return split_memo[key]
-        if pieces == 1:
-            out = (window(i, k)[0], ())
-        else:
-            best = None
-            for cut in range(i + 1, k - pieces + 2):
-                head = window(i, cut)[0]
-                tail_v, tail_cuts = best_split(cut, k, pieces - 1)
-                cand = (head + tail_v, (cut,) + tail_cuts)
-                if best is None or cand[0] > best[0] or (
-                        cand[0] == best[0] and cand[1] < best[1]):
-                    best = cand
-            out = best
-        split_memo[key] = out
-        return out
+    plan = params.active_indices(n)
+    if all(params.cap(j) >= n for j in plan):
+        # the whole support is one ell_1 window: no tables
+        value, dec = choose(0, n, a.index(max(a)), plan, None)
+        return Fraction(value, scale), build(0, n, dec)
 
-    def build(i, k):
-        _, dec = window(i, k)
-        if dec[0] == "leaf":
-            t = dec[1]
-            return Leaf(sign=1 if vals[t] >= 0 else -1, k=pos[t])
-        _, j, cuts = dec
-        bounds = [i] + list(cuts) + [k]
-        children = tuple(build(bounds[r], bounds[r + 1])
-                         for r in range(len(bounds) - 1))
-        return Node(j=j, children=children)
-
-    value, _ = window(0, len(pos))
-    return value, build(0, len(pos))
+    # splits[p][k][i]: best sum over p pieces of [i, k), with its first
+    # cut in cuts[p][k][i]; splits[1][k][i] is the window's own value.
+    # A node of cap l < size takes exactly l pieces: refining a split
+    # never decreases the sum (triangle inequality).
+    top = max(params.cap(j) for j in plan if params.cap(j) < n)
+    plans = [None] + [params.active_indices(s) for s in range(1, n + 1)]
+    rows = [[0] * (n + 1) for _ in range(n)]
+    decs = [[0] * (n + 1) for _ in range(n)]
+    splits = [None] + [[[0] * k for k in range(n + 1)] for _ in range(top)]
+    cuts = [None, None] + [[[0] * k for k in range(n + 1)]
+                           for _ in range(top - 1)]
+    for i in range(n - 1, -1, -1):
+        row, t = rows[i], i
+        for k in range(i + 1, n + 1):
+            if a[k - 1] > a[t]:
+                t = k - 1
+            for p in range(2, min(top, k - i) + 1):
+                lo, hi = i + 1, k - p + 2
+                tail = splits[p - 1][k]
+                best, arg = -1, 0
+                for cut in range(lo, hi):
+                    v = row[cut] + tail[cut]
+                    if v > best:
+                        best, arg = v, cut
+                splits[p][k][i] = best
+                cuts[p][k][i] = arg
+            v, decs[i][k] = choose(i, k, t, plans[k - i], splits)
+            row[k] = splits[1][k][i] = v
+    return Fraction(rows[0][n], scale), build(0, n, decs[0][n])
 
 
 def mt_norm_exhaustive(x, params, cap=500000):

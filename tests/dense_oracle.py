@@ -2,9 +2,13 @@
 x(gamma) = d_gamma + <c*_gamma, x> for every gamma of Gamma_n in the
 canonical (rank, id) order, zeros included; the stage-matrix columns by
 forward substitution through every row; and the biorthogonality check
-as the full |Gamma_n|^2 sweep of row-column pairings."""
+as the full |Gamma_n|^2 sweep of row-column pairings.  Also the
+`Fraction` interval DP for the mixed Tsirelson norm, the oracle of the
+integer DP in `bdspace.mtnorm`."""
 
 from fractions import Fraction
+
+from bdspace.mtnorm import Leaf, Node
 
 
 def dense_values(engine, point, n):
@@ -64,3 +68,94 @@ def dense_defects(sm):
             if val != (1 if xi == gamma else 0):
                 defects.append((xi, gamma, val))
     return defects
+
+
+def fraction_mt_norm(x, params):
+    """(value, tree) of `mt_norm` by a top-down DP in `Fraction`s, each
+    candidate keyed by (weight index, full cut tuple) and ties broken
+    towards the smaller key.  A cap-1 node over its own window is
+    theta_j times the window's norm, so it is skipped as never attaining."""
+    entries = {int(k): Fraction(v) for k, v in dict(x).items() if v}
+    if not entries:
+        return Fraction(0), None
+    pos = sorted(entries)
+    vals = [entries[p] for p in pos]
+    memo = {}
+
+    def window(i, k):
+        """(value, decision) for the support window [i, k)."""
+        key = (i, k)
+        if key in memo:
+            return memo[key]
+        best_val = None
+        best_key = None
+        best_dec = None
+        for t in range(i, k):
+            v = abs(vals[t])
+            cand_key = (0, (t,))
+            if best_val is None or v > best_val or (v == best_val
+                                                    and cand_key < best_key):
+                best_val, best_key = v, cand_key
+                best_dec = ("leaf", t)
+        size = k - i
+        for j in params.active_indices(size):
+            cap = params.cap(j)
+            theta = params.theta(j)
+            if cap == 1 and size > 1:
+                continue
+            if cap >= size:
+                # singleton split attains the ell_1 bound
+                v = theta * sum(abs(vals[t]) for t in range(i, k))
+                cuts = tuple(range(i + 1, k))
+                cand_key = (j, cuts)
+            else:
+                v, cuts = best_split(i, k, cap)
+                v = theta * v
+                cand_key = (j, cuts)
+            if v > best_val or (v == best_val and cand_key < best_key):
+                best_val, best_key = v, cand_key
+                best_dec = ("node", j, cand_key[1])
+        memo[key] = (best_val, best_dec)
+        return memo[key]
+
+    split_memo = {}
+
+    def best_split(i, k, pieces):
+        """Max sum of window norms over exactly min(pieces, k-i) intervals.
+
+        Returns (value, interior cut tuple); refining a split never
+        decreases the sum (triangle inequality), so the maximal piece
+        count is optimal.
+        """
+        pieces = min(pieces, k - i)
+        key = (i, k, pieces)
+        if key in split_memo:
+            return split_memo[key]
+        if pieces == 1:
+            out = (window(i, k)[0], ())
+        else:
+            best = None
+            for cut in range(i + 1, k - pieces + 2):
+                head = window(i, cut)[0]
+                tail_v, tail_cuts = best_split(cut, k, pieces - 1)
+                cand = (head + tail_v, (cut,) + tail_cuts)
+                if best is None or cand[0] > best[0] or (
+                        cand[0] == best[0] and cand[1] < best[1]):
+                    best = cand
+            out = best
+        split_memo[key] = out
+        return out
+
+    def build(i, k):
+        _, dec = window(i, k)
+        if dec[0] == "leaf":
+            t = dec[1]
+            return Leaf(sign=1 if vals[t] >= 0 else -1, k=pos[t])
+        _, j, cuts = dec
+        bounds = [i] + list(cuts) + [k]
+        children = tuple(build(bounds[r], bounds[r + 1])
+                         for r in range(len(bounds) - 1))
+        return Node(j=j, children=children)
+
+    value, _ = window(0, len(pos))
+    return value, build(0, len(pos))

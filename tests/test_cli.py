@@ -1,14 +1,17 @@
 """CLI subcommands, exit codes, and ledger output."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from bdspace.analysis import CarrierSource, make_dependent_sequence
-from bdspace.cli import PILOT_RANKS, forge_arena, main, probe_length_limit
+from bdspace.cli import (PILOT_RANKS, forge_arena, load_schedule, main,
+                         probe_length_limit)
 from bdspace.engine import Engine
 from bdspace.errors import SearchExhausted
-from bdspace.funcs import Func
+from bdspace.funcs import Func, frac_str
+from bdspace.mtnorm import MTParams, mt_norm_exhaustive
 from bdspace.schedule import slow_toy_schedule
 from bdspace.spaces import forge_even
 
@@ -75,6 +78,18 @@ def test_mtnorm_point_with_tree(tmp_path, capsys):
     assert "leaf" in lines[1]
 
 
+def test_mtnorm_cap_one(tmp_path, capsys):
+    """--factor 1 gives the pair (1, 1/16): the oracle's value, exit 0."""
+    sched = write_schedule(tmp_path, (4, 16), (6, 1))
+    pt = tmp_path / "x.json"
+    pt.write_text(json.dumps([[k, "1/1"] for k in range(1, 9)]))
+    assert main(["mtnorm", "--schedule", sched, "--factor", "1",
+                 "--point", str(pt)]) == 0
+    params = MTParams.from_schedule(load_schedule(sched), factor=1)
+    oracle = mt_norm_exhaustive({k: Fraction(1) for k in range(1, 9)}, params)
+    assert capsys.readouterr().out.strip() == frac_str(oracle) == "3/2"
+
+
 def test_forge_command(tmp_path, capsys):
     sched = write_schedule(tmp_path, (4, 16), (6, 1))
     spec = tmp_path / "forge.json"
@@ -133,6 +148,10 @@ def test_unread_options_are_rejected(argv):
     ["schedule", "--schedule", "{no_n}"],
     ["mtnorm", "--avg", "j0=x"],
     ["mtnorm"],
+    ["mtnorm", "--avg", "j0=1", "--factor", "0"],
+    ["mtnorm", "--avg", "j0=1", "--factor", "-2"],
+    ["mtnorm", "--avg", "j0=1", "--excluded", "0"],
+    ["mtnorm", "--avg", "j0=1", "--excluded", "3"],
     ["hiprobe", "--length", "99"],
     ["hiprobe", "--cases", "0"],
     ["verify", "lowerest", "--cases", "-3"],

@@ -1,16 +1,19 @@
 """Mixed Tsirelson norm: DP, oracle, and norming-tree verification."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdspace.errors import IndexOutOfSchedule
+from bdspace import mtnorm
+from bdspace.errors import IndexOutOfSchedule, InvariantViolation
 from bdspace.mtnorm import (Leaf, MTParams, Node, mt_norm,
-                            mt_norm_exhaustive, tree_action, tree_support,
-                            verify_norming_tree)
+                            mt_norm_exhaustive, norming_height, tree_action,
+                            tree_support, verify_norming_tree)
 from bdspace.schedule import validate_schedule
+from dense_oracle import fraction_mt_norm
 
 PARAMS = MTParams(pairs=((3, Fraction(1, 4)), (4, Fraction(1, 16))))
 
@@ -137,3 +140,97 @@ def test_norm_dominates_sup_and_is_dominated_by_l1(x):
     v, _ = mt_norm(x, PARAMS)
     assert v >= max(abs(w) for w in x.values())
     assert v <= sum(abs(w) for w in x.values())
+
+
+def tree_height(tree):
+    if isinstance(tree, Leaf):
+        return 0
+    return 1 + max(tree_height(c) for c in tree.children)
+
+
+def test_cap_one_pair_matches_exhaustive():
+    # (6, 1/4), (1, 1/16): a cap-1 node over its own window never attains
+    params = MTParams.from_schedule(validate_schedule((4, 16), (6, 1)),
+                                    factor=1)
+    assert params.cap(2) == 1
+    x = {k: Fraction(1) for k in range(1, 9)}
+    v, tree = mt_norm(x, params)
+    assert v == mt_norm_exhaustive(x, params) == Fraction(3, 2)
+    assert (v, tree) == fraction_mt_norm(x, params)
+    ok, why = verify_norming_tree(tree, params)
+    assert ok, why
+    for caps in ((1,), (1, 2), (2, 1), (1, 3)):
+        params = MTParams(pairs=tuple(zip(caps, (Fraction(1, 2),
+                                                 Fraction(1, 5)))))
+        x = {k: Fraction(k % 3 + 1, 2) for k in range(7)}
+        assert mt_norm(x, params)[0] == mt_norm_exhaustive(x, params)
+
+
+@st.composite
+def mt_cases(draw):
+    """Random parameters and a vector with many ties: caps 1..5, weights
+    with non-unit numerators and mixed denominators, every exclusion."""
+    thetas = sorted(draw(st.sets(st.builds(Fraction, st.integers(1, 5),
+                                           st.integers(6, 24)),
+                                 min_size=1, max_size=3)), reverse=True)
+    caps = draw(st.lists(st.integers(1, 5), min_size=len(thetas),
+                         max_size=len(thetas)))
+    excluded = draw(st.sampled_from([None] + list(range(1, len(caps) + 1))))
+    params = MTParams(pairs=tuple(zip(caps, thetas)), excluded=excluded)
+    unit = draw(st.fractions(min_value=-3, max_value=3, max_denominator=7)
+                .filter(bool))
+    coords = draw(st.dictionaries(
+        st.integers(0, 30),
+        st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 4),
+                         Fraction(5, 3)]),
+        min_size=1, max_size=12))
+    return params, {k: unit * v for k, v in coords.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(mt_cases())
+def test_integer_dp_matches_fraction_dp(case):
+    params, x = case
+    value, tree = mt_norm(x, params)
+    assert (value, tree) == fraction_mt_norm(x, params)
+    assert tree_height(tree) <= norming_height(len(x), params)
+
+
+def test_height_bound_is_tight():
+    """Doubling entries under (2, 4/5): the optimum is a chain as tall as
+    the bound H, so a scale with one power fewer cannot hold it."""
+    chain = MTParams(pairs=((2, Fraction(4, 5)),))
+    for n in range(2, 10):
+        x = {k: Fraction(2 ** k) for k in range(n)}
+        value, tree = mt_norm(x, chain)
+        assert (value, tree) == fraction_mt_norm(x, chain)
+        assert tree_height(tree) == norming_height(n, chain) == n - 1
+
+
+def test_short_scale_raises_invariant_violation(monkeypatch):
+    """One power of lcm(b_j) too few leaves a remainder, which is named."""
+    monkeypatch.setattr(mtnorm, "norming_height",
+                        lambda n, params: norming_height(n, params) - 1)
+    two_units = {0: Fraction(1), 1: Fraction(1)}
+    with pytest.raises(InvariantViolation):
+        mt_norm(two_units, PARAMS)
+    # the chain of test_height_bound_is_tight at H = 4
+    chain = MTParams(pairs=((2, Fraction(4, 5)),))
+    with pytest.raises(InvariantViolation):
+        mt_norm({k: Fraction(2 ** k) for k in range(5)}, chain)
+
+
+def test_large_average_stays_linear():
+    """The first cap covers the support: the closed form, no tables."""
+    n = 20000
+    params = MTParams(pairs=((80000, Fraction(1, 4)), (8, Fraction(1, 16))))
+    x = {k: Fraction(1, n) for k in range(1, n + 1)}
+    tracemalloc.start()
+    try:
+        value, tree = mt_norm(x, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == Fraction(1, 4)
+    assert peak < 32 * 2 ** 20
+    assert tree.j == 1 and len(tree.children) == n

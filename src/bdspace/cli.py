@@ -587,11 +587,11 @@ def cmd_export(args):
     if args.what == "table":
         rows = registry.export_stage_table(args.stage)
     else:
-        sm = Engine(registry).stage_matrix(args.stage)
+        engine = Engine(registry)
         rows = [{"xi": xi,
                  "row": sorted((g, frac_str(c))
-                               for g, c in sm.rows[xi].items())}
-                for xi in sm.ids]
+                               for g, c in engine.d_star(xi).items())}
+                for xi in registry.gammas_up_to(args.stage)]
     emit_rows(rows, args)
     return 0
 

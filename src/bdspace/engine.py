@@ -20,6 +20,7 @@ compares it with the identity.  Everything is exact rational.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import lcm
 
 from .errors import BaseHasNoAnalysis, StageOverflow
 from .funcs import Func
@@ -388,12 +389,15 @@ class Engine:
 
     # -- stage matrices and operator norms --------------------------------------
 
-    def stage_matrix(self, n):
-        """Rows d*_xi and columns d_gamma over Gamma_n; each column is the
-        point with the single d-coordinate gamma, reach-solved to stage n."""
+    def _require_stage(self, n):
         if n < 1 or (n > self.registry.max_rank()
                      and n > self.registry.generated_stage):
             raise StageOverflow("Gamma_%d not materialized" % n)
+
+    def stage_matrix(self, n):
+        """Rows d*_xi and columns d_gamma over Gamma_n; each column is the
+        point with the single d-coordinate gamma, reach-solved to stage n."""
+        self._require_stage(n)
         ids = self.registry.gammas_up_to(n)
         rows = {gid: self.d_star(gid) for gid in ids}
         columns = {gamma: dict(self.nonzeros(Point(Func.unit(gamma)), n))
@@ -402,9 +406,7 @@ class Engine:
 
     def basis_constant(self, n):
         """max_q ||P*_{(0,q]}||_{ell_1 -> ell_1} over Gamma_n, exact."""
-        if n < 1 or (n > self.registry.max_rank()
-                     and n > self.registry.generated_stage):
-            raise StageOverflow("Gamma_%d not materialized" % n)
+        self._require_stage(n)
         best = Fraction(0)
         for gid in self.registry.gammas_up_to(n):
             for q in range(1, n + 1):
@@ -414,49 +416,41 @@ class Engine:
     def fdd_row_norms(self, n):
         """Stage-n max-row-sums of every P_{(p,q]} and every tail P_{(p,inf)}.
 
-        Returns ({(p, q): value}, {p: value}).  The matrix of P_I in
-        e-coordinates over Gamma_n is sum over xi with rank in I of the
-        outer product d_gamma-column x d*_xi-row.
+        Returns ({(p, q): value}, {p: value}).  Row gamma of P_{(0,q]} in
+        e-coordinates is P*_{(0,q]} e*_gamma, read from the prefix memo.
+        For q >= rank(gamma) that row is e*_gamma, so pairs with
+        p >= rank(gamma) contribute 0, and a pair with q >= rank(gamma) > p
+        contributes the row's tail sum at p, computed once.  Each row is
+        summed in integer numerators over one denominator, the lcm of its
+        prefix rows' denominators, and the maxima are cross-multiplied.
         """
-        sm = self.stage_matrix(n)
-        ids = sm.ids
-        # prefix[q] maps gamma -> {delta: entry} for P_{(0,q]}
-        running = {g: {} for g in ids}
-        prefix_rowsums = {0: {g: Fraction(0) for g in ids}}
-        prefix_rows = {0: {g: {} for g in ids}}
-        for q in range(1, n + 1):
-            for xi in self.registry.stage(q):
-                col = sm.columns[xi]
-                row = sm.rows[xi]
-                for gamma, bval in col.items():
-                    tgt = running[gamma]
-                    for delta, aval in row.items():
-                        v = tgt.get(delta, Fraction(0)) + bval * aval
-                        if v:
-                            tgt[delta] = v
-                        else:
-                            tgt.pop(delta, None)
-            prefix_rows[q] = {g: dict(r) for g, r in running.items()}
-        interval_sums = {}
-        for p in range(0, n + 1):
-            for q in range(p + 1, n + 1):
-                best = Fraction(0)
-                for g in ids:
-                    hi, lo = prefix_rows[q][g], prefix_rows[p][g]
-                    keys = set(hi) | set(lo)
-                    s = sum((abs(hi.get(k, Fraction(0)) - lo.get(k, Fraction(0)))
-                             for k in keys), Fraction(0))
-                    best = max(best, s)
-                interval_sums[(p, q)] = best
-        tail_sums = {}
-        for p in range(0, n + 1):
-            best = Fraction(0)
-            for g in ids:
-                row = prefix_rows[p][g]
-                s = Fraction(0)
-                for k in set(row) | {g}:
-                    ident = Fraction(1) if k == g else Fraction(0)
-                    s += abs(ident - row.get(k, Fraction(0)))
-                best = max(best, s)
-            tail_sums[p] = best
-        return interval_sums, tail_sums
+        self._require_stage(n)
+        interval = {(p, q): (0, 1) for p in range(n + 1)
+                    for q in range(p + 1, n + 1)}
+        tail = dict.fromkeys(range(n + 1), (0, 1))
+
+        def bump(best, key, num, den):
+            b_num, b_den = best[key]
+            if num * b_den > b_num * den:
+                best[key] = (num, den)
+
+        for gid in self.registry.gammas_up_to(n):
+            rank = self.registry.rank_of(gid)
+            rows = [self.prefix_estar(q, gid) for q in range(1, rank)]
+            den = lcm(*{v.denominator for row in rows for v in row.values()})
+            rows = [{}] + [{k: v.numerator * (den // v.denominator)
+                            for k, v in row.items()} for row in rows]
+            for p, lo in enumerate(rows):
+                gap = _l1_gap({gid: den}, lo)
+                bump(tail, p, gap, den)
+                for q in range(p + 1, n + 1):
+                    bump(interval, (p, q),
+                         _l1_gap(rows[q], lo) if q < rank else gap, den)
+        return ({k: Fraction(*v) for k, v in interval.items()},
+                {k: Fraction(*v) for k, v in tail.items()})
+
+
+def _l1_gap(hi, lo):
+    """||hi - lo||_1 of two sparse maps."""
+    return sum(abs(v - lo.get(k, 0)) for k, v in hi.items()) + \
+        sum(abs(v) for k, v in lo.items() if k not in hi)

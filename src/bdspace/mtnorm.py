@@ -56,6 +56,10 @@ class MTParams:
             raise ValueError("weights must be strictly decreasing")
         if any(l < 1 for l, _ in self.pairs):
             raise ValueError("cardinality caps must be positive")
+        if self.excluded is not None and \
+                not 1 <= self.excluded <= len(self.pairs):
+            raise ValueError("excluded index %d not in 1..%d"
+                             % (self.excluded, len(self.pairs)))
 
     @classmethod
     def from_schedule(cls, schedule, factor=4, excluded=None, length=None):

@@ -2,7 +2,8 @@
 x(gamma) = d_gamma + <c*_gamma, x> for every gamma of Gamma_n in the
 canonical (rank, id) order, zeros included; the stage-matrix columns by
 forward substitution through every row; and the biorthogonality check
-as the full |Gamma_n|^2 sweep of row-column pairings.  Also the
+as the full |Gamma_n|^2 sweep of row-column pairings; the FDD row
+norms from column-by-row outer products of those columns.  Also the
 `Fraction` interval DP for the mixed Tsirelson norm, the oracle of the
 integer DP in `bdspace.mtnorm`."""
 
@@ -68,6 +69,52 @@ def dense_defects(sm):
             if val != (1 if xi == gamma else 0):
                 defects.append((xi, gamma, val))
     return defects
+
+
+def dense_fdd_row_norms(engine, n):
+    """({(p, q): value}, {p: value}) of `Engine.fdd_row_norms`, building
+    every row of every P_{(0,q]} from the outer products d_xi x d*_xi
+    over rank(xi) <= q, and summing each (p, q) and tail row over the
+    union of the supports."""
+    registry = engine.registry
+    ids = registry.gammas_up_to(n)
+    rows = {xi: engine.d_star(xi) for xi in ids}
+    columns = dense_columns(ids, rows)
+    running = {g: {} for g in ids}
+    prefix_rows = {0: {g: {} for g in ids}}
+    for q in range(1, n + 1):
+        for xi in registry.stage(q):
+            for gamma, bval in columns[xi].items():
+                tgt = running[gamma]
+                for delta, aval in rows[xi].items():
+                    v = tgt.get(delta, Fraction(0)) + bval * aval
+                    if v:
+                        tgt[delta] = v
+                    else:
+                        tgt.pop(delta, None)
+        prefix_rows[q] = {g: dict(r) for g, r in running.items()}
+    interval_sums = {}
+    for p in range(0, n + 1):
+        for q in range(p + 1, n + 1):
+            best = Fraction(0)
+            for g in ids:
+                hi, lo = prefix_rows[q][g], prefix_rows[p][g]
+                s = sum((abs(hi.get(k, Fraction(0)) - lo.get(k, Fraction(0)))
+                         for k in set(hi) | set(lo)), Fraction(0))
+                best = max(best, s)
+            interval_sums[(p, q)] = best
+    tail_sums = {}
+    for p in range(0, n + 1):
+        best = Fraction(0)
+        for g in ids:
+            row = prefix_rows[p][g]
+            s = Fraction(0)
+            for k in set(row) | {g}:
+                ident = Fraction(1) if k == g else Fraction(0)
+                s += abs(ident - row.get(k, Fraction(0)))
+            best = max(best, s)
+        tail_sums[p] = best
+    return interval_sums, tail_sums
 
 
 def fraction_mt_norm(x, params):

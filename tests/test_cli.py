@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and ledger output."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -46,6 +47,16 @@ def test_gen_and_export(tmp_path, capsys):
     assert main(["export", "--schedule", path, "--stage", "3",
                  "--format", "csv", "--out", str(csv_out)]) == 0
     assert csv_out.read_text().startswith("age,")
+
+
+def test_export_matrix_digest(tmp_path):
+    """The dual-basis rows d*_xi over Gamma_4 of the default schedule,
+    pinned byte for byte."""
+    out = tmp_path / "matrix.json"
+    assert main(["export", "--what", "matrix", "--stage", "4",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "f693ac3ffd2a267e4d73bf59c3885a049b9532b358534b9c2919b60efb2def74"
 
 
 def test_norm_command(tmp_path, capsys):
@@ -217,6 +228,8 @@ def forge_probe_chain(sched, pilot, length):
     ("biorthogonality", {"elements": 7953, "defects": 0}),
     # both forms of the identity for every element but Base
     ("eval-analysis", {"checked": 2 * 7952, "mismatches": 0}),
+    ("projections", {"basis_constant": "1/1", "max_interval_rowsum": "5/4",
+                     "max_tail_rowsum": "5/4", "max_dstar_l1": "5/4"}),
 ])
 def test_verify_stage_8(suite, values, tmp_path):
     """Stage 8 of the default schedule (7953 elements) verifies."""

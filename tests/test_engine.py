@@ -137,9 +137,14 @@ def test_basis_constant_is_one(stage6):
 
 
 def test_stage_overflow(stage6):
+    """Every stage-n method rejects a stage below 1 or beyond the
+    registry."""
     _, engine = stage6
-    with pytest.raises(StageOverflow):
-        engine.stage_matrix(7)
+    for method in (engine.stage_matrix, engine.basis_constant,
+                   engine.fdd_row_norms):
+        for n in (0, 7):
+            with pytest.raises(StageOverflow):
+                method(n)
 
 
 def test_eval_after_projection(stage6):

@@ -25,6 +25,9 @@ def test_params_validation():
         MTParams(pairs=((0, Fraction(1, 4)),))
     with pytest.raises(ValueError):
         MTParams(pairs=((3, Fraction(2)),))
+    for excluded in (0, 2, -1):
+        with pytest.raises(ValueError):
+            MTParams(pairs=((3, Fraction(1, 4)),), excluded=excluded)
     with pytest.raises(IndexOutOfSchedule):
         PARAMS.theta(3)
 

@@ -6,13 +6,16 @@ rank order.  Values, the nonzero listing, norm intervals, sums, scalings
 and a registry grown after an evaluation must all agree exactly.  Stage
 matrices over the same registries must have the dense solve's columns,
 in order, and the sparse D*.D check must list the dense sweep's defects,
-also for deliberately corrupted matrices."""
+also for deliberately corrupted matrices.  The FDD row norms read from
+the prefix memo must equal the outer-product sums over the dense
+columns."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from bdspace.cli import forge_arena
 from bdspace.engine import Engine, StageMatrix
@@ -21,8 +24,8 @@ from bdspace.funcs import Func
 from bdspace.norms import sup_norm_interval
 from bdspace.schedule import slow_toy_schedule
 from bdspace.spaces import forge_even
-from dense_oracle import (dense_columns, dense_defects, dense_sup_norm,
-                          dense_values)
+from dense_oracle import (dense_columns, dense_defects, dense_fdd_row_norms,
+                          dense_sup_norm, dense_values)
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -231,3 +234,29 @@ def test_missing_diagonal_is_a_defect(stage6):
     del sm.columns[gamma][gamma]
     assert sm.biorthogonality_defects() == dense_defects(sm) == [
         (gamma, gamma, Fraction(0))]
+
+
+# -- FDD row norms -------------------------------------------------------------
+
+def assert_row_norms_match_dense(engine, n):
+    """Equal (interval, tail) dicts as ordered item lists of Fractions."""
+    fast, dense = engine.fdd_row_norms(n), dense_fdd_row_norms(engine, n)
+    for sums, expected in zip(fast, dense):
+        assert list(sums.items()) == list(expected.items())
+        assert all(type(v) is Fraction for v in sums.values())
+
+
+@pytest.mark.parametrize("name, n", [("stage6", n) for n in range(1, 7)]
+                         + [("rich5", n) for n in range(1, 6)])
+def test_fdd_row_norms_match_dense(request, name, n):
+    _, engine = request.getfixturevalue(name)
+    assert_row_norms_match_dense(engine, n)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 10 ** 6))
+@example(seed=0)   # its prefix rows' denominators are not nested
+def test_forged_tower_row_norms_match_dense(seed):
+    _, registry, engine = random_tower(seed)
+    for n in range(1, registry.max_rank() + 1):
+        assert_row_norms_match_dense(engine, n)

@@ -1,10 +1,10 @@
 """Witness constructions over the materialized index set.
 
 Every device here turns an existence proof into an explicit object plus a
-machine-checkable record: RIS certification, local-weight splitting,
-ell_1 averages, lower-estimate elements, exact pairs, dependent
-sequences, the basic-inequality recursion producing a norming tree, and
-the HI probe comparing ||y+z|| against ||y-z||.  Each check returns a
+machine-checkable record: RIS certification, lower-estimate elements,
+exact pairs, dependent sequences with their alternating-sum estimates,
+RIS averages, the basic-inequality recursion producing a norming tree,
+and the HI probe comparing ||y+z|| against ||y-z||.  Each check returns a
 `Check` (certificates.py): its verdict, the exact values it computed and
 a detail mapping; a Check certifies as it stands.
 
@@ -35,27 +35,24 @@ class CarrierSource:
     """Generator of skipped blocks in a fresh tower above the registry.
 
     Each call forges a carrier element whose single analysis row evaluates
-    the Base element, and returns its biorthogonal d-vector.  By default
-    the carrier's weight index escalates past the previous block's range
+    the Base element, and returns its biorthogonal d-vector.  The
+    carrier's weight index escalates past the previous block's range
     (the rapidly-increasing-local-weight recipe, which is what makes the
-    blocks a RIS); a fixed `weight_j` freezes it instead.  A companion of
-    minimal weight is forged one rank below the carrier; the block
-    vanishes on it, so every window later owns an annihilating unit
-    functional (used by the epsilon = 0 exact pairs).
+    blocks a RIS).  A companion of minimal weight is forged one rank
+    below the carrier; the block vanishes on it, so every window later
+    owns an annihilating unit functional (used by the epsilon = 0 exact
+    pairs).
     """
 
-    def __init__(self, registry, engine, weight_j=None, gap=None,
-                 companions=True):
+    def __init__(self, registry, engine, gap=None, companions=True):
+        least = 3 if companions else 2
         if gap is None:
-            gap = 3 if companions else 2
-        if gap < (3 if companions else 2):
-            raise ValueError(
-                "gap below %d breaks %s" % (
-                    3 if companions else 2,
-                    "the companion window" if companions else "skipping"))
+            gap = least
+        if gap < least:
+            raise ValueError("gap below %d breaks %s" % (
+                least, "the companion window" if companions else "skipping"))
         self.registry = registry
         self.engine = engine
-        self.weight_j = weight_j
         self.gap = gap
         self.companions = companions
 
@@ -66,24 +63,15 @@ class CarrierSource:
         """A block vector whose range starts above `above` and above
         everything materialized so far, skipping at least one rank."""
         rank = max(self._frontier(), above) + self.gap
-        if self.weight_j is None:
-            w = rank if rank % 2 == 0 else rank - 1
-            if w > len(self.registry.schedule.m):
-                raise SearchExhausted(
-                    "carrier weight index %d beyond the schedule" % w)
-        else:
-            w = 2 * self.weight_j
-            rank = max(rank, w + 1)
+        w = rank if rank % 2 == 0 else rank - 1
+        if w > len(self.registry.schedule.m):
+            raise SearchExhausted(
+                "carrier weight index %d beyond the schedule" % w)
         payload = Func.unit(self.registry.base())
         if self.companions:
             forge_even(self.registry, 1, [rank - 1], [payload.copy()])
         carrier = forge_even(self.registry, w // 2, [rank], [payload])
         return self.engine.point_from_d({carrier: Fraction(1)})
-
-    def carrier_weight(self, block):
-        """The weight index of the block's carrier element."""
-        (gid,) = block.d_coords.support()
-        return self.registry.records[gid].weight_index
 
 
 def suggested_js(engine, xs):
@@ -188,64 +176,7 @@ def check_ris(engine, xs, C, js, N):
                              "cond3_violations": violations})
 
 
-# -- local weight ---------------------------------------------------------------
-
-def split_by_local_weight(engine, x, N_thresh):
-    """Split x = y + z by the weight of the local support.
-
-    y retains the coordinates at elements of weight index <= N_thresh
-    (Base elements, having no weight, go with y by convention), z the
-    rest; both parts are rebuilt through the extension operator, so the
-    sum is exactly x.
-    """
-    rng = engine.ran(x)
-    if rng is None:
-        zero = engine.point_from_d({})
-        return zero, zero
-    q = rng[1]
-    u_low, u_high = {}, {}
-    for gid, v in engine.nonzeros(x, q):
-        w = engine.registry.records[gid].weight_index
-        (u_low if w is None or w <= N_thresh else u_high)[gid] = v
-    return engine.extend(q, u_low, q), engine.extend(q, u_high, q)
-
-
-def classify_local_weight(engine, xs, stage=None):
-    """Classify a block sequence by the weights in its local supports.
-
-    "rapidly_increasing": every element of the local support of x_{k+1}
-    has weight index above max ran x_k.  "bounded": the largest weight
-    index seen in the local support of x_1 already bounds every later
-    local support (the finite-sequence proxy for a uniform bound).
-    Otherwise "neither".  Either class comes with the predicted RIS
-    constant, computed from stage-truncated lower norms and flagged as
-    such.
-    """
-    rans = _block_ranges(engine, xs)
-    registry = engine.registry
-    weights = []
-    for x in xs:
-        _, supp = engine.range_and_local_support(x)
-        weights.append([registry.records[g].weight_index for g in supp])
-    N = stage if stage is not None else rans[-1][1]
-    sup_lower = max(sup_norm_interval(engine, x, max(N, engine.ran(x)[1])).lower
-                    for x in xs)
-    rapid = all(
-        all(w is not None and w > rans[k][1] for w in weights[k + 1])
-        for k in range(len(xs) - 1))
-    if rapid:
-        return {"class": "rapidly_increasing", "j1": None,
-                "ris_constant": 3 * sup_lower, "stage_truncated": True}
-    j1 = max((w for w in weights[0] if w is not None), default=0)
-    if all(w is None or w <= j1 for per in weights for w in per):
-        m_j1 = registry.schedule.m[j1 - 1] if j1 else 1
-        return {"class": "bounded", "j1": j1,
-                "ris_constant": m_j1 * sup_lower, "stage_truncated": True}
-    return {"class": "neither", "j1": None, "ris_constant": None,
-            "stage_truncated": True}
-
-
-# -- lower estimates and ell_1 averages ------------------------------------------
+# -- lower estimates -----------------------------------------------------------
 
 def lower_estimate_witness(engine, xs, j):
     """Forge gamma of weight m_{2j} witnessing the lower estimate.
@@ -296,41 +227,6 @@ def lower_estimate_witness(engine, xs, j):
          "block_lowers": block_lowers})
 
 
-def make_l1_average(engine, source, n, C, N=None):
-    """An exactly normalized average of n skipped blocks from the source.
-
-    The normalizer is the best of the plain coordinate maximum and the
-    lower-estimate witness value; if even that leaves the rescaled block
-    norms above C the search is abandoned (the existence lemma needs
-    admissible magnitudes which toy schedules lack).
-    """
-    C = Fraction(C)
-    if C <= 1:
-        raise ValueError("need C > 1")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    sched = engine.registry.schedule
-    blocks = [source.next_block() for _ in range(n)]
-    avg = _sum_point(engine, blocks).scaled(Fraction(1, n))
-    stage = engine.ran(avg)[1]
-    lam = sup_norm_interval(engine, avg, stage).lower
-    if n > 1:
-        j = next((jj for jj in range(1, len(sched.m) // 2 + 1)
-                  if sched.length_value(2 * jj) >= n), None)
-        if j is not None:
-            gamma, wit = lower_estimate_witness(engine, blocks, j)
-            stage = max(stage, engine.registry.rank_of(gamma))
-            lam = max(lam, wit.values["rhs"] / n)
-            lam = max(lam, sup_norm_interval(engine, avg, stage).lower)
-    if lam == 0 or 1 / lam > C:
-        raise SearchExhausted(
-            "cannot normalize: blocks would need norm %s > C = %s"
-            % (1 / lam if lam else "inf", C))
-    out = avg.scaled(1 / lam)
-    engine.evaluate(out, max(stage, N or 0))
-    return out
-
-
 # -- exact pairs ----------------------------------------------------------------
 
 def _window_annihilator(engine, x, lo, hi):
@@ -350,13 +246,12 @@ def _window_annihilator(engine, x, lo, hi):
         "window (%d, %d] admits no annihilator of the block" % (lo, hi))
 
 
-def make_exact_pair(engine, xs, j, eps, C, annihilators=None,
-                    claimed_index=None):
+def make_exact_pair(engine, xs, j, eps, C):
     """Build a (pair_constant, 2j, eps)-exact pair from a skipped-block RIS.
 
     eps = 1 scales the block sum so that x(gamma) = 1 exactly, gamma being
     the lower-estimate witness.  eps = 0 forges gamma from annihilating
-    rows (supplied, or synthesized per window) so z(gamma) = 0 exactly.
+    rows, one synthesized per window, so z(gamma) = 0 exactly.
     Returns (theta, x, gamma, check); the check judges the definition's
     three clauses over the materialized prefix.
     """
@@ -384,32 +279,18 @@ def make_exact_pair(engine, xs, j, eps, C, annihilators=None,
             notes.append("half-bound failed at stage scope; theta reported")
         default_claim = 2 * j
     else:
-        rans, cuts = _skipped_cuts(engine, xs)
-        if annihilators is not None and len(annihilators) != a:
-            raise ValueError("need one annihilator per block")
-        payloads = []
-        prev = 0
+        _, cuts = _skipped_cuts(engine, xs)
+        payloads, prev = [], 0
         for r, xr in enumerate(xs):
-            if annihilators is not None:
-                b = annihilators[r]
-                if any(not prev < registry.rank_of(g) <= cuts[r] - 1
-                       for g in b.support()):
-                    raise AnnihilatorMissing(
-                        "annihilator %d leaves window (%d, %d]"
-                        % (r, prev, cuts[r] - 1))
-                if engine.pair(b, xr) != 0:
-                    raise AnnihilatorMissing(
-                        "functional %d does not annihilate its block" % r)
-            else:
-                b = _window_annihilator(engine, xr, prev, cuts[r] - 1)
-            payloads.append(b)
+            payloads.append(_window_annihilator(engine, xr, prev, cuts[r] - 1))
             prev = cuts[r]
         gamma = forge_even(registry, j, cuts, payloads)
         theta = Fraction(1)
         theta_ok = True
         x = _sum_point(engine, xs).scaled(Fraction(m2j, a))
         # the paper states the middle index as n_{2j}; the 2j-pattern of
-        # the section suggests otherwise, so the claim is parameterized
+        # the section suggests otherwise: the check uses 2j, the detail
+        # records n_{2j} as the claimed index
         default_claim = n2j
         notes.append("middle index stated as n_{2j} in the source claim; "
                      "checked with weight index 2j")
@@ -439,8 +320,7 @@ def make_exact_pair(engine, xs, j, eps, C, annihilators=None,
         "clause2_norm": [norm_lower, pair_constant],   # stage-relative
         "clause3_violations": violations,         # gamma', index, value, bound
     }, {"theta_ok": theta_ok, "toy_length": a != n2j, "notes": notes,
-        "claimed_index": default_claim if claimed_index is None
-        else claimed_index})
+        "claimed_index": default_claim})
     return theta, x, gamma, check
 
 
@@ -559,7 +439,9 @@ def make_dependent_sequence(engine, j0, sources, eps, C, length,
 
 def alternating_report(engine, rec, N):
     """Exact interval sums of (-1)^i x_i at odd-weight elements, plus the
-    stage-N norms of the plain and alternating averages: {claim: Check}.
+    stage-N norms of the plain and alternating averages: {key: Check},
+    the keys "alternating-sums", "plain-lower" and "alternating-norm"
+    (eps = 1) or "plain-norm" (eps = 0).
 
     The paper bounds (4C; 12C m^{-2} / 4C m^{-2}) are judged only when
     the schedule satisfies the quoted prerequisites; otherwise the
@@ -581,15 +463,14 @@ def alternating_report(engine, rec, N):
     for gid in registry.gammas_up_to(N):
         if registry.records[gid].weight_index != w_odd:
             continue
-        vals = [engine.value(x, gid) for x in rec.xs]
         prefix = [Fraction(0)]
-        for i, v in enumerate(vals, start=1):
+        for i, x in enumerate(rec.xs, start=1):
+            v = engine.value(x, gid)
             prefix.append(prefix[-1] + (v if i % 2 == 0 else -v))
-        for lo in range(n + 1):
-            for hi in range(lo + 1, n + 1):
-                s = abs(prefix[hi] - prefix[lo])
-                if s > worst:
-                    worst, worst_at = s, gid
+        # the largest |prefix[hi] - prefix[lo]| over lo < hi
+        s = max(prefix) - min(prefix)
+        if s > worst:
+            worst, worst_at = s, gid
     plain = _sum_point(engine, rec.xs).scaled(Fraction(1, n))
     alt = _sum_point(engine, rec.xs,
                      [(-1) ** i for i in range(1, n + 1)]).scaled(Fraction(1, n))
@@ -597,15 +478,15 @@ def alternating_report(engine, rec, N):
     ni_alt = sup_norm_interval(engine, alt, N)
     C = rec.C
     if rec.eps == 0:
-        return {"plain average norm (eps = 0)":
+        return {"plain-norm":
                 _at_most(ni_plain.lower, 4 * C * beta * beta, N, False)}
     return {
-        "interval alternating sums at odd-weight elements":
+        "alternating-sums":
             _at_most(worst, 4 * C, N, guard_ok, witness=worst_at),
-        "plain average lower value":
+        "plain-lower":
             Check(judge(ni_plain.lower >= beta),
                   {"measured": ni_plain.lower, "bound": beta, "stage": N}),
-        "alternating average norm":
+        "alternating-norm":
             _at_most(ni_alt.lower, 12 * C * beta * beta, N, False),
     }
 
@@ -780,8 +661,8 @@ def _check_excluded_hypothesis(engine, xs, lams, C, j0, N):
 def ris_average_report(engine, xs, j0, cert, lams=None, N=None):
     """Stage-N maxima of |n^{-1} sum lam_k x_k(gamma)| grouped by the
     weight class h of gamma, against the bound table (11C m_{j0}^{-1}
-    m_h^{-1} below j0; 5C/n + 5C m_h^{-1} at or above): {"h=<h>": Check},
-    plus "norm", the stage-N norm against 6C m_{j0}^{-1}.
+    m_h^{-1} below j0; 5C/n + 5C m_h^{-1} at or above): {"ris-h=<h>":
+    Check}, plus "ris-norm", the stage-N norm against 6C m_{j0}^{-1}.
 
     A class is judged only when the schedule satisfies the quoted
     prerequisite n_{j0} > 5 m_{j0}^2 at length n = n_{j0}; otherwise,
@@ -815,9 +696,9 @@ def ris_average_report(engine, xs, j0, cert, lams=None, N=None):
             bound = 11 * C * Fraction(1, m_j0) * sched.weight_value(h)
         else:
             bound = 5 * C * Fraction(1, n) + 5 * C * sched.weight_value(h)
-        checks["h=%d" % h] = _at_most(
+        checks["ris-h=%d" % h] = _at_most(
             measured, bound, N, prereq and not toy_length, witness=at,
             prereq_ok=prereq, toy_length=toy_length)
-    checks["norm"] = _at_most(sup_norm_interval(engine, avg, N).lower,
+    checks["ris-norm"] = _at_most(sup_norm_interval(engine, avg, N).lower,
                               6 * C * Fraction(1, m_j0), N, False)
     return checks

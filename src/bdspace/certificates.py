@@ -151,14 +151,3 @@ class Ledger:
 
     def exit_code(self):
         return 1 if self.violated else 0
-
-
-def read_ledger(path):
-    """Parse a JSON-lines ledger back into plain dicts."""
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out

@@ -2,12 +2,14 @@
 verification suites, and certificate/table export.
 
 Subcommands: schedule | gen | forge | norm | mtnorm | verify | hiprobe |
-export; each accepts only the options it reads.  The verification suites
-come from two factories: a stage suite judges one claim over a generated
+export; each accepts only the options it reads, and `verify` only the
+options its suite has parameters for.  Most verification suites come
+from two factories: a stage suite judges one claim over a generated
 stage, a seeded suite runs seeded cases, each on a fresh forging arena
-(`forge_arena`).  Every suite takes a seed (default 7) and is fully
-deterministic given (schedule, seed, stage, cap): re-running reproduces
-byte-identical certificates.
+(`forge_arena`), into one tally.  The `averages` suite and the HI probe
+certify each check of each case on its own.  Every suite takes a seed
+(default 7) and is fully deterministic given (schedule, seed, stage,
+cap): re-running reproduces byte-identical certificates.
 
 Exit codes: 0 when no certificate carries verdict "violated" ("reported"
 rows never affect it), 1 when one does, and 2 on bad input or usage,
@@ -16,14 +18,16 @@ with a one-line message naming the error.
 
 import argparse
 import csv
+import inspect
 import json
 import random
 import sys
 from fractions import Fraction
 
-from .analysis import (CarrierSource, basic_inequality_witness, check_ris,
-                       hi_probe, lower_estimate_witness,
-                       make_dependent_sequence, suggested_js)
+from .analysis import (CarrierSource, alternating_report,
+                       basic_inequality_witness, check_ris, hi_probe,
+                       lower_estimate_witness, make_dependent_sequence,
+                       ris_average_report, suggested_js)
 from .certificates import Check, Ledger, judge, make_certificate
 from .engine import Engine
 from .errors import BDSpaceError, InputError
@@ -332,15 +336,20 @@ def _lowerest_case(case, rng, engine):
         return [frac_str(check.values["lhs"]), frac_str(check.values["rhs"])]
 
 
-def _basicineq_case(case, rng, engine):
-    registry = engine.registry
-    source = CarrierSource(registry, engine, companions=False, gap=2)
-    xs = [source.next_block() for _ in range(rng.randint(3, 5))]
+def _ris_blocks(rng, engine, fewest, most):
+    """Seeded skipped blocks, their 2-RIS Check with the suggested
+    indices, and seeded coefficients, one per block."""
+    source = CarrierSource(engine.registry, engine, companions=False, gap=2)
+    xs = [source.next_block() for _ in range(rng.randint(fewest, most))]
     ris = check_ris(engine, xs, Fraction(2), suggested_js(engine, xs),
-                    registry.max_rank())
+                    engine.registry.max_rank())
+    return xs, ris, [Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
+                     for _ in xs]
+
+
+def _basicineq_case(case, rng, engine):
+    xs, ris, lams = _ris_blocks(rng, engine, 3, 5)
     gamma, _ = lower_estimate_witness(engine, xs, 1)
-    lams = [Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
-            for _ in xs]
     s = rng.choice([0, engine.ran(xs[0])[0] - 1])
     _, _, check = basic_inequality_witness(
         engine, xs, lams, s, gamma, ris, j0=1 if case % 5 == 4 else None)
@@ -348,13 +357,19 @@ def _basicineq_case(case, rng, engine):
         return [check.detail["tree_reason"] or "inequality"]
 
 
-def _depseq_case(case, rng, engine):
+def _dependent_sequence(case, rng, engine):
+    """The dependent sequence of a seeded case over 1-2 block sources;
+    eps alternates with the case's parity."""
     eps = 0 if case % 2 else 1
     sources = [CarrierSource(engine.registry, engine, companions=(eps == 0),
                              gap=3 if eps == 0 else 2)
                for _ in range(rng.randint(1, 2))]
-    rec = make_dependent_sequence(engine, 1, sources, eps, Fraction(45),
-                                  2 + case % 4, blocks_per_pair=2)
+    return make_dependent_sequence(engine, 1, sources, eps, Fraction(45),
+                                   2 + case % 4, blocks_per_pair=2)
+
+
+def _depseq_case(case, rng, engine):
+    rec = _dependent_sequence(case, rng, engine)
     if not all(ok for _, _, _, ok in rec.partial_sums(engine)):
         return ["partial sums"]
 
@@ -380,6 +395,53 @@ suite_depseq = seeded_suite(
     lambda: slow_toy_schedule(2048), 10, _depseq_case)
 
 
+# the claim of each check of an averages case, by its key up to "=";
+# x_1..x_n is the dependent sequence, of chain weight m^{-1}
+AVERAGE_CLAIMS = {
+    "alternating-sums": "every interval sum of (-1)^i x_i is at most 4C "
+                        "at every element of the chain weight (eps = 1)",
+    "plain-lower": "the plain average of the x_i has stage norm at least "
+                   "m^{-1} (eps = 1)",
+    "alternating-norm": "the alternating average of the x_i has stage "
+                        "norm at most 12C m^{-2} (eps = 1)",
+    "plain-norm": "the plain average of the x_i has stage norm at most "
+                  "4C m^{-2} (eps = 0)",
+    "ris": "the skipped blocks form a 2-RIS with the indices read off "
+           "their local supports",
+    "ris-h": "the RIS average is at most 11C m_{j0}^{-1} m_h^{-1} (h < j0) "
+             "or 5C/n + 5C m_h^{-1} (h >= j0) on weight class h",
+    "ris-norm": "the RIS average has stage norm at most 6C m_{j0}^{-1}",
+}
+
+
+def suite_averages(ledger, cases=10, seed=DEFAULT_SEED):
+    """Per case, on a fresh arena: the alternating-sum and average
+    estimates along a dependent sequence, then the RIS check of a few
+    skipped blocks and, when it passes, the estimates of their seeded
+    average.  Each check is its own certificate, with its own verdict."""
+    sched = slow_toy_schedule(2048)
+    rng = random.Random(seed)
+    for case in range(cases):
+        engine = Engine(forge_arena(sched))
+        registry = engine.registry
+        rec = _dependent_sequence(case, rng, engine)
+        checks = alternating_report(engine, rec, registry.max_rank())
+        xs, ris, lams = _ris_blocks(rng, engine, 2, 4)
+        checks["ris"] = ris
+        if ris.passed:
+            checks.update(ris_average_report(engine, xs, ris.values["js"][0],
+                                             ris, lams))
+        for key, check in checks.items():
+            ledger.add(make_certificate(
+                "averages-%d-%s" % (case, key),
+                AVERAGE_CLAIMS[key.partition("=")[0]], sched,
+                {"case": case, "eps": rec.eps, "length": rec.length,
+                 "blocks": len(xs), "seed": seed},
+                check, stage=check.values["stage"], odd_guard=WAIVE,
+                seed=seed))
+    return ledger
+
+
 SUITES = {
     "biorthogonality": suite_biorthogonality,
     "eval-analysis": suite_eval_analysis,
@@ -389,6 +451,7 @@ SUITES = {
     "lowerest": suite_lowerest,
     "basicineq": suite_basicineq,
     "depseq": suite_depseq,
+    "averages": suite_averages,
 }
 
 
@@ -468,12 +531,17 @@ def run_hi_probes(ledger, cases=10, length=5, seed=DEFAULT_SEED):
 # -- file formats --------------------------------------------------------------
 
 def write_rows(rows, out, fmt):
+    """Rows as indented JSON, or as CSV with list and dict cells in
+    compact JSON."""
     if fmt == "csv":
         if not rows:
             return
         writer = csv.DictWriter(out, fieldnames=sorted(rows[0]))
         writer.writeheader()
-        writer.writerows(rows)
+        for row in rows:
+            writer.writerow({k: json.dumps(v, separators=(",", ":"))
+                             if isinstance(v, (list, dict)) else v
+                             for k, v in row.items()})
     else:
         json.dump(rows, out, indent=1, default=str)
         out.write("\n")
@@ -555,20 +623,22 @@ def cmd_mtnorm(args):
 
 
 def cmd_verify(args):
-    ledger = Ledger(path=args.out)
-    kw = {"seed": args.seed}
+    """Run a suite with the options given; an option that the suite has
+    no parameter for is an InputError."""
+    suite = SUITES[args.suite]
+    takes = inspect.signature(suite).parameters
     at_least_one(args.cases, "cases")
     at_least_one(args.stage, "stage")
-    if args.suite in ("mt-oracle", "lowerest", "basicineq", "depseq"):
-        if args.cases is not None:
-            kw["cases"] = args.cases
-    else:
-        kw.update(net=args.net, cap=args.cap)
-        if args.schedule:
-            kw["schedule"] = load_schedule(args.schedule)
-        if args.stage is not None:
-            kw["stage"] = args.stage
-    SUITES[args.suite](ledger, **kw)
+    kw = {"seed": args.seed}
+    for opt in ("schedule", "net", "stage", "cap", "cases"):
+        value = getattr(args, opt)
+        if value is None:
+            continue
+        if opt not in takes:
+            raise InputError("verify %s takes no --%s" % (args.suite, opt))
+        kw[opt] = load_schedule(value) if opt == "schedule" else value
+    ledger = Ledger(path=args.out)
+    suite(ledger, **kw)
     print(json.dumps({"suite": args.suite, "counts": ledger.counts()}))
     return ledger.exit_code()
 
@@ -646,7 +716,8 @@ def main(argv=None):
 
     p = add("verify", cmd_verify, "run a verification suite",
             REGISTRY_OPTIONS + ("seed", "out"))
-    p.set_defaults(stage=None)      # each suite has its own default stage
+    # each suite has its own defaults; None marks an option not given
+    p.set_defaults(stage=None, net=None, cap=None)
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--cases", type=int, default=None)
 

@@ -405,11 +405,14 @@ class Engine:
         return StageMatrix(stage=n, ids=ids, rows=rows, columns=columns)
 
     def basis_constant(self, n):
-        """max_q ||P*_{(0,q]}||_{ell_1 -> ell_1} over Gamma_n, exact."""
+        """max_q ||P*_{(0,q]}||_{ell_1 -> ell_1} over Gamma_n, exact.
+
+        For q >= rank(gamma) the row P*_{(0,q]} e*_gamma is e*_gamma, of
+        norm 1, so only the rows with q < rank(gamma) are read."""
         self._require_stage(n)
-        best = Fraction(0)
+        best = Fraction(1)
         for gid in self.registry.gammas_up_to(n):
-            for q in range(1, n + 1):
+            for q in range(1, self.registry.rank_of(gid)):
                 best = max(best, self.prefix_estar(q, gid).l1())
         return best
 

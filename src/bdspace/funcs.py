@@ -97,14 +97,6 @@ class Func(dict):
                 total += v * w
         return total
 
-    def restrict(self, keep):
-        """New Func keeping only keys for which keep(id) is true."""
-        out = Func()
-        for k, v in self.items():
-            if keep(k):
-                dict.__setitem__(out, k, v)
-        return out
-
     def support(self):
         return set(self.keys())
 

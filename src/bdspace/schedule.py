@@ -82,10 +82,6 @@ def validate_schedule(m, n):
     return ParameterSchedule(m=m, n=n, mode=mode, theta=theta, M=big_m)
 
 
-def schedule_from_json(obj):
-    return validate_schedule(obj["m"], obj["n"])
-
-
 def schedule_subsequence(s, indices):
     """Schedule (m_{l_j}, n_{l_j}) along a strictly increasing 1-based index list."""
     indices = list(indices)

@@ -44,6 +44,8 @@ GOLDEN_LEDGERS = {
         "f94b495e399c593a22c78a61e0dd344b702c7291102be29f3d83a7e01f927c23",
     "depseq":
         "3730571d9b973fc8df8fdc8b55ed86f4bdbab53b7ff147b0f24b3673fc6308c8",
+    "averages":
+        "95908e1671c3201afdfee838dacd599aeed15892a353606bcbf2803d995ec5ec",
 }
 GOLDEN_HIPROBE = \
     "4754457146a909686dcd6af3e08a2d4a27ceb45a2a1fe5f16f2a11ef5a1c7752"

@@ -8,16 +8,13 @@ import pytest
 from dataclasses import replace
 
 from bdspace.analysis import (CarrierSource, alternating_report,
-                              basic_inequality_witness, check_ris,
-                              classify_local_weight, hi_probe,
+                              basic_inequality_witness, check_ris, hi_probe,
                               lower_estimate_witness, make_dependent_sequence,
-                              make_exact_pair, make_l1_average,
-                              ris_average_report, split_by_local_weight,
+                              make_exact_pair, ris_average_report,
                               suggested_js)
 from bdspace.certificates import REPORTED, VERIFIED, VIOLATED
 from bdspace.errors import (CutTooSmall, InvariantViolation, NotBlockSequence,
                             NotCertifiedRIS, NotSkippedBlock, SearchExhausted)
-from bdspace.norms import sup_norm_interval
 
 
 def escalating_blocks(forge_arena, n=3, gap=2):
@@ -31,7 +28,8 @@ def test_carrier_source_blocks_are_skipped_and_escalating(forge_arena):
     rans = [engine.ran(x) for x in xs]
     for a, b in zip(rans, rans[1:]):
         assert a[1] + 2 <= b[0]          # at least one skipped rank
-    ws = [source.carrier_weight(x) for x in xs]
+    ws = [registry.records[gid].weight_index
+          for x in xs for gid in x.d_coords]
     assert all(w0 < w1 for w0, w1 in zip(ws, ws[1:]))
 
 
@@ -49,37 +47,6 @@ def test_ris_rejects_overlapping_blocks(forge_arena):
     with pytest.raises(NotBlockSequence):
         check_ris(engine, [xs[0], xs[0]], Fraction(2), [2, 4],
                   registry.max_rank())
-
-
-def test_split_by_local_weight_is_exact(forge_arena):
-    registry, engine, source, xs = escalating_blocks(forge_arena)
-    x = xs[0] + xs[1].scaled(Fraction(1, 2))
-    w_thresh = source.carrier_weight(xs[0])
-    y, z = split_by_local_weight(engine, x, w_thresh)
-    q = engine.ran(x)[1]
-    for gid in registry.gammas_up_to(q):
-        assert engine.value(y, gid) + engine.value(z, gid) == \
-            engine.value(x, gid)
-        w = registry.records[gid].weight_index
-        if engine.value(y, gid):
-            assert w is None or w <= w_thresh
-        if engine.value(z, gid):
-            assert w is not None and w > w_thresh
-
-
-def test_classify_local_weight(forge_arena):
-    registry, engine, source, xs = escalating_blocks(forge_arena, n=3)
-    out = classify_local_weight(engine, xs)
-    assert out["class"] == "rapidly_increasing"
-    assert out["stage_truncated"]
-    # a constant-weight sequence classifies as bounded
-    registry2, engine2 = forge_arena()
-    fixed = CarrierSource(registry2, engine2, weight_j=1, companions=False,
-                          gap=2)
-    ys = [fixed.next_block() for _ in range(3)]
-    out2 = classify_local_weight(engine2, ys)
-    assert out2["class"] == "bounded"
-    assert out2["j1"] >= 2
 
 
 def test_lower_estimate_identity(forge_arena):
@@ -112,16 +79,6 @@ def test_lower_estimate_cut_too_small(forge_arena):
     registry, engine, source, xs = escalating_blocks(forge_arena)
     with pytest.raises(CutTooSmall):
         lower_estimate_witness(engine, xs, max(engine.ran(xs[1])))
-
-
-def test_l1_average(forge_arena):
-    registry, engine = forge_arena()
-    source = CarrierSource(registry, engine, companions=False, gap=2)
-    avg = make_l1_average(engine, source, 4, Fraction(5))
-    stage = engine.ran(avg)[1]
-    ni = sup_norm_interval(engine, avg, registry.max_rank())
-    assert ni.lower == 1  # exactly normalized at the witnessed stage
-    assert len(avg.d_coords) == 4
 
 
 def test_exact_pair_eps1(forge_arena):
@@ -245,10 +202,10 @@ def test_ris_average_report(forge_arena):
     js = suggested_js(engine, xs)
     cert = check_ris(engine, xs, Fraction(2), js, registry.max_rank())
     out = ris_average_report(engine, xs, js[0], cert)
-    assert set(out) - {"norm"}
+    # one row per weight class in Gamma_N: the carriers' weights
+    assert out.keys() == {"ris-h=%d" % j for j in js} | {"ris-norm"}
     # toy scale: rows are reports, never violations
     assert all(c.verdict == REPORTED for c in out.values())
-    assert out["norm"].verdict == REPORTED
 
 
 def test_search_exhausted_past_schedule(forge_arena):

@@ -7,7 +7,7 @@ import pytest
 
 from bdspace.certificates import (Certificate, Check, Ledger, canonical_json,
                                   emit_certificate, inputs_digest, judge,
-                                  make_certificate, read_ledger)
+                                  make_certificate)
 from bdspace.schedule import validate_schedule
 
 SCHED = validate_schedule((4, 16), (6, 1))
@@ -82,7 +82,7 @@ def test_ledger_exit_codes(tmp_path):
     led.add(cert("violated"))
     assert led.exit_code() == 1
     assert led.counts() == {"verified": 1, "reported": 1, "violated": 1}
-    rows = read_ledger(str(path))
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(rows) == 3
     assert rows[0]["verdict"] == "verified"
 

@@ -1,12 +1,16 @@
 """CLI subcommands, exit codes, and ledger output."""
 
+import csv
 import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from bdspace.analysis import CarrierSource, make_dependent_sequence
+from bdspace import cli
+from bdspace.analysis import (CarrierSource, check_ris,
+                              make_dependent_sequence)
+from bdspace.certificates import VIOLATED, Check
 from bdspace.cli import (PILOT_RANKS, forge_arena, load_schedule, main,
                          probe_length_limit)
 from bdspace.engine import Engine
@@ -43,10 +47,39 @@ def test_gen_and_export(tmp_path, capsys):
                  "--out", str(out)]) == 0
     rows = json.loads(out.read_text())
     assert len(rows) == 41
+    gen_csv = tmp_path / "gen.csv"
+    assert main(["gen", "--schedule", path, "--stage", "4",
+                 "--format", "csv", "--out", str(gen_csv)]) == 0
+    assert read_csv(gen_csv) == [as_csv(row) for row in rows]
+    for fmt in ("json", "csv"):
+        assert main(["export", "--schedule", path, "--stage", "3",
+                     "--format", fmt,
+                     "--out", str(tmp_path / ("table." + fmt))]) == 0
     csv_out = tmp_path / "table.csv"
-    assert main(["export", "--schedule", path, "--stage", "3",
-                 "--format", "csv", "--out", str(csv_out)]) == 0
     assert csv_out.read_text().startswith("age,")
+    table = json.loads((tmp_path / "table.json").read_text())
+    assert read_csv(csv_out) == [as_csv(row) for row in table]
+    for fmt in ("json", "csv"):
+        assert main(["export", "--what", "matrix", "--schedule", path,
+                     "--stage", "3", "--format", fmt,
+                     "--out", str(tmp_path / ("matrix." + fmt))]) == 0
+    matrix = json.loads((tmp_path / "matrix.json").read_text())
+    assert len(matrix) == 11
+    assert read_csv(tmp_path / "matrix.csv") == [as_csv(r) for r in matrix]
+
+
+def read_csv(path):
+    """The rows of a CSV file, its list and dict cells parsed as JSON."""
+    with open(path, newline="") as fh:
+        return [{k: json.loads(v) if v.startswith(("[", "{")) else v
+                 for k, v in row.items()} for row in csv.DictReader(fh)]
+
+
+def as_csv(row):
+    """A JSON-format row as read_csv gives it back: scalars as strings,
+    None as the empty cell."""
+    return {k: v if isinstance(v, (list, dict))
+            else "" if v is None else str(v) for k, v in row.items()}
 
 
 def test_export_matrix_digest(tmp_path):
@@ -172,6 +205,10 @@ def test_unread_options_are_rejected(argv):
     ["norm", "--stage", "0", "{point}"],
     ["forge", "--stage", "0", "{empty_spec}"],
     ["export", "--stage", "0"],
+    ["verify", "lowerest", "--net", "bogus"],
+    ["verify", "lowerest", "--stage", "3"],
+    ["verify", "biorthogonality", "--cases", "5"],
+    ["verify", "averages", "--cases", "0"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     files = {"zero_point": '[[1, "1/0"]]', "bad_json": "{",
@@ -237,3 +274,38 @@ def test_verify_stage_8(suite, values, tmp_path):
     assert main(["verify", suite, "--stage", "8", "--out", str(out)]) == 0
     (cert,) = [json.loads(line) for line in out.read_text().splitlines()]
     assert cert["verdict"] == "verified" and cert["values"] == values
+
+
+def test_verify_averages_keeps_each_verdict(tmp_path, capsys):
+    """One certificate per check of each case: the RIS checks and the
+    eps = 1 plain-average lower values are decided, every estimate whose
+    prerequisites fail at toy scale stays reported."""
+    out = tmp_path / "ledger.jsonl"
+    assert main(["verify", "averages", "--cases", "4",
+                 "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert summary["counts"] == {"verified": 6, "reported": 65,
+                                 "violated": 0}
+    assert {row["claim_id"] for row in rows if row["verdict"] == "verified"} \
+        == {"averages-%d-ris" % c for c in range(4)} \
+        | {"averages-0-plain-lower", "averages-2-plain-lower"}
+
+
+def test_verify_averages_failing_ris_is_violated(tmp_path, monkeypatch):
+    """A case whose blocks fail the RIS check certifies that Check as
+    violated (exit 1) and makes no average rows."""
+    def failing_ris(*args):
+        return Check(VIOLATED, dict(check_ris(*args).values))
+    monkeypatch.setattr(cli, "check_ris", failing_ris)
+    out = tmp_path / "ledger.jsonl"
+    assert main(["verify", "averages", "--cases", "2",
+                 "--out", str(out)]) == 1
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert {row["claim_id"]: row["verdict"] for row in rows} == {
+        "averages-0-alternating-sums": "reported",
+        "averages-0-plain-lower": "verified",
+        "averages-0-alternating-norm": "reported",
+        "averages-0-ris": "violated",
+        "averages-1-plain-norm": "reported",
+        "averages-1-ris": "violated"}

@@ -64,11 +64,6 @@ def test_accumulate_in_place():
     assert f == Func([(1, Fraction(-2)), (2, Fraction(1))])
 
 
-def test_restrict():
-    f = Func([(1, Fraction(1)), (2, Fraction(2)), (5, Fraction(3))])
-    assert set(f.restrict(lambda k: k < 3)) == {1, 2}
-
-
 def test_invalid_fraction_rejected():
     with pytest.raises((ValueError, ZeroDivisionError)):
         Func([(1, Fraction(1, 0))])

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bdspace.errors import IndexOutOfSchedule, ScheduleViolation
-from bdspace.schedule import (geometric_toy_schedule, schedule_from_json,
-                              schedule_subsequence, slow_toy_schedule,
-                              validate_schedule)
+from bdspace.schedule import (geometric_toy_schedule, schedule_subsequence,
+                              slow_toy_schedule, validate_schedule)
 
 
 def test_admissible_classification():
@@ -57,7 +56,8 @@ def test_subsequence():
 
 def test_json_roundtrip():
     s = validate_schedule((4, 16), (6, 1))
-    assert schedule_from_json(s.to_json()) == s
+    obj = s.to_json()
+    assert validate_schedule(obj["m"], obj["n"]) == s
 
 
 @given(st.integers(1, 12))

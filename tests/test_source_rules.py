@@ -1,6 +1,7 @@
 """Source rules: checks are not asserts, verdicts have one home, the
-sparse e-coordinate cache of a Point stays private to the engine, and
-the engine has no |Gamma|^2 sweep over a stage matrix's ids."""
+sparse e-coordinate cache of a Point stays private to the engine, the
+engine has no |Gamma|^2 sweep over a stage matrix's ids, and no code is
+reachable from the tests alone."""
 
 import ast
 import pathlib
@@ -9,6 +10,13 @@ import bdspace
 
 VERDICTS = {"verified", "reported", "violated"}
 SOURCES = sorted(pathlib.Path(bdspace.__file__).parent.glob("*.py"))
+BENCH = sorted((pathlib.Path(__file__).parent.parent / "perfbench")
+               .glob("*.py"))
+
+# names defined in the package that nothing in it or the benchmark uses
+TEST_ONLY_ALLOWED = {
+    "revalidate": "the public re-check of every registry invariant",
+}
 
 
 def test_no_asserts_and_verdict_literals_only_in_certificates():
@@ -62,4 +70,38 @@ def test_no_quadratic_sweep_over_ids_in_the_engine():
             found.extend("engine.py:%d" % inner.lineno
                          for inner in ast.walk(outer)
                          if inner is not outer and _sweeps_ids(inner))
+    assert found == []
+
+
+def _names_used(tree):
+    """Every name a module reads, imports or spells as a string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_no_code_only_tests_reach():
+    """Every function, method and class defined in the package is named
+    elsewhere in the package (exports count) or in the benchmark, which
+    looks some up by name; code that only tests call is deleted instead."""
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in SOURCES + BENCH}
+    used = {name for tree in trees.values() for name in _names_used(tree)}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(trees[path]):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__"))
+                    and node.name not in used
+                    and node.name not in TEST_ONLY_ALLOWED):
+                found.append("%s:%d %s" % (path.name, node.lineno, node.name))
+    assert len(BENCH) > 3
     assert found == []

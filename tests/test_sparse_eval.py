@@ -6,9 +6,9 @@ rank order.  Values, the nonzero listing, norm intervals, sums, scalings
 and a registry grown after an evaluation must all agree exactly.  Stage
 matrices over the same registries must have the dense solve's columns,
 in order, and the sparse D*.D check must list the dense sweep's defects,
-also for deliberately corrupted matrices.  The FDD row norms read from
-the prefix memo must equal the outer-product sums over the dense
-columns."""
+also for deliberately corrupted matrices.  The FDD row norms and the
+basis constant read from the prefix memo must equal the outer-product
+sums over the dense columns."""
 
 import random
 from fractions import Fraction
@@ -239,11 +239,14 @@ def test_missing_diagonal_is_a_defect(stage6):
 # -- FDD row norms -------------------------------------------------------------
 
 def assert_row_norms_match_dense(engine, n):
-    """Equal (interval, tail) dicts as ordered item lists of Fractions."""
+    """Equal (interval, tail) dicts as ordered item lists of Fractions,
+    and a basis constant equal to the largest dense (0, q] row sum."""
     fast, dense = engine.fdd_row_norms(n), dense_fdd_row_norms(engine, n)
     for sums, expected in zip(fast, dense):
         assert list(sums.items()) == list(expected.items())
         assert all(type(v) is Fraction for v in sums.values())
+    assert engine.basis_constant(n) == max(
+        dense[0][(0, q)] for q in range(1, n + 1))
 
 
 @pytest.mark.parametrize("name, n", [("stage6", n) for n in range(1, 7)]

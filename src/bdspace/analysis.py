@@ -28,6 +28,8 @@ from .norms import sup_norm_interval
 from .registry import BASE, TYPE1, TYPE2
 from .spaces import forge_even
 
+DEPENDENT_C = Fraction(45)    # the constant C of the dependent sequences
+
 
 # -- block sources -------------------------------------------------------------
 
@@ -56,13 +58,10 @@ class CarrierSource:
         self.gap = gap
         self.companions = companions
 
-    def _frontier(self):
-        return max(self.registry.max_rank(), self.registry.generated_stage)
-
     def next_block(self, above=0):
         """A block vector whose range starts above `above` and above
         everything materialized so far, skipping at least one rank."""
-        rank = max(self._frontier(), above) + self.gap
+        rank = max(self.registry.frontier(), above) + self.gap
         w = rank if rank % 2 == 0 else rank - 1
         if w > len(self.registry.schedule.m):
             raise SearchExhausted(
@@ -336,7 +335,6 @@ class DependentSequenceRecord:
     xis: list
     etas: list
     xs: list                    # the pair vectors
-    thetas: list
     pair_checks: list           # the Check of each exact pair
     first_even_j: int
 
@@ -402,7 +400,7 @@ def make_dependent_sequence(engine, j0, sources, eps, C, length,
     sources = list(sources)
     rec = DependentSequenceRecord(
         j0=j0, eps=eps, C=Fraction(C), length=length, cuts=[], xis=[],
-        etas=[], xs=[], thetas=[], pair_checks=[], first_even_j=first_even_j)
+        etas=[], xs=[], pair_checks=[], first_even_j=first_even_j)
     xi = None
     prev_cut = 0
     for i in range(1, length + 1):
@@ -418,7 +416,7 @@ def make_dependent_sequence(engine, j0, sources, eps, C, length,
         source = sources[(i - 1) % len(sources)]
         blocks = [source.next_block(above=max(prev_cut, w))
                   for _ in range(a_i)]
-        theta, x, eta, pr = make_exact_pair(engine, blocks, w // 2, eps, C)
+        _, x, eta, pr = make_exact_pair(engine, blocks, w // 2, eps, C)
         p_i = registry.rank_of(eta) + 1
         if i == 1:
             xi = registry.intern(kind=TYPE1, rank=p_i, weight_index=w_odd,
@@ -430,7 +428,6 @@ def make_dependent_sequence(engine, j0, sources, eps, C, length,
         rec.xis.append(xi)
         rec.etas.append(eta)
         rec.xs.append(x)
-        rec.thetas.append(theta)
         rec.pair_checks.append(pr)
         prev_cut = p_i
     rec.validate(engine)
@@ -491,28 +488,27 @@ def alternating_report(engine, rec, N):
     }
 
 
-def hi_probe(engine, Y, Z, j0, length, C=Fraction(45), N=None,
-             blocks_per_pair="weight", first_even_j=1):
+def hi_probe(engine, Y, Z, j0, length, first_even_j=1):
     """The ||y+z|| vs ||y-z|| experiment along an alternating dependent
-    sequence: y sums the odd-indexed pairs (from Y), z the even-indexed
-    (from Z).  The plus-norm lower value is the exact chain identity
-    length * m_{2j0-1}^{-1}; the minus norm is stage-truncated.
+    sequence (C = DEPENDENT_C, m_w blocks for a pair of weight m_w): y
+    sums the odd-indexed pairs (from Y), z the even-indexed (from Z).
+    ||y+z|| >= length * m_{2j0-1}^{-1} exactly by the chain identity.
 
-    Returns the stage-N norm intervals of y+z and y-z and the reported
-    Check of the minus norm against the witness and the paper bound."""
-    rec = make_dependent_sequence(engine, j0, [Y, Z], eps=1, C=C,
-                                  length=length,
-                                  blocks_per_pair=blocks_per_pair,
+    Returns the norm intervals of y+z and y-z over Gamma_N, N the
+    registry's frontier, and the reported Check of the minus norm
+    against the witness and the paper bound."""
+    rec = make_dependent_sequence(engine, j0, [Y, Z], eps=1, C=DEPENDENT_C,
+                                  length=length, blocks_per_pair="weight",
                                   first_even_j=first_even_j)
     beta = engine.registry.schedule.weight_value(2 * j0 - 1)
     y = _sum_point(engine, [x for i, x in enumerate(rec.xs, 1) if i % 2])
     z = _sum_point(engine, [x for i, x in enumerate(rec.xs, 1) if not i % 2])
-    N = N or max(engine.registry.max_rank(), engine.registry.generated_stage)
+    N = engine.registry.frontier()
     witness_value = length * beta
     ni_plus = sup_norm_interval(engine, y + z, N)
     ni_minus = sup_norm_interval(engine, y - z, N)
     require(ni_plus.lower >= witness_value, "chain witness missing from stage")
-    paper_bound = 12 * Fraction(C) * length * beta * beta
+    paper_bound = 12 * DEPENDENT_C * length * beta * beta
     return ni_plus, ni_minus, Check(
         judge(ni_minus.lower <= paper_bound, decidable=False),
         {"witness": witness_value, "minus_lower": ni_minus.lower,
@@ -658,11 +654,12 @@ def _check_excluded_hypothesis(engine, xs, lams, C, j0, N):
                         "interval [%d, %d)" % (gid, lo, hi))
 
 
-def ris_average_report(engine, xs, j0, cert, lams=None, N=None):
-    """Stage-N maxima of |n^{-1} sum lam_k x_k(gamma)| grouped by the
-    weight class h of gamma, against the bound table (11C m_{j0}^{-1}
-    m_h^{-1} below j0; 5C/n + 5C m_h^{-1} at or above): {"ris-h=<h>":
-    Check}, plus "ris-norm", the stage-N norm against 6C m_{j0}^{-1}.
+def ris_average_report(engine, xs, j0, cert, lams):
+    """Maxima of |n^{-1} sum lam_k x_k(gamma)| over Gamma_N, N the
+    registry's frontier, grouped by the weight class h of gamma, against
+    the bound table (11C m_{j0}^{-1} m_h^{-1} below j0; 5C/n + 5C
+    m_h^{-1} at or above): {"ris-h=<h>": Check}, plus "ris-norm", the
+    stage-N norm against 6C m_{j0}^{-1}.
 
     A class is judged only when the schedule satisfies the quoted
     prerequisite n_{j0} > 5 m_{j0}^2 at length n = n_{j0}; otherwise,
@@ -673,9 +670,8 @@ def ris_average_report(engine, xs, j0, cert, lams=None, N=None):
     sched = registry.schedule
     C = cert.values["C"]
     n = len(xs)
-    lams = [Fraction(1)] * n if lams is None else [Fraction(l) for l in lams]
     avg = _sum_point(engine, xs, lams).scaled(Fraction(1, n))
-    N = N or max(registry.max_rank(), registry.generated_stage)
+    N = registry.frontier()
     per_class = {}
     for gid, v in engine.nonzeros(avg, N):
         h = registry.records[gid].weight_index

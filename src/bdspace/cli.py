@@ -24,7 +24,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .analysis import (CarrierSource, alternating_report,
+from .analysis import (DEPENDENT_C, CarrierSource, alternating_report,
                        basic_inequality_witness, check_ris, hi_probe,
                        lower_estimate_witness, make_dependent_sequence,
                        ris_average_report, suggested_js)
@@ -364,7 +364,7 @@ def _dependent_sequence(case, rng, engine):
     sources = [CarrierSource(engine.registry, engine, companions=(eps == 0),
                              gap=3 if eps == 0 else 2)
                for _ in range(rng.randint(1, 2))]
-    return make_dependent_sequence(engine, 1, sources, eps, Fraction(45),
+    return make_dependent_sequence(engine, 1, sources, eps, DEPENDENT_C,
                                    2 + case % 4, blocks_per_pair=2)
 
 
@@ -543,7 +543,7 @@ def write_rows(rows, out, fmt):
                              if isinstance(v, (list, dict)) else v
                              for k, v in row.items()})
     else:
-        json.dump(rows, out, indent=1, default=str)
+        json.dump(rows, out, indent=1)
         out.write("\n")
 
 
@@ -658,9 +658,7 @@ def cmd_export(args):
         rows = registry.export_stage_table(args.stage)
     else:
         engine = Engine(registry)
-        rows = [{"xi": xi,
-                 "row": sorted((g, frac_str(c))
-                               for g, c in engine.d_star(xi).items())}
+        rows = [{"xi": xi, "row": engine.d_star(xi).to_json()}
                 for xi in registry.gammas_up_to(args.stage)]
     emit_rows(rows, args)
     return 0

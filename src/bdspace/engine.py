@@ -367,8 +367,7 @@ class Engine:
     def extend(self, q, u, stage):
         """i_q(u): the unique vector in span{d_gamma : gamma in Gamma_q}
         whose restriction to Gamma_q equals u; e-cache filled to `stage`."""
-        if q > max(self.registry.max_rank(), self.registry.generated_stage):
-            raise StageOverflow("stage %d not materialized" % q)
+        self._require_stage(q)
         u_full = {g: Fraction(v) for g, v in u.items() if v}
         d = Func()
         for gid in self.registry.gammas_up_to(q):
@@ -390,8 +389,7 @@ class Engine:
     # -- stage matrices and operator norms --------------------------------------
 
     def _require_stage(self, n):
-        if n < 1 or (n > self.registry.max_rank()
-                     and n > self.registry.generated_stage):
+        if not 1 <= n <= self.registry.frontier():
             raise StageOverflow("Gamma_%d not materialized" % n)
 
     def stage_matrix(self, n):
@@ -404,16 +402,26 @@ class Engine:
                    for gamma in ids}
         return StageMatrix(stage=n, ids=ids, rows=rows, columns=columns)
 
+    def _prefix_rows(self, gid):
+        """(den, rows): rows[q] is P*_{(0,q]} e*_gid for 0 <= q < rank(gid)
+        in integer numerators over den, the lcm of their denominators."""
+        rows = [self.prefix_estar(q, gid)
+                for q in range(1, self.registry.rank_of(gid))]
+        den = lcm(*{v.denominator for row in rows for v in row.values()})
+        return den, [{}] + [{k: v.numerator * (den // v.denominator)
+                             for k, v in row.items()} for row in rows]
+
     def basis_constant(self, n):
         """max_q ||P*_{(0,q]}||_{ell_1 -> ell_1} over Gamma_n, exact.
 
         For q >= rank(gamma) the row P*_{(0,q]} e*_gamma is e*_gamma, of
-        norm 1, so only the rows with q < rank(gamma) are read."""
+        norm 1, so only the `_prefix_rows` of gamma are read."""
         self._require_stage(n)
         best = Fraction(1)
         for gid in self.registry.gammas_up_to(n):
-            for q in range(1, self.registry.rank_of(gid)):
-                best = max(best, self.prefix_estar(q, gid).l1())
+            den, rows = self._prefix_rows(gid)
+            best = max(best, Fraction(
+                max(sum(map(abs, row.values())) for row in rows), den))
         return best
 
     def fdd_row_norms(self, n):
@@ -424,8 +432,8 @@ class Engine:
         For q >= rank(gamma) that row is e*_gamma, so pairs with
         p >= rank(gamma) contribute 0, and a pair with q >= rank(gamma) > p
         contributes the row's tail sum at p, computed once.  Each row is
-        summed in integer numerators over one denominator, the lcm of its
-        prefix rows' denominators, and the maxima are cross-multiplied.
+        summed in integer numerators (`_prefix_rows`), and the maxima are
+        cross-multiplied.
         """
         self._require_stage(n)
         interval = {(p, q): (0, 1) for p in range(n + 1)
@@ -439,10 +447,7 @@ class Engine:
 
         for gid in self.registry.gammas_up_to(n):
             rank = self.registry.rank_of(gid)
-            rows = [self.prefix_estar(q, gid) for q in range(1, rank)]
-            den = lcm(*{v.denominator for row in rows for v in row.values()})
-            rows = [{}] + [{k: v.numerator * (den // v.denominator)
-                            for k, v in row.items()} for row in rows]
+            den, rows = self._prefix_rows(gid)
             for p, lo in enumerate(rows):
                 gap = _l1_gap({gid: den}, lo)
                 bump(tail, p, gap, den)

@@ -81,7 +81,7 @@ class EmptySupport(BDSpaceError):
 
 
 class BruteForceCapExceeded(BDSpaceError):
-    """Sign-pattern enumeration requested above the brute-force cap."""
+    """A brute-force enumeration requested above its cap."""
 
 
 class NotBlockSequence(BDSpaceError):

@@ -38,15 +38,16 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .errors import IndexOutOfSchedule, require
+from .errors import BruteForceCapExceeded, IndexOutOfSchedule, require
 from .funcs import Func
+
+ORACLE_BUDGET = 500000    # recursive evaluations of the exhaustive oracle
 
 
 @dataclass(frozen=True)
 class MTParams:
     pairs: tuple                   # ((l_j, theta_j), ...) 1-based by position
     excluded: Optional[int] = None
-    tag: str = "explicit"
 
     def __post_init__(self):
         thetas = [th for _, th in self.pairs]
@@ -62,13 +63,11 @@ class MTParams:
                              % (self.excluded, len(self.pairs)))
 
     @classmethod
-    def from_schedule(cls, schedule, factor=4, excluded=None, length=None):
+    def from_schedule(cls, schedule, factor=4, excluded=None):
         """(l_j, theta_j) = (factor * n_j, 1/m_j) along the schedule."""
-        k = length or len(schedule.m)
-        pairs = tuple((factor * schedule.n[j], Fraction(1, schedule.m[j]))
-                      for j in range(k))
-        return cls(pairs=pairs, excluded=excluded,
-                   tag="schedule:%dn" % factor)
+        return cls(pairs=tuple((factor * n, Fraction(1, m))
+                               for m, n in zip(schedule.m, schedule.n)),
+                   excluded=excluded)
 
     def cap(self, j):
         if not 1 <= j <= len(self.pairs):
@@ -275,20 +274,21 @@ def mt_norm(x, params):
     return Fraction(rows[0][n], scale), build(0, n, decs[0][n])
 
 
-def mt_norm_exhaustive(x, params, cap=500000):
+def mt_norm_exhaustive(x, params):
     """Brute-force oracle: enumerate every norming tree over subsets.
 
     Independent of the DP above: pieces are arbitrary successive subsets
     of the support, not just intervals, so agreement of the two routes is
     evidence for the interval-decomposition reduction.  Only usable for
-    tiny supports; `cap` bounds the number of recursive evaluations.
+    tiny supports: past ORACLE_BUDGET recursive evaluations it raises
+    BruteForceCapExceeded.
     """
     entries = {int(k): Fraction(v) for k, v in dict(x).items() if v}
     if not entries:
         return Fraction(0)
     coords = tuple(sorted(entries))
     memo = {}
-    budget = [cap]
+    budget = [ORACLE_BUDGET]
 
     def pieces(pool, max_count):
         """Ordered tuples of disjoint successive nonempty subsets of pool."""
@@ -311,7 +311,8 @@ def mt_norm_exhaustive(x, params, cap=500000):
             return memo[pool]
         budget[0] -= 1
         if budget[0] < 0:
-            raise RuntimeError("exhaustive oracle budget exceeded")
+            raise BruteForceCapExceeded(
+                "exhaustive oracle exceeds %d evaluations" % ORACLE_BUDGET)
         out = max(abs(entries[c]) for c in pool)
         for j in range(1, len(params.pairs) + 1):
             if j == params.excluded:

@@ -14,6 +14,8 @@ from typing import Optional
 
 from .errors import BruteForceCapExceeded, StageOverflow
 
+SIGN_PATTERN_CAP = 16    # the largest support whose sign patterns are tried
+
 
 @dataclass(frozen=True)
 class NormInterval:
@@ -49,7 +51,7 @@ def sup_norm_interval(engine, x, n):
                         witness=witness)
 
 
-def unconditionalized_norm(engine, w, n, cap=16):
+def unconditionalized_norm(engine, w, n):
     """max over sign patterns of the stage-n lower norm of sum +-w(gamma) d_gamma.
 
     Returns (value, report).  The report carries the attaining signs and
@@ -60,9 +62,9 @@ def unconditionalized_norm(engine, w, n, cap=16):
     """
     support = sorted((g for g, c in dict(w).items() if c),
                      key=lambda g: (engine.registry.rank_of(g), g))
-    if len(support) > cap:
-        raise BruteForceCapExceeded(
-            "support %d exceeds sign-pattern cap %d" % (len(support), cap))
+    if len(support) > SIGN_PATTERN_CAP:
+        raise BruteForceCapExceeded("support %d exceeds sign-pattern cap %d"
+                                    % (len(support), SIGN_PATTERN_CAP))
     if not support:
         return Fraction(0), {"signs": {}, "opnorm_lower": Fraction(0)}
     coeffs = {g: Fraction(dict(w)[g]) for g in support}
@@ -83,11 +85,5 @@ def unconditionalized_norm(engine, w, n, cap=16):
     wy = engine.point_from_d({g: u[g] * coeffs[g] for g in support})
     wy_norm = sup_norm_interval(engine, wy, n)
     opnorm_lower = (wy_norm.lower / y_norm.upper) if y_norm.upper else Fraction(0)
-    report = {
-        "signs": {g: s for g, s in zip(support, best_signs)},
-        "opnorm_lower": opnorm_lower,
-        "value": best,
-        "two_sided_note": "value/2 <= operator norm <= value holds for the "
-                          "untruncated norms; stage-truncated sides reported only",
-    }
-    return best, report
+    return best, {"signs": dict(zip(support, best_signs)),
+                  "opnorm_lower": opnorm_lower}

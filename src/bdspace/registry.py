@@ -27,7 +27,7 @@ from typing import Optional
 from .errors import (AgeOverflow, OddWeightRuleViolation, ScheduleViolation,
                      StageOverflow, SupportOutOfWindow, UnknownGamma,
                      WeightMismatch, require)
-from .funcs import Func, frac_str
+from .funcs import Func
 
 BASE = "Base"
 TYPE1 = "Type1"
@@ -110,6 +110,10 @@ class Registry:
     def max_rank(self):
         return max(self._stages) if self._stages else 0
 
+    def frontier(self):
+        """The highest stage materialized, generated or forged."""
+        return max(self.max_rank(), self.generated_stage)
+
     def count_up_to(self, n):
         return sum(len(v) for q, v in self._stages.items() if q <= n)
 
@@ -123,7 +127,7 @@ class Registry:
         return self._admit(key, ElementRecord(id=len(self.records), rank=1,
                                               kind=BASE))
 
-    def intern(self, kind, rank, weight_index=None, cut=0, predecessor=None,
+    def intern(self, kind, rank, weight_index=None, predecessor=None,
                payload=None):
         """Validate a draft element and return its id (idempotent)."""
         if kind == BASE:
@@ -147,9 +151,9 @@ class Registry:
             raise SupportOutOfWindow("payload ell_1-norm exceeds 1")
 
         if kind == TYPE1:
-            if predecessor is not None or cut != 0:
-                raise ScheduleViolation("Type1 elements have no predecessor and cut 0")
-            age = 1
+            if predecessor is not None:
+                raise ScheduleViolation("Type1 elements have no predecessor")
+            cut, age = 0, 1
         else:
             pred = self.record(predecessor) if predecessor is not None else None
             if pred is None:
@@ -285,7 +289,7 @@ class Registry:
                 "age": rec.age,
                 "cut": rec.cut,
                 "predecessor": rec.predecessor,
-                "payload": (sorted((k, frac_str(v)) for k, v in rec.payload.items())
+                "payload": (rec.payload.to_json()
                             if rec.payload is not None else None),
                 "sigma": rec.sigma,
             })

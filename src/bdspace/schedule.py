@@ -94,19 +94,18 @@ def schedule_subsequence(s, indices):
                              [s.n[l - 1] for l in indices])
 
 
-def geometric_toy_schedule(length, ratio=4, n_value=8):
-    """Toy schedule m_j = 4 * ratio^(j-1), constant n.  sum(1/m_j) <= 1/3 for ratio 4."""
-    m = [4 * ratio ** j for j in range(length)]
-    return validate_schedule(m, [n_value] * length)
+def geometric_toy_schedule(length):
+    """Toy schedule m_j = 4^j with n_j = 8; sum(1/m_j) <= 1/3."""
+    m = [4 ** j for j in range(1, length + 1)]
+    return validate_schedule(m, [8] * length)
 
 
-def slow_toy_schedule(length, n_factor=2):
-    """Toy schedule m_j = j + 3 with n_j = n_factor * m_j.
+def slow_toy_schedule(length):
+    """Toy schedule m_j = j + 3 with n_j = 2 m_j.
 
     Slow weight growth keeps forged odd-weight towers constructible: the
     even weight demanded by the coding rule stays comparable to the rank,
     so block counts stay small.
     """
     m = [j + 3 for j in range(1, length + 1)]
-    n = [n_factor * v for v in m]
-    return validate_schedule(m, n)
+    return validate_schedule(m, [2 * v for v in m])

@@ -22,6 +22,8 @@ from .errors import (BDSpaceError, CombinatorialBlowup, CutTooSmall,
 from .funcs import Func
 from .registry import BASE, BMT, ENFORCE, TYPE1, TYPE2, XK
 
+NET_CAP = 100000    # the most elements a dyadic or factorial net may have
+
 
 # -- net policies -------------------------------------------------------------
 
@@ -40,9 +42,8 @@ class SignedUnits:
 class DyadicAverages:
     """Signed units plus 2^{-ceil(log2 K')}-weighted signed sums, K' <= K."""
 
-    def __init__(self, K, cap=100000):
+    def __init__(self, K):
         self.K = K
-        self.cap = cap
 
     def elements(self, registry, n, p):
         window = [g for g in registry.gammas_up_to(n) if registry.rank_of(g) > p]
@@ -53,10 +54,10 @@ class DyadicAverages:
             weight = Fraction(1, 1 << (size - 1).bit_length())
             for combo in itertools.combinations(window, size):
                 for signs in itertools.product((1, -1), repeat=size):
-                    if len(out) >= self.cap:
+                    if len(out) >= NET_CAP:
                         raise NetTooLarge(
                             "dyadic net over window of %d exceeds cap %d"
-                            % (len(window), self.cap))
+                            % (len(window), NET_CAP))
                     out.append(Func((g, weight * s)
                                     for g, s in zip(combo, signs)))
         return out
@@ -65,25 +66,21 @@ class DyadicAverages:
 class PaperFactorial:
     """All rational vectors with denominators dividing N_n! and ell_1-norm <= 1.
 
-    N_n defaults to n itself; a cap guards the lattice enumeration.
+    N_n is n itself; the lattice enumeration stops at NET_CAP elements.
     """
-
-    def __init__(self, n_of=None, cap=100000):
-        self.n_of = n_of or (lambda n: n)
-        self.cap = cap
 
     def elements(self, registry, n, p):
         window = [g for g in registry.gammas_up_to(n) if registry.rank_of(g) > p]
-        denom = factorial(self.n_of(n))
+        denom = factorial(n)
         out = []
 
         def rec(idx, budget, acc):
             if idx == len(window):
                 if acc:
-                    if len(out) >= self.cap:
+                    if len(out) >= NET_CAP:
                         raise NetTooLarge(
                             "factorial net over window of %d exceeds cap %d"
-                            % (len(window), self.cap))
+                            % (len(window), NET_CAP))
                     out.append(Func((g, Fraction(a, denom)) for g, a in acc))
                 return
             rec(idx + 1, budget, acc)
@@ -99,7 +96,7 @@ def net_elements(registry, n, p, policy):
     """The family B_{n,p} under the given policy."""
     if not 0 <= p < n:
         raise ValueError("need 0 <= p < n")
-    if n > registry.max_rank() and n > registry.generated_stage:
+    if n > registry.frontier():
         raise StageOverflow("Gamma_%d not materialized" % n)
     return policy.elements(registry, n, p)
 

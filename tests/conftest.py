@@ -33,8 +33,8 @@ def rich5():
 def forge_arena():
     """Factory for empty slow-schedule registries for tower forging."""
 
-    def build(length=2048, n_factor=2):
-        registry = arena(slow_toy_schedule(length, n_factor))
+    def build(length=2048):
+        registry = arena(slow_toy_schedule(length))
         return registry, Engine(registry)
 
     return build

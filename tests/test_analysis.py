@@ -201,7 +201,7 @@ def test_ris_average_report(forge_arena):
     xs = [source.next_block() for _ in range(3)]
     js = suggested_js(engine, xs)
     cert = check_ris(engine, xs, Fraction(2), js, registry.max_rank())
-    out = ris_average_report(engine, xs, js[0], cert)
+    out = ris_average_report(engine, xs, js[0], cert, [1, 1, 1])
     # one row per weight class in Gamma_N: the carriers' weights
     assert out.keys() == {"ris-h=%d" % j for j in js} | {"ris-norm"}
     # toy scale: rows are reports, never violations

@@ -223,6 +223,19 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert err.startswith("error: InputError: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["gen", "--net", "dyadic:4", "--stage", "4"], "NetTooLarge"),
+    (["gen", "--stage", "5", "--cap", "100"], "CombinatorialBlowup"),
+])
+def test_generation_caps_exit_2_with_one_line(argv, error, capsys):
+    """The net cap and the stage cap stop generation with a named error
+    and no table."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: %s: " % error)
+
+
 def test_hiprobe_long_tower(capsys):
     """A length-6 chain nests the c*/prefix memos deeper than Python's
     recursion limit; lengths 7 and 8 outgrow the probe's schedule and

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdspace import mtnorm
-from bdspace.errors import IndexOutOfSchedule, InvariantViolation
+from bdspace.errors import (BruteForceCapExceeded, IndexOutOfSchedule,
+                            InvariantViolation)
 from bdspace.mtnorm import (Leaf, MTParams, Node, mt_norm,
                             mt_norm_exhaustive, norming_height, tree_action,
                             tree_support, verify_norming_tree)
@@ -53,6 +54,12 @@ def test_unit_average_value():
     ok, why = verify_norming_tree(tree, PARAMS)
     assert ok, why
     assert tree_action(tree, PARAMS).dot(x) == v
+
+
+def test_exhaustive_oracle_budget(monkeypatch):
+    monkeypatch.setattr(mtnorm, "ORACLE_BUDGET", 3)
+    with pytest.raises(BruteForceCapExceeded):
+        mt_norm_exhaustive({k: Fraction(1) for k in range(6)}, PARAMS)
 
 
 def test_excluded_index():

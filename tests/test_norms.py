@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from bdspace.errors import BruteForceCapExceeded, StageOverflow
-from bdspace.norms import sup_norm_interval, unconditionalized_norm
+from bdspace.norms import (SIGN_PATTERN_CAP, sup_norm_interval,
+                           unconditionalized_norm)
 
 
 def test_zero_point(stage6):
@@ -66,7 +67,7 @@ def test_unconditionalized_norm(stage6):
 
 def test_unconditionalized_cap(stage6):
     registry, engine = stage6
-    ids = registry.gammas_up_to(5)
-    w = {g: Fraction(1) for g in ids[:6]}
+    ids = registry.gammas_up_to(6)
+    w = {g: Fraction(1) for g in ids[:SIGN_PATTERN_CAP + 1]}
     with pytest.raises(BruteForceCapExceeded):
-        unconditionalized_norm(engine, w, 6, cap=4)
+        unconditionalized_norm(engine, w, 6)

@@ -91,6 +91,14 @@ def test_forging_below_generated_prefix_is_refused():
                    payload=unit_payload(reg))
 
 
+def test_frontier_is_the_higher_of_generated_and_forged():
+    reg = fresh()
+    reg.generated_stage = 3
+    assert reg.max_rank() == 1 and reg.frontier() == 3
+    reg.intern(kind=TYPE1, rank=5, weight_index=2, payload=unit_payload(reg))
+    assert reg.frontier() == 5
+
+
 def test_sigma_lazy_injective_and_above_quarter_rank():
     reg = fresh()
     ids = [reg.intern(kind=TYPE1, rank=r, weight_index=2,

@@ -1,7 +1,8 @@
 """Source rules: checks are not asserts, verdicts have one home, the
 sparse e-coordinate cache of a Point stays private to the engine, the
-engine has no |Gamma|^2 sweep over a stage matrix's ids, and no code is
-reachable from the tests alone."""
+engine has no |Gamma|^2 sweep over a stage matrix's ids, no code is
+reachable from the tests alone, and no defaulted parameter keeps a value
+that no caller changes."""
 
 import ast
 import pathlib
@@ -105,3 +106,81 @@ def test_no_code_only_tests_reach():
                 found.append("%s:%d %s" % (path.name, node.lineno, node.name))
     assert len(BENCH) > 3
     assert found == []
+
+
+# defaulted parameters that no call in the package or the benchmark sets
+DEFAULT_UNSET_ALLOWED = {
+    "main.argv": "the console entry point reads sys.argv when given none",
+    "suite_treelike.schedule": "a `verify` option, passed through SUITES",
+    "suite_treelike.net": "a `verify` option, passed through SUITES",
+    "suite_treelike.cap": "a `verify` option, passed through SUITES",
+    "suite_averages.cases": "a `verify` option, passed through SUITES",
+    "suite_averages.seed": "a `verify` option, passed through SUITES",
+}
+
+
+def _defaulted_parameters(tree):
+    """(callee name, parameter, positional index or None) of each
+    defaulted parameter in a module; a method's index does not count
+    self or cls, and a class is called by its name for `__init__`."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from walk(child, child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield child, owner
+                yield from walk(child, None)
+            else:
+                yield from walk(child, owner)
+
+    for fn, owner in walk(tree, None):
+        name = owner.name if fn.name == "__init__" else fn.name
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in fn.decorator_list)
+        a = fn.args
+        positional = (a.posonlyargs + a.args)[
+            1 if owner is not None and not static else 0:]
+        first = len(positional) - len(a.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield name, arg.arg, i
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def _calls(trees):
+    """{callee name: [call]}; a callee is named by its last attribute."""
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                out.setdefault(name, []).append(node)
+    return out
+
+
+def _sets(call, param, index):
+    """Whether a call passes a parameter by keyword, through **, or at a
+    position it reaches (a * argument reaches every position)."""
+    return (any(k.arg in (param, None) for k in call.keywords)
+            or index is not None
+            and (len(call.args) > index
+                 or any(isinstance(a, ast.Starred) for a in call.args)))
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    """A defaulted parameter is passed at some call in the package or the
+    benchmark to a callee of its function's name; a value that no call
+    sets is a constant, not a knob.  Every allow-list entry is such a
+    parameter."""
+    trees = [ast.parse(path.read_text(), str(path))
+             for path in SOURCES + BENCH]
+    calls = _calls(trees)
+    unset = {"%s.%s" % (fn, param): path.name
+             for path, tree in zip(SOURCES, trees)
+             for fn, param, index in _defaulted_parameters(tree)
+             if not any(_sets(c, param, index) for c in calls.get(fn, ()))}
+    assert sorted("%s %s" % (unset[k], k)
+                  for k in unset.keys() - DEFAULT_UNSET_ALLOWED.keys()) == []
+    assert sorted(DEFAULT_UNSET_ALLOWED.keys() - unset.keys()) == []

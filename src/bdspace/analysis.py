@@ -25,10 +25,11 @@ from .funcs import Func
 from .mtnorm import Leaf, MTParams, Node, tree_action, tree_support, \
     verify_norming_tree
 from .norms import sup_norm_interval
-from .registry import BASE, TYPE1, TYPE2
+from .registry import BASE
 from .spaces import forge_even
 
 DEPENDENT_C = Fraction(45)    # the constant C of the dependent sequences
+FIRST_LINK_WEIGHT = 2         # the weight index of a sequence's first pair
 
 
 # -- block sources -------------------------------------------------------------
@@ -43,19 +44,14 @@ class CarrierSource:
     blocks a RIS).  A companion of minimal weight is forged one rank
     below the carrier; the block vanishes on it, so every window later
     owns an annihilating unit functional (used by the epsilon = 0 exact
-    pairs).
+    pairs).  Carriers sit `gap` ranks apart: 2 skips one rank, and a
+    companion takes one more.
     """
 
-    def __init__(self, registry, engine, gap=None, companions=True):
-        least = 3 if companions else 2
-        if gap is None:
-            gap = least
-        if gap < least:
-            raise ValueError("gap below %d breaks %s" % (
-                least, "the companion window" if companions else "skipping"))
+    def __init__(self, registry, engine, companions=True):
         self.registry = registry
         self.engine = engine
-        self.gap = gap
+        self.gap = 3 if companions else 2
         self.companions = companions
 
     def next_block(self, above=0):
@@ -336,7 +332,6 @@ class DependentSequenceRecord:
     etas: list
     xs: list                    # the pair vectors
     pair_checks: list           # the Check of each exact pair
-    first_even_j: int
 
     def partial_sums(self, engine):
         """Rows (s, sum_{i<=s} x_i(xi_s), s*eps*m^{-1}, ok) for every s."""
@@ -361,7 +356,7 @@ class DependentSequenceRecord:
             lo, hi = engine.ran(x)
             rec = registry.record(xi)
             pred = self.xis[i - 1] if i else None
-            want = 4 * registry.sigma(pred) if i else 4 * self.first_even_j - 2
+            want = 4 * registry.sigma(pred) if i else FIRST_LINK_WEIGHT
             for ok, what in (
                     (prev < lo and hi < p, "range outside (p_{i-1}, p_i)"),
                     (prev < registry.rank_of(eta) < p, "eta outside its window"),
@@ -377,11 +372,11 @@ class DependentSequenceRecord:
 
 
 def make_dependent_sequence(engine, j0, sources, eps, C, length,
-                            blocks_per_pair=2, first_even_j=1):
+                            blocks_per_pair=2):
     """Thread exact pairs through a forged odd-weight chain of weight
     m_{2j0-1}, alternating over the given block sources.
 
-    The first pair's element has weight index 4*first_even_j - 2; each
+    The first pair's element has weight index FIRST_LINK_WEIGHT; each
     later pair is built at the coded index 4*sigma(previous link).  Toy
     lengths below n_{2j0-1} are allowed and recorded.
 
@@ -400,11 +395,11 @@ def make_dependent_sequence(engine, j0, sources, eps, C, length,
     sources = list(sources)
     rec = DependentSequenceRecord(
         j0=j0, eps=eps, C=Fraction(C), length=length, cuts=[], xis=[],
-        etas=[], xs=[], pair_checks=[], first_even_j=first_even_j)
+        etas=[], xs=[], pair_checks=[])
     xi = None
     prev_cut = 0
     for i in range(1, length + 1):
-        w = 4 * first_even_j - 2 if i == 1 else 4 * registry.sigma(xi)
+        w = FIRST_LINK_WEIGHT if i == 1 else 4 * registry.sigma(xi)
         if w > len(sched.m):
             raise SearchExhausted(
                 "coded weight index %d beyond schedule length %d"
@@ -418,12 +413,7 @@ def make_dependent_sequence(engine, j0, sources, eps, C, length,
                   for _ in range(a_i)]
         _, x, eta, pr = make_exact_pair(engine, blocks, w // 2, eps, C)
         p_i = registry.rank_of(eta) + 1
-        if i == 1:
-            xi = registry.intern(kind=TYPE1, rank=p_i, weight_index=w_odd,
-                                 payload=Func.unit(eta))
-        else:
-            xi = registry.intern(kind=TYPE2, rank=p_i, weight_index=w_odd,
-                                 predecessor=xi, payload=Func.unit(eta))
+        xi = registry.intern(p_i, w_odd, Func.unit(eta), xi)
         rec.cuts.append(p_i)
         rec.xis.append(xi)
         rec.etas.append(eta)
@@ -452,9 +442,10 @@ def alternating_report(engine, rec, N):
     if N < max(rec.cuts):
         raise StageOverflow("stage %d below the chain top %d"
                             % (N, max(rec.cuts)))
-    # guard m_{4j_1-2} > n_{2j0-1}^2 is what makes PlusMinus assertable
-    w1 = 4 * rec.first_even_j - 2
-    guard_ok = sched.m[w1 - 1] > sched.length_value(w_odd) ** 2
+    # the guard m_w > n_{2j0-1}^2 at the first link weight w is what
+    # makes PlusMinus assertable
+    guard_ok = (sched.m[FIRST_LINK_WEIGHT - 1]
+                > sched.length_value(w_odd) ** 2)
     worst = Fraction(0)
     worst_at = None
     for gid in registry.gammas_up_to(N):
@@ -488,7 +479,7 @@ def alternating_report(engine, rec, N):
     }
 
 
-def hi_probe(engine, Y, Z, j0, length, first_even_j=1):
+def hi_probe(engine, Y, Z, j0, length):
     """The ||y+z|| vs ||y-z|| experiment along an alternating dependent
     sequence (C = DEPENDENT_C, m_w blocks for a pair of weight m_w): y
     sums the odd-indexed pairs (from Y), z the even-indexed (from Z).
@@ -498,8 +489,7 @@ def hi_probe(engine, Y, Z, j0, length, first_even_j=1):
     registry's frontier, and the reported Check of the minus norm
     against the witness and the paper bound."""
     rec = make_dependent_sequence(engine, j0, [Y, Z], eps=1, C=DEPENDENT_C,
-                                  length=length, blocks_per_pair="weight",
-                                  first_even_j=first_even_j)
+                                  length=length, blocks_per_pair="weight")
     beta = engine.registry.schedule.weight_value(2 * j0 - 1)
     y = _sum_point(engine, [x for i, x in enumerate(rec.xs, 1) if i % 2])
     z = _sum_point(engine, [x for i, x in enumerate(rec.xs, 1) if not i % 2])

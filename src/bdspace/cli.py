@@ -23,11 +23,13 @@ import json
 import random
 import sys
 from fractions import Fraction
+from operator import index
 
-from .analysis import (DEPENDENT_C, CarrierSource, alternating_report,
-                       basic_inequality_witness, check_ris, hi_probe,
-                       lower_estimate_witness, make_dependent_sequence,
-                       ris_average_report, suggested_js)
+from .analysis import (DEPENDENT_C, FIRST_LINK_WEIGHT, CarrierSource,
+                       alternating_report, basic_inequality_witness,
+                       check_ris, hi_probe, lower_estimate_witness,
+                       make_dependent_sequence, ris_average_report,
+                       suggested_js)
 from .certificates import Check, Ledger, judge, make_certificate
 from .engine import Engine
 from .errors import BDSpaceError, InputError
@@ -72,9 +74,27 @@ def load_schedule(path):
 
 
 def read_coordinates(path):
-    """{index: Fraction} from a JSON file [[k, "p/q"], ...]."""
-    return read_input(path, lambda rows: {int(k): parse_frac(v)
-                                          for k, v in rows})
+    """{index: Fraction} from a JSON file [[k, "p/q"], ...], each index
+    given once."""
+    def parse(rows):
+        coords = {int(k): parse_frac(v) for k, v in rows}
+        if len(coords) != len(rows):
+            raise ValueError("an index is given twice")
+        return coords
+    return read_input(path, parse)
+
+
+def parse_forge_spec(spec):
+    """The even towers [(j, cuts, payloads)] and odd towers [(j0,
+    [(cut, target)])] of a forge spec, every index an int; ValueError or
+    TypeError when the spec has another shape."""
+    even = [(index(t["j"]), [index(p) for p in t["cuts"]],
+             [Func.from_json(b) for b in t["payloads"]])
+            for t in spec.get("even", [])]
+    odd = [(index(t["j0"]), [(index(p), index(eta))
+                             for p, eta in t["targets"]])
+           for t in spec.get("odd", [])]
+    return even, odd
 
 
 def net_policy(name):
@@ -83,9 +103,10 @@ def net_policy(name):
     if name == "paper":
         return PaperFactorial()
     kind, _, k = name.partition(":")
-    if kind == "dyadic" and k.isdigit():
+    if kind == "dyadic" and k.isdigit() and int(k) >= 1:
         return DyadicAverages(int(k))
-    raise InputError("unknown net policy %r (paper | units | dyadic:K)" % name)
+    raise InputError("unknown net policy %r (paper | units | dyadic:K, "
+                     "K >= 1)" % name)
 
 
 def build_registry(schedule, stage, net="units", cap=20000, discipline=XK,
@@ -161,8 +182,9 @@ def _eval_analysis(engine, stage):
 
 
 def _projections(engine, stage):
-    bc = engine.basis_constant(stage)
     interval_sums, tail_sums = engine.fdd_row_norms(stage)
+    # the basis constant, as `Engine.basis_constant` reads it
+    bc = max(interval_sums[(0, q)] for q in range(1, stage + 1))
     interval, tail = max(interval_sums.values()), max(tail_sums.values())
     dstar = max(engine.d_star(g).l1()
                 for g in engine.registry.gammas_up_to(stage))
@@ -231,15 +253,13 @@ def suite_treelike(ledger, schedule=None, stage=5, net="units", cap=20000,
     def forge_head():
         r = max(f_reg.max_rank(), 2) + rng.randint(1, 3)
         eta1 = forge_even(f_reg, 1, [r], [unit_base()])
-        return f_reg.intern(kind="Type1", rank=r + 1, weight_index=1,
-                            payload=Func.unit(eta1))
+        return forge_odd_chain(f_reg, 1, [(r + 1, eta1)])
 
     def extend(xi):
         coded = 4 * f_reg.sigma(xi)
         t = max(f_reg.max_rank(), coded) + rng.randint(1, 2)
         eta = forge_even(f_reg, coded // 2, [t], [unit_base()])
-        return f_reg.intern(kind="Type2", rank=t + 1, weight_index=1,
-                            predecessor=xi, payload=Func.unit(eta))
+        return f_reg.intern(t + 1, 1, Func.unit(eta), xi)
 
     prev_tail = None
     for p in range(forged_pairs):
@@ -325,7 +345,7 @@ def seeded_suite(claim_id, claim, make_schedule, default_cases, run_case):
 
 
 def _lowerest_case(case, rng, engine):
-    source = CarrierSource(engine.registry, engine, companions=False, gap=2)
+    source = CarrierSource(engine.registry, engine, companions=False)
     blocks = []
     for _ in range(rng.randint(2, 4)):
         b = source.next_block()
@@ -339,7 +359,7 @@ def _lowerest_case(case, rng, engine):
 def _ris_blocks(rng, engine, fewest, most):
     """Seeded skipped blocks, their 2-RIS Check with the suggested
     indices, and seeded coefficients, one per block."""
-    source = CarrierSource(engine.registry, engine, companions=False, gap=2)
+    source = CarrierSource(engine.registry, engine, companions=False)
     xs = [source.next_block() for _ in range(rng.randint(fewest, most))]
     ris = check_ris(engine, xs, Fraction(2), suggested_js(engine, xs),
                     engine.registry.max_rank())
@@ -361,8 +381,7 @@ def _dependent_sequence(case, rng, engine):
     """The dependent sequence of a seeded case over 1-2 block sources;
     eps alternates with the case's parity."""
     eps = 0 if case % 2 else 1
-    sources = [CarrierSource(engine.registry, engine, companions=(eps == 0),
-                             gap=3 if eps == 0 else 2)
+    sources = [CarrierSource(engine.registry, engine, companions=(eps == 0))
                for _ in range(rng.randint(1, 2))]
     return make_dependent_sequence(engine, 1, sources, eps, DEPENDENT_C,
                                    2 + case % 4, blocks_per_pair=2)
@@ -458,7 +477,7 @@ SUITES = {
 PILOT_RANKS = (2, 5)   # lowest, highest rank of a probe case's pilot
 
 
-def probe_length_limit(sched, gap, first_even_j):
+def probe_length_limit(sched):
     """The longest HI-probe chain that fits in `sched` from the highest
     pilot rank, capped at n_1 (the chain has odd weight index 1).
 
@@ -469,7 +488,8 @@ def probe_length_limit(sched, gap, first_even_j):
     and the chain link one above that, at the cut p; the link's sigma
     code, the smallest integer above p/4, codes the next weight 4*sigma.
     """
-    frontier, w, length = PILOT_RANKS[1], 4 * first_even_j - 2, 0
+    gap = 2     # the carrier gap of a source without companions
+    frontier, w, length = PILOT_RANKS[1], FIRST_LINK_WEIGHT, 0
     while length < sched.length_value(1) and w <= len(sched.m):
         last = max(frontier, w) + gap * min(sched.m[w - 1],
                                             sched.length_value(w))
@@ -483,10 +503,9 @@ def probe_length_limit(sched, gap, first_even_j):
 
 def run_hi_probes(ledger, cases=10, length=5, seed=DEFAULT_SEED):
     sched = slow_toy_schedule(8192)
-    gap, fe = 2, 1
     if cases < 1:
         raise InputError("the probe needs at least one case, got %d" % cases)
-    longest = probe_length_limit(sched, gap, fe)
+    longest = probe_length_limit(sched)
     if not 1 <= length <= longest:
         raise InputError("probe length %d not in 1..%d" % (length, longest))
     rng = random.Random(seed)
@@ -498,10 +517,9 @@ def run_hi_probes(ledger, cases=10, length=5, seed=DEFAULT_SEED):
         # giving each case a genuinely different instance of the same size
         forge_even(registry, 1, [rng.randint(*PILOT_RANKS)],
                    [Func.unit(registry.base())])
-        Y = CarrierSource(registry, engine, companions=False, gap=gap)
-        Z = CarrierSource(registry, engine, companions=False, gap=gap)
-        _, minus, probe = hi_probe(engine, Y, Z, j0=1, length=length,
-                                   first_even_j=fe)
+        Y = CarrierSource(registry, engine, companions=False)
+        Z = CarrierSource(registry, engine, companions=False)
+        _, minus, probe = hi_probe(engine, Y, Z, j0=1, length=length)
         rows.append({"case": case, "witness": probe.values["witness"],
                      "minus_lower": probe.values["minus_lower"],
                      "ratio": probe.values["ratio"],
@@ -512,8 +530,9 @@ def run_hi_probes(ledger, cases=10, length=5, seed=DEFAULT_SEED):
             "witness for the sum norm (direction probe; the asymptotic "
             "bound is out of reach at this scale)",
             sched,
-            {"case": case, "length": length, "gap": gap,
-             "first_even_j": fe, "seed": seed},
+            # the first link weight is 4 * first_even_j - 2
+            {"case": case, "length": length, "gap": Y.gap,
+             "first_even_j": 1, "seed": seed},
             probe, stage=minus.stage, odd_guard=WAIVE, seed=seed))
     strict = sum(r["strict"] for r in rows)
     ledger.add(make_certificate(
@@ -577,11 +596,7 @@ def cmd_gen(args):
 
 
 def cmd_forge(args):
-    even, odd = read_input(args.spec, lambda spec: (
-        [(t["j"], t["cuts"], [Func.from_json(p) for p in t["payloads"]])
-         for t in spec.get("even", [])],
-        [(t["j0"], [tuple(x) for x in t["targets"]])
-         for t in spec.get("odd", [])]))
+    even, odd = read_input(args.spec, parse_forge_spec)
     registry = registry_of(args)
     forged = ([forge_even(registry, *tower) for tower in even]
               + [forge_odd_chain(registry, *tower) for tower in odd])

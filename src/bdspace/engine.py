@@ -24,7 +24,7 @@ from math import lcm
 
 from .errors import BaseHasNoAnalysis, StageOverflow
 from .funcs import Func
-from .registry import BASE, TYPE1, TYPE2
+from .registry import BASE, TYPE2
 
 
 @dataclass
@@ -226,19 +226,10 @@ class Engine:
 
     def evaluation_analysis(self, gid):
         """The rows (p_r, b*_r, xi_r) of the chain ending at gid."""
-        rec = self.registry.record(gid)
-        if rec.kind == BASE:
+        if self.registry.record(gid).kind == BASE:
             raise BaseHasNoAnalysis("element %d is the Base element" % gid)
-        chain = []
-        cur = rec
-        while True:
-            chain.append(cur)
-            if cur.kind == TYPE1:
-                break
-            cur = self.registry.record(cur.predecessor)
-        chain.reverse()
-        return [AnalysisRow(index=r + 1, cut=c.rank, payload=c.payload, node=c.id)
-                for r, c in enumerate(chain)]
+        return [AnalysisRow(index=r, cut=c.rank, payload=c.payload, node=c.id)
+                for r, c in enumerate(self.registry.chain(gid), 1)]
 
     def analysis_identity_sides(self, gid, tail_variant=False):
         """(e*_gid, reconstruction) for the evaluation-analysis identity.
@@ -402,38 +393,25 @@ class Engine:
                    for gamma in ids}
         return StageMatrix(stage=n, ids=ids, rows=rows, columns=columns)
 
-    def _prefix_rows(self, gid):
-        """(den, rows): rows[q] is P*_{(0,q]} e*_gid for 0 <= q < rank(gid)
-        in integer numerators over den, the lcm of their denominators."""
-        rows = [self.prefix_estar(q, gid)
-                for q in range(1, self.registry.rank_of(gid))]
-        den = lcm(*{v.denominator for row in rows for v in row.values()})
-        return den, [{}] + [{k: v.numerator * (den // v.denominator)
-                             for k, v in row.items()} for row in rows]
-
     def basis_constant(self, n):
-        """max_q ||P*_{(0,q]}||_{ell_1 -> ell_1} over Gamma_n, exact.
-
-        For q >= rank(gamma) the row P*_{(0,q]} e*_gamma is e*_gamma, of
-        norm 1, so only the `_prefix_rows` of gamma are read."""
-        self._require_stage(n)
-        best = Fraction(1)
-        for gid in self.registry.gammas_up_to(n):
-            den, rows = self._prefix_rows(gid)
-            best = max(best, Fraction(
-                max(sum(map(abs, row.values())) for row in rows), den))
-        return best
+        """max_q ||P*_{(0,q]}||_{ell_1 -> ell_1} over Gamma_n, exact: the
+        largest (0, q] row norm of `fdd_row_norms`.  It is at least 1, the
+        norm of the unit row e*_gamma that P*_{(0,q]} keeps for
+        q >= rank(gamma)."""
+        interval, _ = self.fdd_row_norms(n)
+        return max(interval[(0, q)] for q in range(1, n + 1))
 
     def fdd_row_norms(self, n):
         """Stage-n max-row-sums of every P_{(p,q]} and every tail P_{(p,inf)}.
 
         Returns ({(p, q): value}, {p: value}).  Row gamma of P_{(0,q]} in
         e-coordinates is P*_{(0,q]} e*_gamma, read from the prefix memo.
-        For q >= rank(gamma) that row is e*_gamma, so pairs with
-        p >= rank(gamma) contribute 0, and a pair with q >= rank(gamma) > p
-        contributes the row's tail sum at p, computed once.  Each row is
-        summed in integer numerators (`_prefix_rows`), and the maxima are
-        cross-multiplied.
+        For q >= rank(gamma) that row is e*_gamma, so only the rows
+        q < rank(gamma) are read: pairs with p >= rank(gamma) contribute
+        0, and a pair with q >= rank(gamma) > p contributes the row's tail
+        sum at p, computed once.  The rows of gamma are summed in integer
+        numerators over one denominator, the lcm of theirs, and the
+        maxima are cross-multiplied.
         """
         self._require_stage(n)
         interval = {(p, q): (0, 1) for p in range(n + 1)
@@ -447,7 +425,11 @@ class Engine:
 
         for gid in self.registry.gammas_up_to(n):
             rank = self.registry.rank_of(gid)
-            den, rows = self._prefix_rows(gid)
+            prefixes = [self.prefix_estar(q, gid) for q in range(1, rank)]
+            den = lcm(*{v.denominator for row in prefixes
+                        for v in row.values()})
+            rows = [{}] + [{k: v.numerator * (den // v.denominator)
+                            for k, v in row.items()} for row in prefixes]
             for p, lo in enumerate(rows):
                 gap = _l1_gap({gid: den}, lo)
                 bump(tail, p, gap, den)

@@ -6,7 +6,7 @@ class BDSpaceError(Exception):
 
 
 class InputError(BDSpaceError):
-    """An input file or option value cannot be read."""
+    """An input file, option value or chain description is malformed."""
 
 
 class InvariantViolation(BDSpaceError):

@@ -8,9 +8,13 @@ Every element gamma of the index set is one of
              the chain of xi by one link,
 
 where the payload b* is a Func of ell_1-norm at most 1 supported in the
-window Gamma_{rank-1} \\ Gamma_cut.  Interning validates all structural
-invariants, is idempotent on identical drafts, and assigns ids densely in
-insertion order.  The canonical total order on elements is (rank, id).
+window Gamma_{rank-1} \\ Gamma_cut.  `intern(rank, weight_index, payload,
+predecessor=None)` is the one chain-link constructor: without a
+predecessor it makes a Type1 head, with one the Type2 link whose cut and
+age come from the predecessor.  `chain(gid)` reads a chain back, head
+first.  Interning validates all structural invariants, is idempotent on
+identical drafts, and assigns ids densely in insertion order.  The
+canonical total order on elements is (rank, id).
 
 Odd-weight discipline ("XK"): elements of odd weight carry a single unit
 payload e*_eta whose weight is pinned down by the sigma-coding; this is
@@ -117,6 +121,17 @@ class Registry:
     def count_up_to(self, n):
         return sum(len(v) for q, v in self._stages.items() if q <= n)
 
+    def chain(self, gid):
+        """The records of the chain ending at gid, head first: its
+        Type1 head, then each Type2 link.  Base is a chain of one."""
+        rec = self.record(gid)
+        out = [rec]
+        while rec.predecessor is not None:
+            rec = self.records[rec.predecessor]
+            out.append(rec)
+        out.reverse()
+        return out
+
     # -- interning -----------------------------------------------------------
 
     def base(self):
@@ -127,47 +142,37 @@ class Registry:
         return self._admit(key, ElementRecord(id=len(self.records), rank=1,
                                               kind=BASE))
 
-    def intern(self, kind, rank, weight_index=None, predecessor=None,
-               payload=None):
-        """Validate a draft element and return its id (idempotent)."""
-        if kind == BASE:
-            if rank != 1:
-                raise ScheduleViolation("Base elements live in Delta_1 only")
-            return self.base()
-        if kind not in (TYPE1, TYPE2):
-            raise ValueError("unknown kind %r" % kind)
+    def intern(self, rank, weight_index, payload, predecessor=None):
+        """Validate a draft element and return its id (idempotent).
+
+        With no predecessor the draft is a Type1 element, the head of a
+        chain; with one it is the Type2 link that extends the
+        predecessor's chain, whose cut and age it takes from there."""
         if rank < 2:
             raise ScheduleViolation("Type1/Type2 elements need rank >= 2")
-        if weight_index is None:
-            raise WeightMismatch("missing weight index")
         self.schedule.weight_value(weight_index)  # IndexOutOfSchedule if bad
         if weight_index > rank:
             raise ScheduleViolation(
                 "weight index %d exceeds rank %d" % (weight_index, rank))
-        payload = Func(payload or ())
+        payload = Func(payload)
         for gid in payload:
             self.record(gid)  # UnknownGamma if dangling
         if payload.l1() > 1:
             raise SupportOutOfWindow("payload ell_1-norm exceeds 1")
 
-        if kind == TYPE1:
-            if predecessor is not None:
-                raise ScheduleViolation("Type1 elements have no predecessor")
-            cut, age = 0, 1
+        if predecessor is None:
+            kind, cut, age = TYPE1, 0, 1
         else:
-            pred = self.record(predecessor) if predecessor is not None else None
-            if pred is None:
-                raise UnknownGamma("Type2 element without predecessor")
+            pred = self.record(predecessor)
             if pred.kind == BASE:
                 raise WeightMismatch("Base element cannot head a chain")
             if pred.weight_index != weight_index:
                 raise WeightMismatch(
                     "chain weight m_%d != predecessor weight m_%s"
                     % (weight_index, pred.weight_index))
-            cut = pred.rank
+            kind, cut, age = TYPE2, pred.rank, pred.age + 1
             if not cut < rank:
                 raise ScheduleViolation("cut %d must be below rank %d" % (cut, rank))
-            age = pred.age + 1
             if age > self.schedule.length_value(weight_index):
                 raise AgeOverflow(
                     "age %d exceeds n_%d = %d"
@@ -181,7 +186,7 @@ class Registry:
                     % (gid, r, cut, rank - 1))
 
         if self.discipline == XK and weight_index % 2 == 1:
-            self._check_odd_rules(kind, weight_index, predecessor, payload)
+            self._check_odd_rules(weight_index, predecessor, payload)
 
         key = (kind, rank, weight_index, cut, predecessor,
                frozenset(payload.items()))
@@ -196,7 +201,7 @@ class Registry:
                             predecessor=predecessor, payload=payload)
         return self._admit(key, rec)
 
-    def _check_odd_rules(self, kind, weight_index, predecessor, payload):
+    def _check_odd_rules(self, weight_index, predecessor, payload):
         if len(payload) != 1 or set(payload.values()) != {Fraction(1)}:
             raise OddWeightRuleViolation(
                 "odd-weight payload must be a single evaluation functional e*_eta")
@@ -204,7 +209,7 @@ class Registry:
         eta_rec = self.record(eta)
         if eta_rec.weight_index is None:
             raise OddWeightRuleViolation("odd-weight target eta must carry a weight")
-        if kind == TYPE1:
+        if predecessor is None:
             if eta_rec.weight_index % 4 != 2:
                 raise OddWeightRuleViolation(
                     "first odd link needs target weight index = 2 mod 4, got %d"

@@ -17,10 +17,11 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from .errors import (BDSpaceError, CombinatorialBlowup, CutTooSmall,
-                     NetTooLarge, StageOverflow, WeightMismatch)
+from .errors import (AgeOverflow, BDSpaceError, CombinatorialBlowup,
+                     CutTooSmall, InputError, NetTooLarge, StageOverflow,
+                     WeightMismatch)
 from .funcs import Func
-from .registry import BASE, BMT, ENFORCE, TYPE1, TYPE2, XK
+from .registry import BMT, ENFORCE, XK
 
 NET_CAP = 100000    # the most elements a dyadic or factorial net may have
 
@@ -117,20 +118,12 @@ def generate_stage(registry, q, policy=None):
 
     n = q - 1
     sched = registry.schedule
+    older = registry.gammas_up_to(n)
     new_ids = []
     seen = set()
     budget = registry.stage_cap
-
-    def admit(family, **kw):
-        if len(registry) >= budget:
-            raise CombinatorialBlowup(
-                "stage %d exceeds cap %d while emitting %s"
-                % (q, budget, family))
-        gid = registry.intern(rank=q, **kw)
-        if gid not in seen and registry.records[gid].rank == q:
-            seen.add(gid)
-            new_ids.append(gid)
-
+    # nets carry every weight under BmT and the even ones under XK
+    step = 1 if registry.discipline == BMT else 2
     nets = {}
 
     def net(p):
@@ -138,59 +131,63 @@ def generate_stage(registry, q, policy=None):
             nets[p] = net_elements(registry, n, p, policy)
         return nets[p]
 
-    # nets carry every weight under BmT and the even ones under XK
-    step, label = (1, "") if registry.discipline == BMT else (2, "even ")
+    def emit(label, first, heads, links):
+        """Type1 heads of each weight index from `first` in steps of
+        `step`, then the Type2 links of every open chain of a lower stage
+        p; heads(w) and links(xi, p) supply their payloads."""
+        def admit(family, w, b, xi=None):
+            if len(registry) >= budget:
+                raise CombinatorialBlowup(
+                    "stage %d exceeds cap %d while emitting %s%s"
+                    % (q, budget, label, family))
+            gid = registry.intern(q, w, b, xi)
+            if gid not in seen:
+                seen.add(gid)
+                new_ids.append(gid)
 
-    def weights(top, first=step):
-        """Weight indices up to `top` (at most the rank of the element)."""
-        return range(first, min(top, len(sched.m)) + 1, step)
+        def weights(top):
+            """Weight indices up to `top` (at most the rank of the element)."""
+            return range(first, min(top, len(sched.m)) + 1, step)
 
-    for w in weights(n + 1):
-        for b in net(0):
-            admit("%sType1 weight m_%d" % (label, w), kind=TYPE1,
-                  weight_index=w, payload=b)
-    for p in range(1, n):
-        for w in weights(p):
-            for xi in registry.stage(p):
-                rec = registry.records[xi]
-                if (rec.kind == BASE or rec.weight_index != w
-                        or rec.age >= sched.length_value(w)):
-                    continue
-                for b in net(p):
-                    admit("%sType2 weight m_%d cut %d" % (label, w, p),
-                          kind=TYPE2, weight_index=w, predecessor=xi,
-                          payload=b)
-    if registry.discipline == XK:
-        # odd-weight Type1: single targets of weight index = 2 mod 4
-        for w in weights(n + 1, 1):
-            for eta in registry.gammas_up_to(n):
-                erec = registry.records[eta]
-                if erec.weight_index is None or erec.weight_index % 4 != 2:
-                    continue
-                if registry.odd_guard == ENFORCE:
-                    nj = sched.length_value(w)
-                    if sched.m[erec.weight_index - 1] <= nj * nj:
-                        continue
-                admit("odd Type1 weight m_%d" % w, kind=TYPE1, weight_index=w,
-                      payload=Func.unit(eta))
-        # odd-weight Type2: coded targets
+        for w in weights(n + 1):
+            for b in heads(w):
+                admit("Type1 weight m_%d" % w, w, b)
         for p in range(1, n):
-            for w in weights(p, 1):
+            for w in weights(p):
                 for xi in registry.stage(p):
                     rec = registry.records[xi]
-                    if (rec.kind == BASE or rec.weight_index != w
+                    if (rec.weight_index != w
                             or rec.age >= sched.length_value(w)):
                         continue
-                    coded = 4 * registry.sigma(xi)
-                    if coded > len(sched.m):
-                        continue
-                    for eta in registry.gammas_up_to(n):
-                        erec = registry.records[eta]
-                        if erec.rank <= p or erec.weight_index != coded:
-                            continue
-                        admit("odd Type2 weight m_%d cut %d" % (w, p),
-                              kind=TYPE2, weight_index=w, predecessor=xi,
-                              payload=Func.unit(eta))
+                    for b in links(xi, p):
+                        admit("Type2 weight m_%d cut %d" % (w, p), w, b, xi)
+
+    def odd_heads(w):
+        """Single targets of weight index = 2 mod 4."""
+        for eta in older:
+            erec = registry.records[eta]
+            if erec.weight_index is None or erec.weight_index % 4 != 2:
+                continue
+            if registry.odd_guard == ENFORCE:
+                nj = sched.length_value(w)
+                if sched.m[erec.weight_index - 1] <= nj * nj:
+                    continue
+            yield Func.unit(eta)
+
+    def odd_links(xi, p):
+        """Targets above the cut at the weight index 4 sigma(xi) codes."""
+        coded = 4 * registry.sigma(xi)
+        if coded > len(sched.m):
+            return
+        for eta in older:
+            erec = registry.records[eta]
+            if erec.rank > p and erec.weight_index == coded:
+                yield Func.unit(eta)
+
+    emit("" if step == 1 else "even ", step, lambda w: net(0),
+         lambda xi, p: net(p))
+    if registry.discipline == XK:
+        emit("odd ", 1, odd_heads, odd_links)
 
     registry.generated_stage = q
     return new_ids
@@ -205,45 +202,45 @@ def generate_up_to(registry, n, policy=None):
 
 # -- forging -------------------------------------------------------------------
 
+def _forge_chain(registry, w, links):
+    """Intern the chain of weight m_w^{-1} through the (cut, payload)
+    links, head first; returns its top element.  The links are checked
+    before the first intern, so a bad chain leaves no head behind."""
+    cuts = [p for p, _ in links]
+    if not cuts:
+        raise InputError("a chain needs at least one link")
+    if any(a >= b for a, b in zip(cuts, cuts[1:])):
+        raise InputError("cuts %s are not strictly increasing" % cuts)
+    if cuts[0] < w:
+        raise CutTooSmall("first cut %d below weight index %d" % (cuts[0], w))
+    n_w = registry.schedule.length_value(w)
+    if len(cuts) > n_w:
+        raise AgeOverflow("%d links exceed n_%d = %d" % (len(cuts), w, n_w))
+    gid = None
+    for p, b in links:
+        gid = registry.intern(p, w, b, gid)
+    return gid
+
+
 def forge_even(registry, j, cuts, payloads):
     """Intern an even-weight chain with analysis rows (p_r, b*_r); returns gamma.
 
     The chain has weight m_{2j}^{-1}; cuts are the p_r, strictly
     increasing, and payload r must live in the window (p_{r-1}, p_r - 1].
     """
-    cuts = list(cuts)
-    payloads = list(payloads)
-    if not cuts or len(cuts) != len(payloads):
-        raise ValueError("need equally many cuts and payloads, at least one")
-    if any(cuts[i] >= cuts[i + 1] for i in range(len(cuts) - 1)):
-        raise ValueError("cuts must be strictly increasing")
-    if cuts[0] < 2 * j:
-        raise CutTooSmall("first cut %d below weight index %d" % (cuts[0], 2 * j))
-    gid = registry.intern(kind=TYPE1, rank=cuts[0], weight_index=2 * j,
-                          payload=payloads[0])
-    for p, b in zip(cuts[1:], payloads[1:]):
-        gid = registry.intern(kind=TYPE2, rank=p, weight_index=2 * j,
-                              predecessor=gid, payload=b)
-    return gid
+    cuts, payloads = list(cuts), list(payloads)
+    if len(cuts) != len(payloads):
+        raise InputError("%d cuts for %d payloads"
+                         % (len(cuts), len(payloads)))
+    return _forge_chain(registry, 2 * j, list(zip(cuts, payloads)))
 
 
 def forge_odd_chain(registry, j0, targets):
     """Intern the odd-weight chain of weight m_{2j0-1}^{-1} through the
     given (cut p_i, target eta_i) pairs; the coding rules are enforced by
     the registry."""
-    targets = list(targets)
-    if not targets:
-        raise ValueError("need at least one (cut, target) pair")
-    w = 2 * j0 - 1
-    p1, eta1 = targets[0]
-    if p1 < w:
-        raise CutTooSmall("first cut %d below weight index %d" % (p1, w))
-    gid = registry.intern(kind=TYPE1, rank=p1, weight_index=w,
-                          payload=Func.unit(eta1))
-    for p, eta in targets[1:]:
-        gid = registry.intern(kind=TYPE2, rank=p, weight_index=w,
-                              predecessor=gid, payload=Func.unit(eta))
-    return gid
+    return _forge_chain(registry, 2 * j0 - 1,
+                        [(p, Func.unit(eta)) for p, eta in targets])
 
 
 # -- the tree-like check ---------------------------------------------------------
@@ -254,13 +251,9 @@ def _odd_chain(registry, gid):
     if rec.weight_index is None or rec.weight_index % 2 == 0:
         raise WeightMismatch("element %d does not have odd weight" % gid)
     chain = []
-    while True:
-        (eta,) = rec.payload
-        chain.append((rec.id, eta))
-        if rec.kind == TYPE1:
-            break
-        rec = registry.record(rec.predecessor)
-    chain.reverse()
+    for link in registry.chain(gid):
+        (eta,) = link.payload
+        chain.append((link.id, eta))
     return chain
 
 

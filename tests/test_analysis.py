@@ -17,9 +17,9 @@ from bdspace.errors import (CutTooSmall, InvariantViolation, NotBlockSequence,
                             NotCertifiedRIS, NotSkippedBlock, SearchExhausted)
 
 
-def escalating_blocks(forge_arena, n=3, gap=2):
+def escalating_blocks(forge_arena, n=3):
     registry, engine = forge_arena()
-    source = CarrierSource(registry, engine, companions=False, gap=gap)
+    source = CarrierSource(registry, engine, companions=False)
     return registry, engine, source, [source.next_block() for _ in range(n)]
 
 
@@ -62,7 +62,7 @@ def test_lower_estimate_identity(forge_arena):
 
 def test_lower_estimate_needs_skipping(forge_arena):
     registry, engine = forge_arena()
-    source = CarrierSource(registry, engine, companions=False, gap=2)
+    source = CarrierSource(registry, engine, companions=False)
     x1 = source.next_block()
     # forge an adjacent block with no skipped rank in between
     from bdspace.spaces import forge_even
@@ -105,7 +105,7 @@ def test_exact_pair_eps0(forge_arena):
 
 def test_dependent_sequence_partial_sums(forge_arena):
     registry, engine = forge_arena()
-    sources = [CarrierSource(registry, engine, companions=False, gap=2)]
+    sources = [CarrierSource(registry, engine, companions=False)]
     rec = make_dependent_sequence(engine, 1, sources, 1, Fraction(45), 3,
                                   blocks_per_pair=2)
     rows = rec.partial_sums(engine)
@@ -124,13 +124,13 @@ def test_dependent_sequence_partial_sums(forge_arena):
 def test_dependent_sequence_validate_names_corruption(forge_arena):
     """A corrupted record raises InvariantViolation, which python -O keeps."""
     registry, engine = forge_arena()
-    sources = [CarrierSource(registry, engine, companions=False, gap=2)]
+    sources = [CarrierSource(registry, engine, companions=False)]
     rec = make_dependent_sequence(engine, 1, sources, 1, Fraction(45), 2,
                                   blocks_per_pair=2)
     for field, value in (("cuts", [rec.cuts[0] - 1] + rec.cuts[1:]),
                          ("etas", rec.etas[::-1]),
                          ("xis", rec.xis[::-1]),
-                         ("first_even_j", 2)):
+                         ("j0", 2)):
         with pytest.raises(InvariantViolation):
             replace(rec, **{field: value}).validate(engine)
 
@@ -146,7 +146,7 @@ def test_dependent_sequence_eps0(forge_arena):
 
 def test_alternating_report(forge_arena):
     registry, engine = forge_arena()
-    sources = [CarrierSource(registry, engine, companions=False, gap=2)]
+    sources = [CarrierSource(registry, engine, companions=False)]
     rec = make_dependent_sequence(engine, 1, sources, 1, Fraction(45), 3,
                                   blocks_per_pair=2)
     out = alternating_report(engine, rec, registry.max_rank())
@@ -158,8 +158,8 @@ def test_alternating_report(forge_arena):
 
 def test_hi_probe_strict(forge_arena):
     registry, engine = forge_arena(8192)
-    Y = CarrierSource(registry, engine, companions=False, gap=2)
-    Z = CarrierSource(registry, engine, companions=False, gap=2)
+    Y = CarrierSource(registry, engine, companions=False)
+    Z = CarrierSource(registry, engine, companions=False)
     plus, minus, probe = hi_probe(engine, Y, Z, j0=1, length=5)
     assert probe.values["witness"] == Fraction(5, 4)
     assert plus.lower >= Fraction(5, 4)
@@ -169,7 +169,7 @@ def test_hi_probe_strict(forge_arena):
 
 def test_basic_inequality(forge_arena):
     registry, engine = forge_arena()
-    source = CarrierSource(registry, engine, companions=False, gap=2)
+    source = CarrierSource(registry, engine, companions=False)
     xs = [source.next_block() for _ in range(4)]
     js = suggested_js(engine, xs)
     cert = check_ris(engine, xs, Fraction(2), js, registry.max_rank())
@@ -185,7 +185,7 @@ def test_basic_inequality(forge_arena):
 
 def test_basic_inequality_requires_certificate(forge_arena):
     registry, engine = forge_arena()
-    source = CarrierSource(registry, engine, companions=False, gap=2)
+    source = CarrierSource(registry, engine, companions=False)
     xs = [source.next_block() for _ in range(2)]
     js = suggested_js(engine, xs)
     bad = check_ris(engine, xs, Fraction(0), js, registry.max_rank())
@@ -197,7 +197,7 @@ def test_basic_inequality_requires_certificate(forge_arena):
 
 def test_ris_average_report(forge_arena):
     registry, engine = forge_arena()
-    source = CarrierSource(registry, engine, companions=False, gap=2)
+    source = CarrierSource(registry, engine, companions=False)
     xs = [source.next_block() for _ in range(3)]
     js = suggested_js(engine, xs)
     cert = check_ris(engine, xs, Fraction(2), js, registry.max_rank())
@@ -210,7 +210,7 @@ def test_ris_average_report(forge_arena):
 
 def test_search_exhausted_past_schedule(forge_arena):
     registry, engine = forge_arena(16)
-    source = CarrierSource(registry, engine, companions=False, gap=2)
+    source = CarrierSource(registry, engine, companions=False)
     with pytest.raises(SearchExhausted):
         for _ in range(20):
             source.next_block()

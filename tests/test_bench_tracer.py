@@ -1,0 +1,50 @@
+"""The benchmark's span tracer (`perfbench/spans.py`) wraps library
+functions by name; a renamed or deleted one would stop every traced run
+with a KeyError."""
+
+import pathlib
+
+import pytest
+
+from bdspace import cli
+from bdspace.certificates import Ledger
+
+BENCH = pathlib.Path(__file__).parent.parent / "perfbench"
+
+
+@pytest.fixture()
+def spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+    return spans
+
+
+def test_tracer_installs_and_uninstalls_every_wrapper(spans):
+    originals = {(owner, attr): owner.__dict__[attr]
+                 for owner, attr, *_ in spans.WRAPS}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert all(owner.__dict__[attr] is not fn
+                   for (owner, attr), fn in originals.items())
+        assert cli.forge_odd_chain is not originals[
+            (spans.spaces, "forge_odd_chain")]
+    finally:
+        tracer.uninstall()
+    assert all(owner.__dict__[attr] is fn
+               for (owner, attr), fn in originals.items())
+    assert cli.forge_odd_chain is originals[(spans.spaces, "forge_odd_chain")]
+
+
+def test_traced_treelike_counts_every_forged_head(spans):
+    """Each forged pair of the treelike suite forges an even target and
+    an odd head, then two even targets; the two links are interned."""
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.begin()
+        cli.suite_treelike(Ledger(), stage=3, forged_pairs=2)
+        tracer.end()
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["spaces.elements_forged"] == 2 * 4

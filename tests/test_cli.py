@@ -209,11 +209,31 @@ def test_unread_options_are_rejected(argv):
     ["verify", "lowerest", "--stage", "3"],
     ["verify", "biorthogonality", "--cases", "5"],
     ["verify", "averages", "--cases", "0"],
+    ["forge", "--stage", "2", "{spec_lengths}"],
+    ["forge", "--stage", "2", "{spec_decreasing}"],
+    ["forge", "--stage", "2", "{spec_j}"],
+    ["forge", "--stage", "2", "{spec_no_targets}"],
+    ["forge", "--stage", "2", "{spec_not_pair}"],
+    ["forge", "--stage", "2", "{spec_empty_chain}"],
+    ["mtnorm", "--point", "{repeated}"],
+    ["gen", "--net", "dyadic:0", "--stage", "3"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    unit = '[[0, "1/1"]]'
     files = {"zero_point": '[[1, "1/0"]]', "bad_json": "{",
              "no_n": '{"m": [4, 16]}', "point": '[[1, "1/1"]]',
-             "empty_spec": "{}"}
+             "empty_spec": "{}",
+             "spec_lengths": '{"even": [{"j": 1, "cuts": [7, 8], '
+                             '"payloads": [%s]}]}' % unit,
+             "spec_decreasing": '{"even": [{"j": 1, "cuts": [8, 7], '
+                                '"payloads": [%s, %s]}]}' % (unit, unit),
+             "spec_j": '{"even": [{"j": "a", "cuts": [7], '
+                       '"payloads": [%s]}]}' % unit,
+             "spec_no_targets": '{"odd": [{"j0": 1, "targets": []}]}',
+             "spec_not_pair": '{"odd": [{"j0": 1, "targets": [[7]]}]}',
+             "spec_empty_chain": '{"even": [{"j": 1, "cuts": [], '
+                                 '"payloads": []}]}',
+             "repeated": '[[1, "1/2"], [1, "1/3"]]'}
     paths = {"missing": str(tmp_path / "missing.json")}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -256,7 +276,7 @@ def test_probe_length_limit_is_tight(size, limit):
     chain of the limit forges from every pilot rank and one more link
     outgrows the schedule from the highest."""
     sched = slow_toy_schedule(size)
-    assert probe_length_limit(sched, 2, 1) == limit
+    assert probe_length_limit(sched) == limit
     for pilot in range(PILOT_RANKS[0], PILOT_RANKS[1] + 1):
         assert len(forge_probe_chain(sched, pilot, limit).xs) == limit
     with pytest.raises(SearchExhausted):
@@ -268,7 +288,7 @@ def forge_probe_chain(sched, pilot, length):
     engine = Engine(forge_arena(sched))
     registry = engine.registry
     forge_even(registry, 1, [pilot], [Func.unit(registry.base())])
-    Y, Z = (CarrierSource(registry, engine, companions=False, gap=2)
+    Y, Z = (CarrierSource(registry, engine, companions=False)
             for _ in range(2))
     return make_dependent_sequence(engine, 1, [Y, Z], eps=1, C=45,
                                    length=length, blocks_per_pair="weight")

@@ -10,7 +10,7 @@ from bdspace.errors import (AgeOverflow, InvariantViolation,
                             StageOverflow, SupportOutOfWindow, UnknownGamma,
                             WeightMismatch)
 from bdspace.funcs import Func
-from bdspace.registry import Registry, TYPE1, TYPE2, WAIVE, XK
+from bdspace.registry import BASE, Registry, TYPE1, TYPE2, WAIVE, XK
 from bdspace.schedule import slow_toy_schedule, validate_schedule
 
 
@@ -33,9 +33,9 @@ def test_base_is_unique():
 
 def test_intern_idempotent():
     reg = fresh()
-    a = reg.intern(kind=TYPE1, rank=4, weight_index=2,
+    a = reg.intern(rank=4, weight_index=2,
                    payload=unit_payload(reg))
-    b = reg.intern(kind=TYPE1, rank=4, weight_index=2,
+    b = reg.intern(rank=4, weight_index=2,
                    payload=unit_payload(reg))
     assert a == b
     assert len(reg) == 2
@@ -43,43 +43,72 @@ def test_intern_idempotent():
 
 def test_chain_age_and_cut():
     reg = fresh()
-    head = reg.intern(kind=TYPE1, rank=4, weight_index=2,
+    head = reg.intern(rank=4, weight_index=2,
                       payload=unit_payload(reg))
-    mid = reg.intern(kind=TYPE1, rank=5, weight_index=4,
+    mid = reg.intern(rank=5, weight_index=4,
                      payload=unit_payload(reg))
-    link = reg.intern(kind=TYPE2, rank=7, weight_index=2, predecessor=head,
+    link = reg.intern(rank=7, weight_index=2, predecessor=head,
                       payload=Func.unit(mid))
     rec = reg.records[link]
     assert rec.age == 2 and rec.cut == 4
+
+
+def test_predecessor_makes_a_type2_link():
+    """With no predecessor intern makes a Type1 head; with one, the Type2
+    link whose cut is the predecessor's rank and whose age is one more."""
+    reg = fresh()
+    head = reg.intern(4, 2, unit_payload(reg))
+    mid = reg.intern(5, 4, unit_payload(reg))
+    link = reg.intern(7, 2, Func.unit(mid), head)
+    top = reg.intern(9, 2, Func.unit(reg.intern(8, 4, unit_payload(reg))),
+                     link)
+    rows = [(r.kind, r.cut, r.age, r.predecessor)
+            for r in (reg.records[g] for g in (head, link, top))]
+    assert rows == [(TYPE1, 0, 1, None), (TYPE2, 4, 2, head),
+                    (TYPE2, 7, 3, link)]
+    assert reg.intern(7, 2, Func.unit(mid), head) == link  # idempotent
+
+
+def test_chain_runs_from_the_head():
+    reg = fresh()
+    head = reg.intern(4, 2, unit_payload(reg))
+    mid = reg.intern(5, 4, unit_payload(reg))
+    link = reg.intern(7, 2, Func.unit(mid), head)
+    assert [r.id for r in reg.chain(link)] == [head, link]
+    assert [r.id for r in reg.chain(head)] == [head]
+    (base,) = reg.chain(reg.base())  # Base is a chain of one
+    assert base.kind == BASE
+    with pytest.raises(UnknownGamma):
+        reg.chain(99)
 
 
 def test_validation_errors():
     reg = fresh()
     pay = unit_payload(reg)
     with pytest.raises(ScheduleViolation):
-        reg.intern(kind=TYPE1, rank=2, weight_index=5, payload=pay)  # w > rank
+        reg.intern(rank=2, weight_index=5, payload=pay)  # w > rank
     with pytest.raises(SupportOutOfWindow):
-        reg.intern(kind=TYPE1, rank=4, weight_index=2,
+        reg.intern(rank=4, weight_index=2,
                    payload=Func.unit(reg.base(), Fraction(3, 2)))
-    head = reg.intern(kind=TYPE1, rank=4, weight_index=2, payload=pay)
+    head = reg.intern(rank=4, weight_index=2, payload=pay)
     with pytest.raises(SupportOutOfWindow):
         # payload below the cut of the extension
-        reg.intern(kind=TYPE2, rank=7, weight_index=2, predecessor=head,
+        reg.intern(rank=7, weight_index=2, predecessor=head,
                    payload=Func.unit(reg.base()))
     with pytest.raises(WeightMismatch):
-        reg.intern(kind=TYPE2, rank=7, weight_index=3, predecessor=head,
+        reg.intern(rank=7, weight_index=3, predecessor=head,
                    payload=Func.unit(head))
     with pytest.raises(UnknownGamma):
-        reg.intern(kind=TYPE1, rank=4, weight_index=2,
+        reg.intern(rank=4, weight_index=2,
                    payload=Func.unit(99))
 
 
 def test_age_cap():
     reg = fresh(validate_schedule((4, 16), (6, 1)))  # n_2 = 1
-    head = reg.intern(kind=TYPE1, rank=4, weight_index=2,
+    head = reg.intern(rank=4, weight_index=2,
                       payload=unit_payload(reg))
     with pytest.raises(AgeOverflow):
-        reg.intern(kind=TYPE2, rank=7, weight_index=2, predecessor=head,
+        reg.intern(rank=7, weight_index=2, predecessor=head,
                    payload=Func.unit(head))
 
 
@@ -87,7 +116,7 @@ def test_forging_below_generated_prefix_is_refused():
     reg = fresh()
     reg.generated_stage = 10
     with pytest.raises(StageOverflow):
-        reg.intern(kind=TYPE1, rank=5, weight_index=2,
+        reg.intern(rank=5, weight_index=2,
                    payload=unit_payload(reg))
 
 
@@ -95,13 +124,13 @@ def test_frontier_is_the_higher_of_generated_and_forged():
     reg = fresh()
     reg.generated_stage = 3
     assert reg.max_rank() == 1 and reg.frontier() == 3
-    reg.intern(kind=TYPE1, rank=5, weight_index=2, payload=unit_payload(reg))
+    reg.intern(rank=5, weight_index=2, payload=unit_payload(reg))
     assert reg.frontier() == 5
 
 
 def test_sigma_lazy_injective_and_above_quarter_rank():
     reg = fresh()
-    ids = [reg.intern(kind=TYPE1, rank=r, weight_index=2,
+    ids = [reg.intern(rank=r, weight_index=2,
                       payload=unit_payload(reg)) for r in (4, 5, 6, 20)]
     assert all(reg.records[g].sigma is None for g in ids)
     values = [reg.sigma(g) for g in ids]
@@ -122,11 +151,11 @@ def test_revalidate_names_corruption():
                    (3, {"cut": 5})]
     for gid, change in corruptions:
         reg = fresh()
-        head = reg.intern(kind=TYPE1, rank=4, weight_index=2,
+        head = reg.intern(rank=4, weight_index=2,
                           payload=unit_payload(reg))
-        mid = reg.intern(kind=TYPE1, rank=5, weight_index=4,
+        mid = reg.intern(rank=5, weight_index=4,
                          payload=unit_payload(reg))
-        reg.intern(kind=TYPE2, rank=7, weight_index=2, predecessor=head,
+        reg.intern(rank=7, weight_index=2, predecessor=head,
                    payload=Func.unit(mid))
         assert reg.revalidate() == 4
         reg.records[gid] = replace(reg.records[gid], **change)
@@ -136,19 +165,19 @@ def test_revalidate_names_corruption():
 
 def test_odd_rules():
     reg = fresh()
-    even = reg.intern(kind=TYPE1, rank=4, weight_index=2,
+    even = reg.intern(rank=4, weight_index=2,
                       payload=unit_payload(reg))  # weight 2 = 2 mod 4
-    odd = reg.intern(kind=TYPE1, rank=5, weight_index=1,
+    odd = reg.intern(rank=5, weight_index=1,
                      payload=Func.unit(even))
     with pytest.raises(OddWeightRuleViolation):
         # payload must be a single unit functional
-        reg.intern(kind=TYPE1, rank=6, weight_index=1,
+        reg.intern(rank=6, weight_index=1,
                    payload=Func.unit(even, Fraction(1, 2)))
     with pytest.raises(OddWeightRuleViolation):
         # Type2 target weight must be the coded weight of the predecessor
-        reg.intern(kind=TYPE2, rank=9, weight_index=1, predecessor=odd,
+        reg.intern(rank=9, weight_index=1, predecessor=odd,
                    payload=Func.unit(
-                       reg.intern(kind=TYPE1, rank=7, weight_index=2,
+                       reg.intern(rank=7, weight_index=2,
                                   payload=unit_payload(reg))))
 
 

@@ -6,9 +6,9 @@ from itertools import product
 import pytest
 
 from bdspace.errors import (AgeOverflow, BDSpaceError, CutTooSmall,
-                            StageOverflow, WeightMismatch)
+                            InputError, StageOverflow, WeightMismatch)
 from bdspace.funcs import Func
-from bdspace.registry import Registry, TYPE1, TYPE2, WAIVE, XK, BMT
+from bdspace.registry import Registry, WAIVE, XK, BMT
 from bdspace.schedule import slow_toy_schedule, validate_schedule
 from bdspace.spaces import (PaperFactorial, SignedUnits, check_treelike,
                             forge_even, forge_odd_chain, generate_stage,
@@ -66,10 +66,32 @@ def test_forge_even_validation(forge_arena):
     pay = Func.unit(registry.base())
     with pytest.raises(CutTooSmall):
         forge_even(registry, 2, [3], [pay])
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         forge_even(registry, 1, [5, 4], [pay, pay])
     gid = forge_even(registry, 1, [5], [pay])
     assert registry.records[gid].weight_index == 2
+
+
+def test_bad_chain_interns_nothing(forge_arena):
+    """The forge loop checks the count, the order, the first cut and the
+    length of a chain before its first intern."""
+    registry, _ = forge_arena()
+    pay = Func.unit(registry.base())
+    eta = forge_even(registry, 1, [4], [pay])
+    size = len(registry)
+    for forge, error in (
+            (lambda: forge_odd_chain(registry, 1, []), InputError),
+            (lambda: forge_odd_chain(registry, 1, [(6, eta), (5, eta)]),
+             InputError),
+            (lambda: forge_even(registry, 1, [6, 7], [pay]), InputError),
+            (lambda: forge_even(registry, 1, [], []), InputError),
+            (lambda: forge_even(registry, 2, [3], [pay]), CutTooSmall),
+            # n_2 = 10 for the slow schedule
+            (lambda: forge_even(registry, 1, range(5, 16), [pay] * 11),
+             AgeOverflow)):
+        with pytest.raises(error):
+            forge()
+        assert len(registry) == size
 
 
 def test_forge_even_age_cap(forge_arena):
@@ -101,10 +123,10 @@ def test_forge_odd_chain_and_treelike(forge_arena):
     coded = 4 * registry.sigma(a1)
     eta2 = forge_even(registry, coded // 2, [max(coded, 8)], [unit()])
     eta2b = forge_even(registry, coded // 2, [max(coded, 8) + 1], [unit()])
-    a2 = registry.intern(kind=TYPE2, rank=registry.rank_of(eta2b) + 1,
+    a2 = registry.intern(rank=registry.rank_of(eta2b) + 1,
                          weight_index=1, predecessor=a1,
                          payload=Func.unit(eta2))
-    a2b = registry.intern(kind=TYPE2, rank=registry.rank_of(eta2b) + 2,
+    a2b = registry.intern(rank=registry.rank_of(eta2b) + 2,
                           weight_index=1, predecessor=a1,
                           payload=Func.unit(eta2b))
     assert check_treelike(registry, a2, a2b) == 2

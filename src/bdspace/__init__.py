@@ -11,11 +11,10 @@ __version__ = "0.1.0"
 
 from .funcs import Func, frac_str, parse_frac
 from .schedule import (ParameterSchedule, geometric_toy_schedule,
-                       schedule_subsequence, slow_toy_schedule,
-                       validate_schedule)
+                       slow_toy_schedule, validate_schedule)
 from .registry import ElementRecord, Registry
 from .engine import Engine, Point
-from .norms import NormInterval, sup_norm_interval, unconditionalized_norm
+from .norms import NormInterval, sup_norm_interval
 from .mtnorm import MTParams, mt_norm, mt_norm_exhaustive
 from .certificates import Certificate, Check, Ledger, judge, make_certificate
 from .errors import BDSpaceError

@@ -25,7 +25,6 @@ from .funcs import Func
 from .mtnorm import Leaf, MTParams, Node, tree_action, tree_support, \
     verify_norming_tree
 from .norms import sup_norm_interval
-from .registry import BASE
 from .spaces import forge_even
 
 DEPENDENT_C = Fraction(45)    # the constant C of the dependent sequences
@@ -48,7 +47,7 @@ class CarrierSource:
     companion takes one more.
     """
 
-    def __init__(self, registry, engine, companions=True):
+    def __init__(self, registry, engine, companions):
         self.registry = registry
         self.engine = engine
         self.gap = 3 if companions else 2
@@ -111,7 +110,7 @@ def _skipped_cuts(engine, xs):
     return rans, [hi + 1 for _, hi in rans]
 
 
-def _at_most(measured, bound, stage, decidable=True, **detail):
+def _at_most(measured, bound, stage, decidable, **detail):
     """The Check of measured <= bound at a stage."""
     return Check(judge(measured <= bound, decidable),
                  {"measured": measured, "bound": bound, "stage": stage}, detail)
@@ -546,7 +545,7 @@ def basic_inequality_witness(engine, xs, lams, s, gamma, cert, j0=None):
 
     def rec(gid, idx, lo):
         record = registry.record(gid)
-        if record.kind == BASE or record.rank <= lo:
+        if record.rank == 1 or record.rank <= lo:
             return idx[0], None
         h = record.weight_index
         if j0 is not None and h == j0:
@@ -562,7 +561,7 @@ def basic_inequality_witness(engine, xs, lams, s, gamma, cert, j0=None):
         else:
             k0 = None
             idx_prime = idx
-        cutranks = [row.cut for row in rows]
+        cutranks = [row.rank for row in rows]
         I0, rest = [], []
         for k in idx_prime:
             pr = proj_range(k, lo)
@@ -574,14 +573,14 @@ def basic_inequality_witness(engine, xs, lams, s, gamma, cert, j0=None):
         prev_cut = 0
         for row in rows:
             Ir = [k for k in rest
-                  if proj_range(k, lo)[0] <= row.cut - 1
+                  if proj_range(k, lo)[0] <= row.rank - 1
                   and proj_range(k, lo)[1] >= prev_cut + 1]
             if Ir:
                 s_r = max(lo, prev_cut)
                 ysum = _sum_point(engine, [xs[k] for k in Ir],
                                   [lams[k] for k in Ir])
                 best_eta, best_v = None, None
-                for eta in sorted(row.payload.support(),
+                for eta in sorted(row.payload,
                                   key=lambda g: (registry.rank_of(g), g)):
                     v = abs(engine.eval_after_projection(eta, s_r, ysum))
                     if best_v is None or v > best_v:
@@ -590,7 +589,7 @@ def basic_inequality_witness(engine, xs, lams, s, gamma, cert, j0=None):
                 children.append((k_r, Leaf(1, k_r)))
                 if g_r is not None:
                     children.append((tree_support(g_r)[0], g_r))
-            prev_cut = row.cut
+            prev_cut = row.rank
         if k0 is None:
             # no small-weight block: the direct 5C|lam_{k0}| term absorbs
             # the smallest contributing index, whose leaf is dropped

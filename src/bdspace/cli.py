@@ -36,7 +36,7 @@ from .errors import BDSpaceError, InputError
 from .funcs import Func, frac_str, parse_frac
 from .mtnorm import MTParams, mt_norm, mt_norm_exhaustive, verify_norming_tree
 from .norms import sup_norm_interval
-from .registry import BASE, BMT, ENFORCE, Registry, WAIVE, XK
+from .registry import BMT, ENFORCE, Registry, WAIVE, XK
 from .schedule import (geometric_toy_schedule, slow_toy_schedule,
                        validate_schedule)
 from .spaces import (DyadicAverages, PaperFactorial, SignedUnits,
@@ -171,7 +171,7 @@ def _eval_analysis(engine, stage):
     registry = engine.registry
     checked, bad = 0, []
     for gid in registry.gammas_up_to(stage):
-        if registry.records[gid].kind == BASE:
+        if registry.records[gid].rank == 1:
             continue
         for tail in (False, True):
             lhs, rhs = engine.analysis_identity_sides(gid, tail_variant=tail)

@@ -24,7 +24,6 @@ from math import lcm
 
 from .errors import BaseHasNoAnalysis, StageOverflow
 from .funcs import Func
-from .registry import BASE, TYPE2
 
 
 @dataclass
@@ -54,14 +53,6 @@ class Point:
 
     def __sub__(self, other):
         return self + other.scaled(-1)
-
-
-@dataclass(frozen=True)
-class AnalysisRow:
-    index: int          # r, starting at 1
-    cut: int            # p_r = rank of xi_r
-    payload: Func       # b*_r
-    node: int           # xi_r
 
 
 @dataclass
@@ -143,7 +134,7 @@ class Engine:
                 if gid in c_memo:
                     stack.pop()
                     continue
-                if rec.kind == BASE:
+                if rec.rank == 1:
                     out = Func()
                 else:
                     need = [(rec.cut, h) for h in rec.payload
@@ -156,7 +147,7 @@ class Engine:
                     tail = rec.payload - self.project_prefix(rec.cut,
                                                              rec.payload)
                     out = tail.scaled(beta)
-                    if rec.kind == TYPE2:
+                    if rec.predecessor is not None:
                         out.iadd(rec.predecessor, Fraction(1))
                 c_memo[gid] = out
             else:
@@ -225,13 +216,13 @@ class Engine:
     # -- evaluation analyses ----------------------------------------------------
 
     def evaluation_analysis(self, gid):
-        """The rows (p_r, b*_r, xi_r) of the chain ending at gid."""
-        if self.registry.record(gid).kind == BASE:
+        """The records of the chain ending at gid, head first; row r
+        reads p_r as its rank, b*_r as its payload and xi_r as its id."""
+        if self.registry.rank_of(gid) == 1:
             raise BaseHasNoAnalysis("element %d is the Base element" % gid)
-        return [AnalysisRow(index=r, cut=c.rank, payload=c.payload, node=c.id)
-                for r, c in enumerate(self.registry.chain(gid), 1)]
+        return self.registry.chain(gid)
 
-    def analysis_identity_sides(self, gid, tail_variant=False):
+    def analysis_identity_sides(self, gid, tail_variant):
         """(e*_gid, reconstruction) for the evaluation-analysis identity.
 
         tail_variant=False uses the windows P*_{(p_{r-1}, p_r)}, otherwise the
@@ -243,13 +234,13 @@ class Engine:
         rhs = Func()
         prev_cut = 0
         for row in rows:
-            rhs.accumulate(self.d_star(row.node))
+            rhs.accumulate(self.d_star(row.id))
             if tail_variant:
                 piece = row.payload - self.project_prefix(prev_cut, row.payload)
             else:
-                piece = self.project_open(prev_cut, row.cut, row.payload)
+                piece = self.project_open(prev_cut, row.rank, row.payload)
             rhs.accumulate(piece, beta)
-            prev_cut = row.cut
+            prev_cut = row.rank
         return Func.unit(gid), rhs
 
     # -- points ---------------------------------------------------------------

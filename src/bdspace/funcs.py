@@ -97,9 +97,6 @@ class Func(dict):
                 total += v * w
         return total
 
-    def support(self):
-        return set(self.keys())
-
     def to_json(self):
         return [[k, frac_str(v)] for k, v in sorted(self.items())]
 

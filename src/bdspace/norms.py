@@ -7,14 +7,11 @@ extension-operator norm (q = max ran x).  Attainment at a finite stage is
 never claimed.
 """
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BruteForceCapExceeded, StageOverflow
-
-SIGN_PATTERN_CAP = 16    # the largest support whose sign patterns are tried
+from .errors import StageOverflow
 
 
 @dataclass(frozen=True)
@@ -50,40 +47,3 @@ def sup_norm_interval(engine, x, n):
     return NormInterval(lower=lower, upper=max(upper, lower), stage=n,
                         witness=witness)
 
-
-def unconditionalized_norm(engine, w, n):
-    """max over sign patterns of the stage-n lower norm of sum +-w(gamma) d_gamma.
-
-    Returns (value, report).  The report carries the attaining signs and
-    the induced stage-n lower estimate for the norm of the diagonal
-    operator sum w(gamma) U_gamma (one-sided: estimate <= value; the
-    two-sided comparison with factor 2 is a report, not an assertion,
-    since both sides are stage-truncated).
-    """
-    support = sorted((g for g, c in dict(w).items() if c),
-                     key=lambda g: (engine.registry.rank_of(g), g))
-    if len(support) > SIGN_PATTERN_CAP:
-        raise BruteForceCapExceeded("support %d exceeds sign-pattern cap %d"
-                                    % (len(support), SIGN_PATTERN_CAP))
-    if not support:
-        return Fraction(0), {"signs": {}, "opnorm_lower": Fraction(0)}
-    coeffs = {g: Fraction(dict(w)[g]) for g in support}
-    best, best_signs = Fraction(-1), None
-    # ||x|| = ||-x||: pin the first sign
-    for tail in itertools.product((1, -1), repeat=len(support) - 1):
-        signs = (1,) + tail
-        point = engine.point_from_d(
-            {g: s * coeffs[g] for g, s in zip(support, signs)})
-        ni = sup_norm_interval(engine, point, n)
-        if ni.lower > best:
-            best, best_signs = ni.lower, signs
-    # operator lower estimate via the extension of the attaining sign pattern
-    q = max(engine.registry.rank_of(g) for g in support)
-    u = {g: Fraction(s) for g, s in zip(support, best_signs)}
-    y = engine.extend(q, u, n)
-    y_norm = sup_norm_interval(engine, y, n)
-    wy = engine.point_from_d({g: u[g] * coeffs[g] for g in support})
-    wy_norm = sup_norm_interval(engine, wy, n)
-    opnorm_lower = (wy_norm.lower / y_norm.upper) if y_norm.upper else Fraction(0)
-    return best, {"signs": dict(zip(support, best_signs)),
-                  "opnorm_lower": opnorm_lower}

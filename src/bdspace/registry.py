@@ -48,13 +48,20 @@ WAIVE = "waive"
 class ElementRecord:
     id: int
     rank: int
-    kind: str
     weight_index: Optional[int] = None
     age: Optional[int] = None
     cut: int = 0
     predecessor: Optional[int] = None
     payload: Optional[Func] = None
     sigma: Optional[int] = None
+
+    @property
+    def kind(self):
+        """The element type, which its structure decides: Base at rank 1,
+        Type2 when it extends a predecessor's chain, Type1 otherwise."""
+        if self.rank == 1:
+            return BASE
+        return TYPE1 if self.predecessor is None else TYPE2
 
     def is_odd_weight(self):
         return self.weight_index is not None and self.weight_index % 2 == 1
@@ -136,11 +143,10 @@ class Registry:
 
     def base(self):
         """The unique element of Delta_1 (interned on first use)."""
-        key = (BASE, 1, None, 0, None, None)
+        key = (1, None, None, None)
         if key in self._by_key:
             return self._by_key[key]
-        return self._admit(key, ElementRecord(id=len(self.records), rank=1,
-                                              kind=BASE))
+        return self._admit(key, ElementRecord(id=len(self.records), rank=1))
 
     def intern(self, rank, weight_index, payload, predecessor=None):
         """Validate a draft element and return its id (idempotent).
@@ -161,16 +167,16 @@ class Registry:
             raise SupportOutOfWindow("payload ell_1-norm exceeds 1")
 
         if predecessor is None:
-            kind, cut, age = TYPE1, 0, 1
+            cut, age = 0, 1
         else:
             pred = self.record(predecessor)
-            if pred.kind == BASE:
+            if pred.rank == 1:
                 raise WeightMismatch("Base element cannot head a chain")
             if pred.weight_index != weight_index:
                 raise WeightMismatch(
                     "chain weight m_%d != predecessor weight m_%s"
                     % (weight_index, pred.weight_index))
-            kind, cut, age = TYPE2, pred.rank, pred.age + 1
+            cut, age = pred.rank, pred.age + 1
             if not cut < rank:
                 raise ScheduleViolation("cut %d must be below rank %d" % (cut, rank))
             if age > self.schedule.length_value(weight_index):
@@ -188,15 +194,14 @@ class Registry:
         if self.discipline == XK and weight_index % 2 == 1:
             self._check_odd_rules(weight_index, predecessor, payload)
 
-        key = (kind, rank, weight_index, cut, predecessor,
-               frozenset(payload.items()))
+        key = (rank, weight_index, predecessor, frozenset(payload.items()))
         if key in self._by_key:
             return self._by_key[key]
         if rank <= self.generated_stage:
             raise StageOverflow(
                 "rank %d is inside the enumerated prefix (stage %d); "
                 "forged towers must sit above it" % (rank, self.generated_stage))
-        rec = ElementRecord(id=len(self.records), rank=rank, kind=kind,
+        rec = ElementRecord(id=len(self.records), rank=rank,
                             weight_index=weight_index, age=age, cut=cut,
                             predecessor=predecessor, payload=payload)
         return self._admit(key, rec)
@@ -256,16 +261,15 @@ class Registry:
                 require(rec.sigma not in seen_sigma, at + "sigma not injective")
                 require(4 * rec.sigma > rec.rank, at + "sigma too small")
                 seen_sigma.add(rec.sigma)
-            if rec.kind == BASE:
-                require(rec.rank == 1 and rec.payload is None,
+            if rec.rank == 1:
+                require(rec.payload is None and rec.predecessor is None,
                         at + "malformed Base")
                 continue
             require(rec.weight_index is not None
                     and rec.weight_index <= rec.rank,
                     at + "weight index above rank")
-            if rec.kind == TYPE1:
-                require(rec.age == 1 and rec.cut == 0
-                        and rec.predecessor is None, at + "Type1 in a chain")
+            if rec.predecessor is None:
+                require(rec.age == 1 and rec.cut == 0, at + "Type1 in a chain")
             else:
                 pred = self.record(rec.predecessor)
                 require(pred.weight_index == rec.weight_index,

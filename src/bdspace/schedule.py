@@ -82,18 +82,6 @@ def validate_schedule(m, n):
     return ParameterSchedule(m=m, n=n, mode=mode, theta=theta, M=big_m)
 
 
-def schedule_subsequence(s, indices):
-    """Schedule (m_{l_j}, n_{l_j}) along a strictly increasing 1-based index list."""
-    indices = list(indices)
-    if any(indices[i] >= indices[i + 1] for i in range(len(indices) - 1)):
-        raise IndexOutOfSchedule("index list must be strictly increasing")
-    for l in indices:
-        if not 1 <= l <= len(s.m):
-            raise IndexOutOfSchedule("index %d not in 1..%d" % (l, len(s.m)))
-    return validate_schedule([s.m[l - 1] for l in indices],
-                             [s.n[l - 1] for l in indices])
-
-
 def geometric_toy_schedule(length):
     """Toy schedule m_j = 4^j with n_j = 8; sum(1/m_j) <= 1/3."""
     m = [4 ** j for j in range(1, length + 1)]

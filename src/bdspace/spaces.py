@@ -6,7 +6,7 @@ the plain two-family recursion; "XK" restricts stage membership by parity
 evaluation functionals).  Stage generation enumerates Delta_{q} literally
 from the recursion, with the payload families B_{n,p} supplied by a
 NetPolicy; the full factorial-denominator nets are combinatorially
-explosive, so the default policy is signed units.
+explosive, so the CLI's default policy is signed units.
 
 Forging interns sparse towers above the enumerated prefix: even-weight
 chains with prescribed cuts and payloads, and odd-weight chains following
@@ -104,9 +104,8 @@ def net_elements(registry, n, p, policy):
 
 # -- stage generation ----------------------------------------------------------
 
-def generate_stage(registry, q, policy=None):
+def generate_stage(registry, q, policy):
     """Materialize Delta_q per the registry's discipline; returns new ids."""
-    policy = policy or SignedUnits()
     if q != registry.generated_stage + 1:
         raise StageOverflow(
             "stages below %d must be generated first (have %d)"
@@ -193,7 +192,7 @@ def generate_stage(registry, q, policy=None):
     return new_ids
 
 
-def generate_up_to(registry, n, policy=None):
+def generate_up_to(registry, n, policy):
     """Generate all stages up to n; returns ids of Gamma_n."""
     for q in range(registry.generated_stage + 1, n + 1):
         generate_stage(registry, q, policy)

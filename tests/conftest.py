@@ -8,7 +8,7 @@ from bdspace.cli import forge_arena as arena
 from bdspace.engine import Engine
 from bdspace.registry import Registry, WAIVE, XK
 from bdspace.schedule import slow_toy_schedule, validate_schedule
-from bdspace.spaces import generate_up_to
+from bdspace.spaces import SignedUnits, generate_up_to
 
 
 @pytest.fixture(scope="session")
@@ -16,7 +16,7 @@ def stage6():
     """The standard stage-6 toy registry (two weights, signed units)."""
     registry = Registry(validate_schedule((4, 16), (6, 1)), discipline=XK,
                         odd_guard=WAIVE, stage_cap=20000)
-    generate_up_to(registry, 6)
+    generate_up_to(registry, 6, SignedUnits())
     return registry, Engine(registry)
 
 
@@ -25,7 +25,7 @@ def rich5():
     """A Type2-richer toy registry generated to stage 5."""
     registry = Registry(validate_schedule((4, 16), (6, 2)), discipline=XK,
                         odd_guard=WAIVE, stage_cap=20000)
-    generate_up_to(registry, 5)
+    generate_up_to(registry, 5, SignedUnits())
     return registry, Engine(registry)
 
 

@@ -22,7 +22,7 @@ from bdspace.mtnorm import (MTParams, mt_norm, mt_norm_exhaustive,
                             verify_norming_tree)
 from bdspace.registry import Registry, WAIVE, XK
 from bdspace.schedule import slow_toy_schedule, validate_schedule
-from bdspace.spaces import generate_up_to
+from bdspace.spaces import SignedUnits, generate_up_to
 
 
 # sha256 of each suite's ledger bytes at its defaults (seed 7), and of
@@ -72,7 +72,7 @@ def test_01_biorthogonality_stage6():
     within = timed(60)
     registry = Registry(validate_schedule((4, 16), (6, 1)), discipline=XK,
                         odd_guard=WAIVE, stage_cap=20000)
-    generate_up_to(registry, 6)
+    generate_up_to(registry, 6, SignedUnits())
     engine = Engine(registry)
     sm = engine.stage_matrix(6)
     assert len(sm.ids) == 571

@@ -92,6 +92,21 @@ def test_export_matrix_digest(tmp_path):
         "f693ac3ffd2a267e4d73bf59c3885a049b9532b358534b9c2919b60efb2def74"
 
 
+@pytest.mark.parametrize("argv, size, digest", [
+    (["--stage", "6"], 571,
+     "a0a668e728bcac64c9685f5bf7746979c49da15d605cdb8368dbe0daa2f02e31"),
+    (["--discipline", "BmT", "--stage", "5"], 5425,
+     "784784e41430fdd9eec1c911f7922ff75416c6524d145f7cc73024a545a10141"),
+], ids=["XK-stage6", "BmT-stage5"])
+def test_gen_table_digest(argv, size, digest, tmp_path):
+    """The JSON stage tables of the default schedule, kind column
+    included, pinned byte for byte."""
+    out = tmp_path / "table.json"
+    assert main(["gen", *argv, "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())) == size
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_norm_command(tmp_path, capsys):
     sched = write_schedule(tmp_path, (4, 16), (6, 1))
     pt = tmp_path / "pt.json"

@@ -99,9 +99,11 @@ def test_analysis_rows_shape(stage6):
         if rec.kind == "Base":
             continue
         rows = engine.evaluation_analysis(gid)
-        assert rows[-1].node == gid
-        assert [r.index for r in rows] == list(range(1, len(rows) + 1))
-        assert all(a.cut < b.cut for a, b in zip(rows, rows[1:]))
+        assert rows[-1].id == gid
+        assert [r.age for r in rows] == list(range(1, len(rows) + 1))
+        assert [r.predecessor for r in rows] == \
+            [None] + [r.id for r in rows[:-1]]
+        assert all(a.rank < b.rank for a, b in zip(rows, rows[1:]))
         assert len(rows) == rec.age
 
 

@@ -1,12 +1,11 @@
-"""Stage-truncated sup-norm intervals and sign-unconditionalized norms."""
+"""Stage-truncated sup-norm intervals."""
 
 from fractions import Fraction
 
 import pytest
 
-from bdspace.errors import BruteForceCapExceeded, StageOverflow
-from bdspace.norms import (SIGN_PATTERN_CAP, sup_norm_interval,
-                           unconditionalized_norm)
+from bdspace.errors import StageOverflow
+from bdspace.norms import sup_norm_interval
 
 
 def test_zero_point(stage6):
@@ -52,22 +51,3 @@ def test_scaling(stage6):
     b = sup_norm_interval(engine, x.scaled(Fraction(-3)), 6)
     assert b.lower == 3 * a.lower and b.upper == 3 * a.upper
 
-
-def test_unconditionalized_norm(stage6):
-    registry, engine = stage6
-    ids = registry.gammas_up_to(3)
-    w = {ids[1]: Fraction(1), ids[3]: Fraction(1, 2)}
-    value, report = unconditionalized_norm(engine, w, 6)
-    # dominates the unsigned configuration
-    plain = sup_norm_interval(engine, engine.point_from_d(w), 6).lower
-    assert value >= plain
-    assert report["signs"][ids[1]] == 1   # first sign pinned
-    assert 0 <= report["opnorm_lower"] <= value
-
-
-def test_unconditionalized_cap(stage6):
-    registry, engine = stage6
-    ids = registry.gammas_up_to(6)
-    w = {g: Fraction(1) for g in ids[:SIGN_PATTERN_CAP + 1]}
-    with pytest.raises(BruteForceCapExceeded):
-        unconditionalized_norm(engine, w, 6)

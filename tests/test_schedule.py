@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bdspace.errors import IndexOutOfSchedule, ScheduleViolation
-from bdspace.schedule import (geometric_toy_schedule, schedule_subsequence,
-                              slow_toy_schedule, validate_schedule)
+from bdspace.schedule import (geometric_toy_schedule, slow_toy_schedule,
+                              validate_schedule)
 
 
 def test_admissible_classification():
@@ -42,16 +42,6 @@ def test_index_bounds():
         s.weight_value(3)
     with pytest.raises(IndexOutOfSchedule):
         s.length_value(0)
-
-
-def test_subsequence():
-    s = slow_toy_schedule(10)
-    sub = schedule_subsequence(s, [1, 4, 7])
-    assert sub.m == (4, 7, 10)
-    with pytest.raises(IndexOutOfSchedule):
-        schedule_subsequence(s, [4, 2])
-    with pytest.raises(IndexOutOfSchedule):
-        schedule_subsequence(s, [0, 2])
 
 
 def test_json_roundtrip():

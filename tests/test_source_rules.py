@@ -1,5 +1,6 @@
 """Source rules: checks are not asserts, verdicts have one home, the
-sparse e-coordinate cache of a Point stays private to the engine, the
+sparse e-coordinate cache of a Point stays private to the engine, an
+element's kind is read only where the registry derives it, the
 engine has no |Gamma|^2 sweep over a stage matrix's ids, no code is
 reachable from the tests alone, and no defaulted parameter keeps a value
 that no caller changes."""
@@ -46,6 +47,27 @@ def test_e_cache_stays_in_the_engine():
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Attribute) and node.attr == "e_cache":
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
+
+
+KIND_NAMES = {"BASE", "TYPE1", "TYPE2"}
+
+
+def test_element_kind_stays_in_the_registry():
+    """An element's kind follows from its structure (rank 1, a
+    predecessor), and the registry derives it for its stage tables;
+    elsewhere code tests the structure itself, so the kind string does
+    not come back as a dispatch key."""
+    found = []
+    for path in SOURCES:
+        if path.name == "registry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in KIND_NAMES | {"kind"}
+                    or isinstance(node, ast.alias)
+                    and node.name in KIND_NAMES):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
 

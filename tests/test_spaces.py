@@ -25,13 +25,13 @@ def test_stage_counts(stage6):
 def test_stages_must_be_generated_in_order():
     reg = Registry(validate_schedule((4, 16), (6, 1)), discipline=XK)
     with pytest.raises(StageOverflow):
-        generate_stage(reg, 2)
+        generate_stage(reg, 2, SignedUnits())
 
 
 def test_bmt_discipline_admits_every_weight():
     reg = Registry(validate_schedule((4, 16), (2, 2)), discipline=BMT,
                    stage_cap=20000)
-    generate_up_to(reg, 3)
+    generate_up_to(reg, 3, SignedUnits())
     weights = {reg.records[g].weight_index for g in reg.gammas_up_to(3)}
     assert weights == {None, 1, 2}
 
@@ -156,7 +156,7 @@ def test_generation_is_deterministic():
     def build():
         reg = Registry(validate_schedule((4, 16), (6, 1)), discipline=XK,
                        odd_guard=WAIVE, stage_cap=20000)
-        generate_up_to(reg, 5)
+        generate_up_to(reg, 5, SignedUnits())
         return reg.export_stage_table(5)
 
     assert build() == build()

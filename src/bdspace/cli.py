@@ -23,6 +23,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from operator import index
 
 from .analysis import (DEPENDENT_C, FIRST_LINK_WEIGHT, CarrierSource,
@@ -77,7 +78,7 @@ def read_coordinates(path):
     """{index: Fraction} from a JSON file [[k, "p/q"], ...], each index
     given once."""
     def parse(rows):
-        coords = {int(k): parse_frac(v) for k, v in rows}
+        coords = {index(k): parse_frac(v) for k, v in rows}
         if len(coords) != len(rows):
             raise ValueError("an index is given twice")
         return coords
@@ -549,9 +550,44 @@ def run_hi_probes(ledger, cases=10, length=5, seed=DEFAULT_SEED):
 
 # -- file formats --------------------------------------------------------------
 
+# the JSON text of the exact scalar types, each by one C call
+LEAF_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
+             bool: ("false", "true").__getitem__,
+             type(None): {None: "null"}.__getitem__}
+
+
+def json_text(value, depth):
+    """value as `json.dump(..., indent=1)` writes it at nesting depth:
+    the same bytes, joined into one string instead of one write per
+    token.  Dict keys are strings, as in every table bdspace writes."""
+    leaf = LEAF_TEXT.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    if not isinstance(value, (list, tuple, dict)):
+        return json.dumps(value)  # floats, subclasses of str and int
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    gap = "\n" + " " * (depth + 1)
+    depth += 1
+    # leaves are spelled in place: a Python call for each costs a
+    # quarter of the writer's time
+    if isinstance(value, dict):
+        brackets = "{}"
+        texts = [encode_basestring_ascii(k) + ": "
+                 + (leaf(v) if (leaf := LEAF_TEXT.get(type(v)))
+                    else json_text(v, depth))
+                 for k, v in value.items()]
+    else:
+        brackets = "[]"
+        texts = [leaf(v) if (leaf := LEAF_TEXT.get(type(v)))
+                 else json_text(v, depth) for v in value]
+    return (brackets[0] + gap + ("," + gap).join(texts) + gap[:-1]
+            + brackets[1])
+
+
 def write_rows(rows, out, fmt):
-    """Rows as indented JSON, or as CSV with list and dict cells in
-    compact JSON."""
+    """Rows as indented JSON, written row by row, or as CSV with list
+    and dict cells in compact JSON."""
     if fmt == "csv":
         if not rows:
             return
@@ -561,9 +597,14 @@ def write_rows(rows, out, fmt):
             writer.writerow({k: json.dumps(v, separators=(",", ":"))
                              if isinstance(v, (list, dict)) else v
                              for k, v in row.items()})
+    elif not rows:
+        out.write("[]\n")
     else:
-        json.dump(rows, out, indent=1)
-        out.write("\n")
+        sep = "[\n "
+        for row in rows:
+            out.write(sep + json_text(row, 1))
+            sep = ",\n "
+        out.write("\n]\n")
 
 
 def emit_rows(rows, args):

@@ -11,17 +11,23 @@ from fractions import Fraction
 
 def frac_str(q):
     """Canonical "p/q" rendering, q > 0 and gcd(p, q) = 1."""
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     return "%d/%d" % (q.numerator, q.denominator)
 
 
 def parse_frac(s):
+    """The rational a JSON value spells: an int, or a "p/q" or "n"
+    string.  Anything else, floats and booleans included, raises
+    ValueError, since a float is not an exact rational input."""
     if isinstance(s, str):
         if "/" in s:
             num, den = s.split("/")
             return Fraction(int(num), int(den))
         return Fraction(int(s))
-    return Fraction(s)
+    if isinstance(s, int) and not isinstance(s, bool):
+        return Fraction(s)
+    raise ValueError("expected an int or a \"p/q\" string, got %r" % (s,))
 
 
 class Func(dict):
@@ -30,6 +36,10 @@ class Func(dict):
     __slots__ = ()
 
     def __init__(self, entries=()):
+        if isinstance(entries, Func):
+            # a Func holds only nonzero Fractions: copy them as they are
+            super().__init__(entries)
+            return
         super().__init__()
         if isinstance(entries, dict):
             entries = entries.items()
@@ -55,10 +65,7 @@ class Func(dict):
             dict.__setitem__(self, key, value)
 
     def copy(self):
-        out = Func()
-        for k, v in self.items():
-            dict.__setitem__(out, k, v)
-        return out
+        return Func(self)
 
     def accumulate(self, other, scalar=Fraction(1)):
         """In-place self += scalar * other."""
@@ -86,6 +93,9 @@ class Func(dict):
         return self.scaled(-1)
 
     def l1(self):
+        if len(self) == 1:
+            (v,) = self.values()
+            return abs(v)
         return sum((abs(v) for v in self.values()), Fraction(0))
 
     def dot(self, values):

@@ -25,7 +25,6 @@ coded even weights stay within reach of toy schedules.
 """
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional
 
 from .errors import (AgeOverflow, OddWeightRuleViolation, ScheduleViolation,
@@ -44,7 +43,7 @@ ENFORCE = "enforce"
 WAIVE = "waive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementRecord:
     id: int
     rank: int
@@ -79,6 +78,7 @@ class Registry:
         self.stage_cap = stage_cap
         self.records = []
         self._by_key = {}
+        self._payloads = {}  # payload items -> (the same items, stored Func)
         self._stages = {}
         self._sigma_used = set()
         self.generated_stage = 0
@@ -153,18 +153,16 @@ class Registry:
 
         With no predecessor the draft is a Type1 element, the head of a
         chain; with one it is the Type2 link that extends the
-        predecessor's chain, whose cut and age it takes from there."""
+        predecessor's chain, whose cut and age it takes from there.
+        Records with equal payloads share one stored Func, a copy made
+        when the payload is first stored (hash-consing), so no caller
+        can change a record's payload afterwards."""
         if rank < 2:
             raise ScheduleViolation("Type1/Type2 elements need rank >= 2")
-        self.schedule.weight_value(weight_index)  # IndexOutOfSchedule if bad
+        self.schedule.require_weight_index(weight_index)
         if weight_index > rank:
             raise ScheduleViolation(
                 "weight index %d exceeds rank %d" % (weight_index, rank))
-        payload = Func(payload)
-        for gid in payload:
-            self.record(gid)  # UnknownGamma if dangling
-        if payload.l1() > 1:
-            raise SupportOutOfWindow("payload ell_1-norm exceeds 1")
 
         if predecessor is None:
             cut, age = 0, 1
@@ -184,30 +182,39 @@ class Registry:
                     "age %d exceeds n_%d = %d"
                     % (age, weight_index, self.schedule.length_value(weight_index)))
 
+        if not isinstance(payload, Func):
+            payload = Func(payload)
         for gid in payload:
-            r = self.rank_of(gid)
+            r = self.rank_of(gid)  # UnknownGamma if dangling
             if not cut < r <= rank - 1:
                 raise SupportOutOfWindow(
                     "payload id %d has rank %d outside (%d, %d]"
                     % (gid, r, cut, rank - 1))
+        if payload.l1() > 1:
+            raise SupportOutOfWindow("payload ell_1-norm exceeds 1")
 
         if self.discipline == XK and weight_index % 2 == 1:
             self._check_odd_rules(weight_index, predecessor, payload)
 
-        key = (rank, weight_index, predecessor, frozenset(payload.items()))
-        if key in self._by_key:
-            return self._by_key[key]
+        items = frozenset(payload.items())
+        gid = self._by_key.get((rank, weight_index, predecessor, items))
+        if gid is not None:
+            return gid
         if rank <= self.generated_stage:
             raise StageOverflow(
                 "rank %d is inside the enumerated prefix (stage %d); "
                 "forged towers must sit above it" % (rank, self.generated_stage))
+        stored = self._payloads.get(items)
+        if stored is None:
+            stored = self._payloads[items] = (items, Func(payload))
+        items, payload = stored
         rec = ElementRecord(id=len(self.records), rank=rank,
                             weight_index=weight_index, age=age, cut=cut,
                             predecessor=predecessor, payload=payload)
-        return self._admit(key, rec)
+        return self._admit((rank, weight_index, predecessor, items), rec)
 
     def _check_odd_rules(self, weight_index, predecessor, payload):
-        if len(payload) != 1 or set(payload.values()) != {Fraction(1)}:
+        if len(payload) != 1 or list(payload.values()) != [1]:
             raise OddWeightRuleViolation(
                 "odd-weight payload must be a single evaluation functional e*_eta")
         (eta,) = payload

@@ -30,9 +30,14 @@ class ParameterSchedule:
 
     def weight_value(self, j):
         """The weight m_j^{-1} for a 1-based index j."""
+        return Fraction(1, self.m[self.require_weight_index(j) - 1])
+
+    def require_weight_index(self, j):
+        """j, when it is a 1-based weight index; IndexOutOfSchedule
+        otherwise."""
         if not 1 <= j <= len(self.m):
             raise IndexOutOfSchedule("weight index %d not in 1..%d" % (j, len(self.m)))
-        return Fraction(1, self.m[j - 1])
+        return j
 
     def length_value(self, j):
         """The admissibility parameter n_j for a 1-based index j."""

@@ -2,17 +2,23 @@
 
 import csv
 import hashlib
+import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bdspace import cli
 from bdspace.analysis import (CarrierSource, check_ris,
                               make_dependent_sequence)
 from bdspace.certificates import VIOLATED, Check
 from bdspace.cli import (PILOT_RANKS, forge_arena, load_schedule, main,
-                         probe_length_limit)
+                         probe_length_limit, write_rows)
 from bdspace.engine import Engine
 from bdspace.errors import SearchExhausted
 from bdspace.funcs import Func, frac_str
@@ -97,14 +103,68 @@ def test_export_matrix_digest(tmp_path):
      "a0a668e728bcac64c9685f5bf7746979c49da15d605cdb8368dbe0daa2f02e31"),
     (["--discipline", "BmT", "--stage", "5"], 5425,
      "784784e41430fdd9eec1c911f7922ff75416c6524d145f7cc73024a545a10141"),
-], ids=["XK-stage6", "BmT-stage5"])
+    # the perfbench golden gen/table-xk: 80,090 payloads, 2,610 distinct
+    (["--schedule", "{xk}", "--stage", "6", "--cap", "200000"], 80091,
+     "0ddeebfaac177535627aca760d3972bbb1847e2c87fe69cc68f072f20d3fa4d9"),
+], ids=["XK-stage6", "BmT-stage5", "XK-n2=2-stage6"])
 def test_gen_table_digest(argv, size, digest, tmp_path):
-    """The JSON stage tables of the default schedule, kind column
-    included, pinned byte for byte."""
+    """The JSON stage tables, kind column included, pinned byte for
+    byte."""
+    xk = write_schedule(tmp_path, (4, 16), (6, 2))
     out = tmp_path / "table.json"
-    assert main(["gen", *argv, "--out", str(out)]) == 0
+    assert main(["gen", *[a.format(xk=xk) for a in argv],
+                 "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())) == size
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_gen_csv_table_digest(tmp_path):
+    """The CSV stage table of the default schedule, its payload cells in
+    compact JSON, pinned byte for byte."""
+    out = tmp_path / "table.csv"
+    assert main(["gen", "--stage", "6", "--format", "csv",
+                 "--out", str(out)]) == 0
+    assert len(read_csv(out)) == 571
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "b0a0b783f6216c78244720866114f701aa7c63082727dcf5300930aec2596d8b"
+
+
+json_scalars = (st.none() | st.booleans() | st.integers()
+                | st.integers(min_value=2 ** 64)
+                | st.integers(max_value=-2 ** 64)
+                | st.floats() | st.text()
+                | st.text(alphabet='"\\\x00\x1f\x7f\n\té\u2028\U0001f600/'))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=24)
+
+
+def dumped(rows):
+    """The oracle: what `json.dump(rows, indent=1)` and a newline write."""
+    out = io.StringIO()
+    json.dump(rows, out, indent=1)
+    out.write("\n")
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(json_values, max_size=5))
+def test_json_row_writer_matches_json_dump(rows):
+    out = io.StringIO()
+    write_rows(rows, out, "json")
+    assert out.getvalue() == dumped(rows)
+
+
+@pytest.mark.parametrize("rows", [[], [[]], [{}], [{}, [], [[], {}]],
+                                  [{"a": None, "b": [True, False, -1]}],
+                                  [{"\x00\"\\é": 2 ** 70}]])
+def test_json_row_writer_edge_cases(rows):
+    out = io.StringIO()
+    write_rows(rows, out, "json")
+    assert out.getvalue() == dumped(rows)
 
 
 def test_norm_command(tmp_path, capsys):
@@ -232,6 +292,11 @@ def test_unread_options_are_rejected(argv):
     ["forge", "--stage", "2", "{spec_empty_chain}"],
     ["mtnorm", "--point", "{repeated}"],
     ["gen", "--net", "dyadic:0", "--stage", "3"],
+    ["norm", "--stage", "3", "{float_index}"],
+    ["norm", "--stage", "3", "{float_coef}"],
+    ["norm", "--stage", "3", "{bool_coef}"],
+    ["mtnorm", "--point", "{float_coef}"],
+    ["forge", "--stage", "2", "{spec_float}"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     unit = '[[0, "1/1"]]'
@@ -248,7 +313,12 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
              "spec_not_pair": '{"odd": [{"j0": 1, "targets": [[7]]}]}',
              "spec_empty_chain": '{"even": [{"j": 1, "cuts": [], '
                                  '"payloads": []}]}',
-             "repeated": '[[1, "1/2"], [1, "1/3"]]'}
+             "repeated": '[[1, "1/2"], [1, "1/3"]]',
+             # a float is no index, and no exact coefficient
+             "float_index": '[[1.5, "1/2"]]', "float_coef": '[[1, 0.1]]',
+             "bool_coef": '[[1, true]]',
+             "spec_float": '{"even": [{"j": 1, "cuts": [7], '
+                           '"payloads": [[[0, 0.5]]]}]}'}
     paths = {"missing": str(tmp_path / "missing.json")}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -357,3 +427,20 @@ def test_verify_averages_failing_ris_is_violated(tmp_path, monkeypatch):
         "averages-0-ris": "violated",
         "averages-1-plain-norm": "reported",
         "averages-1-ris": "violated"}
+
+
+def test_python_dash_m_runs_the_command():
+    """`python -m bdspace` is the `bdspace` command, also uninstalled."""
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "bdspace", *argv],
+                              env=env, capture_output=True, text=True)
+    bad = run("gen", "--stage", "0")
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error: InputError: ")
+    good = run("schedule")
+    assert good.returncode == 0
+    assert json.loads(good.stdout)["mode"] == "toy"

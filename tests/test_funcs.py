@@ -67,3 +67,39 @@ def test_accumulate_in_place():
 def test_invalid_fraction_rejected():
     with pytest.raises((ValueError, ZeroDivisionError)):
         Func([(1, Fraction(1, 0))])
+
+
+@pytest.mark.parametrize("value", [0.1, 1.5, True, None, [1], "1.5", "1/2/3"])
+def test_parse_frac_takes_only_ints_and_fraction_strings(value):
+    """Floats are no exact input, and a bool is no number: both raise
+    ValueError, as does any other shape."""
+    with pytest.raises(ValueError):
+        parse_frac(value)
+    with pytest.raises(ValueError):
+        Func.from_json([[1, value]])
+
+
+def test_parse_frac_accepts_ints_and_strings():
+    assert parse_frac(-3) == Fraction(-3)
+    assert parse_frac(10 ** 30) == 10 ** 30
+    assert parse_frac("4/6") == Fraction(2, 3)
+    assert parse_frac("-7") == -7
+
+
+@given(funcs)
+def test_copy_is_equal_and_separate(f):
+    """Func(f) and f.copy() equal f, are new objects, and a change to
+    either leaves the other as it was."""
+    for g in (Func(f), f.copy()):
+        assert g == f and g is not f and type(g) is Func
+        before = dict(f)
+        g[99] = Fraction(1, 3)
+        assert dict(f) == before and 99 not in f
+        f[98] = Fraction(5)
+        assert 98 not in g
+        del f[98]
+
+
+def test_l1_of_one_entry_is_its_absolute_value():
+    assert Func.unit(3, Fraction(-2, 3)).l1() == Fraction(2, 3)
+    assert Func().l1() == 0

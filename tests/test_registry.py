@@ -194,3 +194,38 @@ def test_canonical_order(stage6):
     ids = registry.gammas_up_to(6)
     ranks = [registry.rank_of(g) for g in ids]
     assert ranks == sorted(ranks)
+
+
+def test_equal_payloads_share_one_stored_copy():
+    """Hash-consing: records with equal payloads hold one stored Func,
+    which is not the caller's object."""
+    reg = fresh()
+    pay = unit_payload(reg)
+    a = reg.intern(4, 2, pay)
+    b = reg.intern(5, 2, Func.unit(reg.base()))
+    c = reg.intern(6, 4, {reg.base(): 1})  # a plain mapping normalizes
+    stored = reg.records[a].payload
+    assert a != b != c
+    assert reg.records[b].payload is stored
+    assert reg.records[c].payload is stored
+    assert stored is not pay and stored == pay
+    assert not hasattr(reg.records[a], "__dict__")  # a slots record
+
+
+def test_caller_changes_do_not_reach_a_record():
+    reg = fresh()
+    pay = unit_payload(reg)
+    gid = reg.intern(4, 2, pay)
+    pay[reg.base()] = Fraction(1, 2)
+    pay[gid] = Fraction(1, 4)
+    assert reg.records[gid].payload == Func.unit(reg.base())
+    # the changed Func is another payload: a new element, its own copy
+    other = reg.intern(5, 2, pay)
+    assert reg.records[other].payload == pay
+    assert reg.records[other].payload is not pay
+    assert reg.revalidate() == len(reg) == 3
+
+
+def test_revalidate_passes_on_a_generated_stage6(stage6):
+    registry, _ = stage6
+    assert registry.revalidate() == len(registry) == 571

@@ -126,11 +126,16 @@ def emit_certificate(cert, sink):
 
 
 class Ledger:
-    """Collects certificates; optionally mirrors them to a JSON-lines file."""
+    """Collects certificates; optionally mirrors them to a JSON-lines file,
+    one line per certificate.  The file holds one run: the ledger
+    empties it when it opens it, so an unwritable path fails before any
+    certificate is made."""
 
     def __init__(self, path=None):
         self.path = path
         self.certificates = []
+        if path is not None:
+            open(path, "w").close()
 
     def add(self, cert):
         self.certificates.append(cert)

@@ -127,6 +127,7 @@ def at_least_one(value, option):
 def registry_of(args, **kw):
     """The registry that the registry options of a subcommand describe."""
     at_least_one(args.stage, "stage")
+    at_least_one(args.cap, "cap")
     return build_registry(load_schedule(args.schedule), args.stage, args.net,
                           args.cap, **kw)
 
@@ -502,13 +503,20 @@ def probe_length_limit(sched):
     return length
 
 
-def run_hi_probes(ledger, cases=10, length=5, seed=DEFAULT_SEED):
+def probe_schedule(cases, length):
+    """The schedule of the HI probe; InputError when the case count or
+    the chain length is out of its range."""
     sched = slow_toy_schedule(8192)
     if cases < 1:
         raise InputError("the probe needs at least one case, got %d" % cases)
     longest = probe_length_limit(sched)
     if not 1 <= length <= longest:
         raise InputError("probe length %d not in 1..%d" % (length, longest))
+    return sched
+
+
+def run_hi_probes(ledger, cases=10, length=5, seed=DEFAULT_SEED):
+    sched = probe_schedule(cases, length)
     rng = random.Random(seed)
     rows = []
     for case in range(cases):
@@ -556,10 +564,34 @@ LEAF_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
              type(None): {None: "null"}.__getitem__}
 
 
-def json_text(value, depth):
+class DictLayouts(dict):
+    """The text of a dict around its values, by its keys and depth: a
+    %-template with each `"key": ` spelled once and a %s per value,
+    made on first use."""
+
+    def __missing__(self, keys_depth):
+        keys, depth = keys_depth
+        gap = "\n" + " " * (depth + 1)
+        text = self[keys_depth] = (
+            "{" + gap
+            + ("," + gap).join(encode_basestring_ascii(k).replace("%", "%%")
+                               + ": %s" for k in keys)
+            + gap[:-1] + "}")
+        return text
+
+
+def json_text(value, depth, layouts, shared):
     """value as `json.dump(..., indent=1)` writes it at nesting depth:
     the same bytes, joined into one string instead of one write per
-    token.  Dict keys are strings, as in every table bdspace writes."""
+    token.  Dict keys are strings, as in every table bdspace writes.
+
+    The memos last one write: `layouts` (a DictLayouts) spells the keys
+    of each dict shape once, and `shared` keeps the text of each nested
+    tuple by its identity and depth, so a tuple that rows share, as the
+    payloads of a stage table, is spelled once.  Keyed by identity,
+    equal tuples of different types, (1,) and (True,), never share a
+    text; each entry holds its tuple, so no id is reused while the memo
+    lives."""
     leaf = LEAF_TEXT.get(type(value))
     if leaf is not None:
         return leaf(value)
@@ -567,27 +599,34 @@ def json_text(value, depth):
         return json.dumps(value)  # floats, subclasses of str and int
     if not value:
         return "{}" if isinstance(value, dict) else "[]"
-    gap = "\n" + " " * (depth + 1)
-    depth += 1
     # leaves are spelled in place: a Python call for each costs a
     # quarter of the writer's time
     if isinstance(value, dict):
-        brackets = "{}"
-        texts = [encode_basestring_ascii(k) + ": "
-                 + (leaf(v) if (leaf := LEAF_TEXT.get(type(v)))
-                    else json_text(v, depth))
-                 for k, v in value.items()]
-    else:
-        brackets = "[]"
-        texts = [leaf(v) if (leaf := LEAF_TEXT.get(type(v)))
-                 else json_text(v, depth) for v in value]
-    return (brackets[0] + gap + ("," + gap).join(texts) + gap[:-1]
-            + brackets[1])
+        return layouts[tuple(value), depth] % tuple([
+            leaf(v) if (leaf := LEAF_TEXT.get(type(v)))
+            else nested_text(v, depth + 1, layouts, shared)
+            for v in value.values()])
+    gap = "\n" + " " * (depth + 1)
+    texts = [leaf(v) if (leaf := LEAF_TEXT.get(type(v)))
+             else nested_text(v, depth + 1, layouts, shared)
+             for v in value]
+    return "[" + gap + ("," + gap).join(texts) + gap[:-1] + "]"
+
+
+def nested_text(value, depth, layouts, shared):
+    """json_text of a value inside a row; a tuple's text is memoized."""
+    if type(value) is not tuple:
+        return json_text(value, depth, layouts, shared)
+    key = (id(value), depth)
+    hit = shared.get(key)
+    if hit is None:
+        hit = shared[key] = (value, json_text(value, depth, layouts, shared))
+    return hit[1]
 
 
 def write_rows(rows, out, fmt):
-    """Rows as indented JSON, written row by row, or as CSV with list
-    and dict cells in compact JSON."""
+    """Rows as indented JSON, written row by row, or as CSV with list,
+    tuple and dict cells in compact JSON."""
     if fmt == "csv":
         if not rows:
             return
@@ -595,22 +634,33 @@ def write_rows(rows, out, fmt):
         writer.writeheader()
         for row in rows:
             writer.writerow({k: json.dumps(v, separators=(",", ":"))
-                             if isinstance(v, (list, dict)) else v
+                             if isinstance(v, (list, tuple, dict)) else v
                              for k, v in row.items()})
     elif not rows:
         out.write("[]\n")
     else:
+        layouts, shared = DictLayouts(), {}
         sep = "[\n "
         for row in rows:
-            out.write(sep + json_text(row, 1))
+            out.write(sep + json_text(row, 1, layouts, shared))
             sep = ",\n "
         out.write("\n]\n")
+
+
+def open_output(path, opener):
+    """opener(path) for an output file, or opener(None) when path is
+    None; InputError when the file cannot be opened for writing."""
+    try:
+        return opener(path)
+    except OSError as exc:
+        raise InputError("cannot write %s (%s: %s)"
+                         % (path, type(exc).__name__, exc)) from None
 
 
 def emit_rows(rows, args):
     """Write rows to --out, or to standard output, in --format."""
     if args.out:
-        with open(args.out, "w") as sink:
+        with open_output(args.out, lambda path: open(path, "w")) as sink:
             write_rows(rows, sink, args.format)
     else:
         write_rows(rows, sys.stdout, args.format)
@@ -685,6 +735,7 @@ def cmd_verify(args):
     takes = inspect.signature(suite).parameters
     at_least_one(args.cases, "cases")
     at_least_one(args.stage, "stage")
+    at_least_one(args.cap, "cap")
     kw = {"seed": args.seed}
     for opt in ("schedule", "net", "stage", "cap", "cases"):
         value = getattr(args, opt)
@@ -693,14 +744,16 @@ def cmd_verify(args):
         if opt not in takes:
             raise InputError("verify %s takes no --%s" % (args.suite, opt))
         kw[opt] = load_schedule(value) if opt == "schedule" else value
-    ledger = Ledger(path=args.out)
+    ledger = open_output(args.out, lambda path: Ledger(path))
     suite(ledger, **kw)
     print(json.dumps({"suite": args.suite, "counts": ledger.counts()}))
     return ledger.exit_code()
 
 
 def cmd_hiprobe(args):
-    ledger, rows = run_hi_probes(Ledger(path=args.out), cases=args.cases,
+    probe_schedule(args.cases, args.length)  # before --out is emptied
+    ledger = open_output(args.out, lambda path: Ledger(path))
+    ledger, rows = run_hi_probes(ledger, cases=args.cases,
                                  length=args.length, seed=args.seed)
     for r in rows:
         print(json.dumps({k: (frac_str(v) if isinstance(v, Fraction) else v)

@@ -93,9 +93,6 @@ class Func(dict):
         return self.scaled(-1)
 
     def l1(self):
-        if len(self) == 1:
-            (v,) = self.values()
-            return abs(v)
         return sum((abs(v) for v in self.values()), Fraction(0))
 
     def dot(self, values):

@@ -78,7 +78,7 @@ class Registry:
         self.stage_cap = stage_cap
         self.records = []
         self._by_key = {}
-        self._payloads = {}  # payload items -> (the same items, stored Func)
+        self._payloads = {}  # payload ratios -> (the same ratios, stored Func)
         self._stages = {}
         self._sigma_used = set()
         self.generated_stage = 0
@@ -184,19 +184,25 @@ class Registry:
 
         if not isinstance(payload, Func):
             payload = Func(payload)
-        for gid in payload:
+        # the payload as (id, numerator, denominator) integers, which the
+        # checks and keys below hash and compare in C, not through the
+        # pure-Python Fraction.__hash__ and __eq__
+        ratios = []
+        for gid, v in payload.items():
             r = self.rank_of(gid)  # UnknownGamma if dangling
             if not cut < r <= rank - 1:
                 raise SupportOutOfWindow(
                     "payload id %d has rank %d outside (%d, %d]"
                     % (gid, r, cut, rank - 1))
-        if payload.l1() > 1:
+            ratios.append((gid,) + v.as_integer_ratio())
+        if (abs(ratios[0][1]) > ratios[0][2] if len(ratios) == 1
+                else payload.l1() > 1):
             raise SupportOutOfWindow("payload ell_1-norm exceeds 1")
 
         if self.discipline == XK and weight_index % 2 == 1:
-            self._check_odd_rules(weight_index, predecessor, payload)
+            self._check_odd_rules(weight_index, predecessor, ratios)
 
-        items = frozenset(payload.items())
+        items = frozenset(ratios)
         gid = self._by_key.get((rank, weight_index, predecessor, items))
         if gid is not None:
             return gid
@@ -213,11 +219,11 @@ class Registry:
                             predecessor=predecessor, payload=payload)
         return self._admit((rank, weight_index, predecessor, items), rec)
 
-    def _check_odd_rules(self, weight_index, predecessor, payload):
-        if len(payload) != 1 or list(payload.values()) != [1]:
+    def _check_odd_rules(self, weight_index, predecessor, ratios):
+        if len(ratios) != 1 or ratios[0][1:] != (1, 1):
             raise OddWeightRuleViolation(
                 "odd-weight payload must be a single evaluation functional e*_eta")
-        (eta,) = payload
+        ((eta, _, _),) = ratios
         eta_rec = self.record(eta)
         if eta_rec.weight_index is None:
             raise OddWeightRuleViolation("odd-weight target eta must carry a weight")
@@ -294,9 +300,22 @@ class Registry:
     # -- export --------------------------------------------------------------
 
     def export_stage_table(self, n):
+        """The rows of the stage table of Gamma_n in (rank, id) order.
+
+        A payload is exported as a tuple of (id, "p/q") tuples, built once
+        per stored payload and shared by the rows that hold it; being
+        immutable, no row can change another row or the registry."""
+        forms = {}  # id of a stored payload -> its exported form
         rows = []
         for gid in self.gammas_up_to(n):
             rec = self.records[gid]
+            payload = rec.payload
+            if payload is not None:
+                form = forms.get(id(payload))
+                if form is None:
+                    form = forms[id(payload)] = tuple(
+                        map(tuple, payload.to_json()))
+                payload = form
             rows.append({
                 "id": rec.id,
                 "rank": rec.rank,
@@ -305,8 +324,7 @@ class Registry:
                 "age": rec.age,
                 "cut": rec.cut,
                 "predecessor": rec.predecessor,
-                "payload": (rec.payload.to_json()
-                            if rec.payload is not None else None),
+                "payload": payload,
                 "sigma": rec.sigma,
             })
         return rows

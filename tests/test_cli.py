@@ -160,11 +160,66 @@ def test_json_row_writer_matches_json_dump(rows):
 
 @pytest.mark.parametrize("rows", [[], [[]], [{}], [{}, [], [[], {}]],
                                   [{"a": None, "b": [True, False, -1]}],
-                                  [{"\x00\"\\é": 2 ** 70}]])
+                                  [{"\x00\"\\é": 2 ** 70}],
+                                  [{"%s": "%d", "100%": {"%%": [1]}}]])
 def test_json_row_writer_edge_cases(rows):
     out = io.StringIO()
     write_rows(rows, out, "json")
     assert out.getvalue() == dumped(rows)
+
+
+def written(rows):
+    out = io.StringIO()
+    write_rows(rows, out, "json")
+    return out.getvalue()
+
+
+# equal scalars of three types: a memo keyed by value would mix them up
+mixed_scalars = st.sampled_from([1, True, 1.0, 0, False, 0.0, "1", None])
+shared_values = st.recursive(
+    mixed_scalars,
+    lambda inner: (st.lists(inner, max_size=3).map(tuple)
+                   | st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from("xy"), inner,
+                                     max_size=2)),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_json_row_writer_with_shared_values(data):
+    """Rows that share nested objects, at one depth or several, mixing
+    1, True and 1.0, write as `json.dump` writes them."""
+    pool = data.draw(st.lists(shared_values, min_size=1, max_size=4))
+    pick = st.sampled_from(pool)
+    cell = (pick | st.lists(pick, max_size=3).map(tuple)
+            | st.lists(pick, max_size=3))
+    rows = data.draw(st.lists(
+        st.dictionaries(st.sampled_from("abc"), cell, max_size=3)
+        | st.lists(cell, max_size=3).map(tuple), max_size=6))
+    assert written(rows) == dumped(rows)
+
+
+def test_json_row_writer_keeps_types_apart():
+    shared = ((1, "1/1"),)
+    rows = [{"p": (1,)}, {"p": (True,)}, {"p": (1.0,)}, {"p": [1]},
+            {"p": shared}, {"p": shared, "q": [shared, [shared]]},
+            [(1,), (True,), shared], {"p": (1,)}]
+    assert written(rows) == dumped(rows)
+    assert '"p": [\n   true\n  ]' in written(rows)
+
+
+def test_csv_writes_a_tuple_as_a_list(tmp_path):
+    """A tuple cell, as stage tables export payloads, is the compact JSON
+    of the list it stands for."""
+    def csv_text(payload):
+        out = io.StringIO()
+        write_rows([{"id": 3, "payload": payload}, {"id": 4, "payload": None}],
+                   out, "csv")
+        return out.getvalue()
+    text = csv_text(((0, "1/1"), (2, "-1/2")))
+    assert text == csv_text([[0, "1/1"], [2, "-1/2"]])
+    assert '"[[0,""1/1""],[2,""-1/2""]]"' in text
 
 
 def test_norm_command(tmp_path, capsys):
@@ -242,6 +297,49 @@ def test_verify_rerun_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_rerun_into_one_path_is_byte_identical(tmp_path):
+    """The ledger file holds one run: a second run into the same path
+    replaces the first instead of appending to it."""
+    path = tmp_path / "l.jsonl"
+    assert main(["verify", "mt-oracle", "--cases", "5",
+                 "--out", str(path)]) == 0
+    first = path.read_bytes()
+    assert first.count(b"\n") == 1
+    assert main(["verify", "mt-oracle", "--cases", "5",
+                 "--out", str(path)]) == 0
+    assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "mt-oracle", "--cases", "5"],
+    ["hiprobe", "--cases", "1", "--length", "1"],
+])
+def test_unwritable_ledger_fails_before_the_run(argv, tmp_path, capsys,
+                                                monkeypatch):
+    def refuse(ledger, cases, seed, length=None):
+        raise AssertionError("the run started")
+    monkeypatch.setitem(cli.SUITES, "mt-oracle", refuse)
+    monkeypatch.setattr(cli, "run_hi_probes", refuse)
+    out = tmp_path / "missing" / "l.jsonl"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InputError: cannot write ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "lowerest", "--cases", "0"],
+    ["hiprobe", "--cases", "0"],
+    ["hiprobe", "--length", "99"],
+])
+def test_bad_options_leave_the_ledger_file_alone(argv, tmp_path, capsys):
+    path = tmp_path / "l.jsonl"
+    path.write_text("an earlier run\n")
+    assert main(argv + ["--out", str(path)]) == 2
+    assert path.read_text() == "an earlier run\n"
+    capsys.readouterr()
+
+
 def test_usage_error():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
@@ -297,6 +395,17 @@ def test_unread_options_are_rejected(argv):
     ["norm", "--stage", "3", "{bool_coef}"],
     ["mtnorm", "--point", "{float_coef}"],
     ["forge", "--stage", "2", "{spec_float}"],
+    ["gen", "--stage", "2", "--out", "{unwritable}"],
+    ["gen", "--stage", "2", "--format", "csv", "--out", "{unwritable}"],
+    ["export", "--stage", "2", "--out", "{unwritable}"],
+    ["verify", "mt-oracle", "--cases", "1", "--out", "{unwritable}"],
+    ["hiprobe", "--cases", "1", "--length", "1", "--out", "{unwritable}"],
+    ["gen", "--cap", "-5"],
+    ["gen", "--cap", "0"],
+    ["export", "--cap", "0"],
+    ["norm", "--cap", "0", "{point}"],
+    ["verify", "biorthogonality", "--cap", "0"],
+    ["verify", "treelike", "--cap", "-1"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     unit = '[[0, "1/1"]]'
@@ -319,7 +428,8 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
              "bool_coef": '[[1, true]]',
              "spec_float": '{"even": [{"j": 1, "cuts": [7], '
                            '"payloads": [[[0, 0.5]]]}]}'}
-    paths = {"missing": str(tmp_path / "missing.json")}
+    paths = {"missing": str(tmp_path / "missing.json"),
+             "unwritable": str(tmp_path / "no-such-dir" / "out.json")}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
         paths[name] = str(tmp_path / name)

@@ -1,5 +1,6 @@
 """Interning, structural validation, and the sigma-coding."""
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,9 +10,11 @@ from bdspace.errors import (AgeOverflow, InvariantViolation,
                             OddWeightRuleViolation, ScheduleViolation,
                             StageOverflow, SupportOutOfWindow, UnknownGamma,
                             WeightMismatch)
+from bdspace.cli import build_registry, forge_arena
 from bdspace.funcs import Func
-from bdspace.registry import BASE, Registry, TYPE1, TYPE2, WAIVE, XK
+from bdspace.registry import BASE, BMT, Registry, TYPE1, TYPE2, WAIVE, XK
 from bdspace.schedule import slow_toy_schedule, validate_schedule
+from bdspace.spaces import forge_even, forge_odd_chain
 
 
 def fresh(schedule=None):
@@ -229,3 +232,117 @@ def test_caller_changes_do_not_reach_a_record():
 def test_revalidate_passes_on_a_generated_stage6(stage6):
     registry, _ = stage6
     assert registry.revalidate() == len(registry) == 571
+
+
+def per_record_table(registry, n):
+    """The oracle: the stage table with each record's payload exported
+    on its own, by `Func.to_json`."""
+    return [{"id": rec.id, "rank": rec.rank, "kind": rec.kind,
+             "weight_index": rec.weight_index, "age": rec.age,
+             "cut": rec.cut, "predecessor": rec.predecessor,
+             "payload": (rec.payload.to_json()
+                         if rec.payload is not None else None),
+             "sigma": rec.sigma}
+            for rec in map(registry.record, registry.gammas_up_to(n))]
+
+
+def forged_registry():
+    reg = forge_arena(slow_toy_schedule(2048))
+    g = reg.base()
+    eta = forge_even(reg, 1, [3], [Func.unit(g)])
+    forge_even(reg, 2, [5], [Func({g: Fraction(-1, 3), eta: Fraction(2, 3)})])
+    forge_even(reg, 1, [6], [Func.unit(g, Fraction(-1))])
+    forge_odd_chain(reg, 1, [(7, eta)])
+    return reg
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_registry(validate_schedule((4, 16), (6, 1)), 5),
+    lambda: build_registry(validate_schedule((4, 16), (6, 1)), 5,
+                           discipline=BMT),
+    forged_registry,
+], ids=["XK-stage5", "BmT-stage5", "forged"])
+def test_export_matches_the_per_record_payloads(make):
+    """Each row, after a JSON round trip, is the row with its payload
+    exported per record; the shared tuples make the same JSON."""
+    reg = make()
+    n = reg.max_rank()
+    rows = reg.export_stage_table(n)
+    assert json.loads(json.dumps(rows)) == per_record_table(reg, n)
+    assert len(rows) == len(reg)
+
+
+def test_exported_rows_cannot_change_each_other():
+    reg = build_registry(validate_schedule((4, 16), (6, 1)), 4)
+    rows = reg.export_stage_table(4)
+    by_payload = {}
+    for row in rows[1:]:
+        by_payload.setdefault(row["payload"], []).append(row)
+    a, b = next(group for group in by_payload.values() if len(group) > 1)[:2]
+    assert a["payload"] is b["payload"]  # one form per stored payload
+    for row in rows[1:]:
+        assert type(row["payload"]) is tuple
+        assert all(type(pair) is tuple for pair in row["payload"])
+    with pytest.raises(TypeError):
+        a["payload"][0] = (0, "1/2")
+    with pytest.raises(TypeError):
+        a["payload"][0][1] = "1/2"
+    before = json.dumps(b)
+    a["payload"] = ((0, "1/3"),)
+    a["rank"] = 99
+    assert json.dumps(b) == before
+    assert json.loads(json.dumps(reg.export_stage_table(4))) == \
+        per_record_table(reg, 4)
+    assert reg.revalidate() == len(reg)
+
+
+def test_equal_payloads_in_any_form_intern_to_one_id():
+    """The intern key is built from integers, so a payload given as an
+    int, an unreduced Fraction or a unit Func is one key; -1 is not."""
+    reg = fresh()
+    g = reg.base()
+    ids = {reg.intern(4, 2, pay)
+           for pay in ({g: 1}, {g: Fraction(2, 2)}, Func.unit(g))}
+    assert ids == {1}
+    minus = reg.intern(4, 2, {g: -1})
+    assert minus not in ids
+    assert reg.records[minus].payload == Func.unit(g, Fraction(-1))
+    assert len(reg) == 3
+
+
+def test_intern_runs_no_fraction_hash_or_eq(monkeypatch):
+    reg = fresh()
+    g = reg.base()
+    unit, half = Func.unit(g), Func.unit(g, Fraction(1, 2))
+    head = reg.intern(4, 2, unit)
+    odd_target, minus = Func.unit(head), Func.unit(head, Fraction(-1))
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was hashed or compared")
+
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    monkeypatch.setattr(Fraction, "__eq__", refuse)
+    assert reg.intern(4, 2, unit) == head
+    assert reg.intern(5, 2, half) == 2
+    assert reg.intern(6, 1, odd_target) == 3  # the odd-weight rules
+    with pytest.raises(OddWeightRuleViolation):
+        reg.intern(7, 1, minus)
+
+
+@pytest.mark.parametrize("values", [
+    [1], [-1], [Fraction(3, 2)], [Fraction(-3, 2)],
+    [Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(-2, 3)],
+], ids=["1", "-1", "3/2", "-3/2", "1/2+1/2", "1/2+2/3"])
+def test_integer_l1_check_agrees_with_l1(values):
+    """The one-entry bound is checked in integers, abs(num) <= den; it
+    rejects exactly the payloads whose ell_1-norm exceeds 1."""
+    reg = fresh()
+    g = reg.base()
+    window = [g, reg.intern(4, 2, Func.unit(g))]
+    payload = Func(zip(window, values))
+    if payload.l1() > 1:
+        with pytest.raises(SupportOutOfWindow):
+            reg.intern(5, 2, payload)
+    else:
+        gid = reg.intern(5, 2, payload)
+        assert reg.records[gid].payload == payload

@@ -28,7 +28,6 @@ from .norms import sup_norm_interval
 from .spaces import forge_even
 
 DEPENDENT_C = Fraction(45)    # the constant C of the dependent sequences
-FIRST_LINK_WEIGHT = 2         # the weight index of a sequence's first pair
 
 
 # -- block sources -------------------------------------------------------------
@@ -124,12 +123,6 @@ def _sum_point(engine, xs, coeffs=None):
     return engine.point_from_d(d)
 
 
-def _window(registry, lo, hi):
-    """The ids of ranks (lo, hi] in (rank, id) order."""
-    for q in range(lo + 1, hi + 1):
-        yield from registry.stage(q)
-
-
 # -- RIS certification ---------------------------------------------------------
 
 def check_ris(engine, xs, C, js, N):
@@ -179,7 +172,8 @@ def lower_estimate_witness(engine, xs, j):
     signed unit functional at the block's max-abs element over its
     window.  The Check judges the exact identity <e*_gamma, sum x_r> =
     m_{2j}^{-1} sum_r |x_r(eta_r)|; its detail records the
-    1/2-sum-of-norms comparison against stage-truncated block norms.
+    1/2-sum-of-norms comparison, rhs/2: a skipped block vanishes up to
+    the previous cut, so its norm over Gamma_{p_r - 1} is its maximum.
     """
     registry = engine.registry
     rans, cuts = _skipped_cuts(engine, xs)
@@ -196,11 +190,11 @@ def lower_estimate_witness(engine, xs, j):
                     best_v is None or abs(v) > abs(best_v)):
                 best_v, eta = v, gid
         if eta is None:     # x vanishes on the window: its first element
-            eta = next(_window(registry, prev, top), None)
-            if eta is None:
+            window = registry.window(prev, top)
+            if not window:
                 raise BDSpaceError(
                     "window (%d, %d] holds no elements" % (prev, top))
-            best_v = Fraction(0)
+            eta, best_v = window[0], Fraction(0)
         sign = Fraction(-1) if best_v < 0 else Fraction(1)
         payloads.append(Func.unit(eta, sign))
         etas.append(eta)
@@ -211,14 +205,11 @@ def lower_estimate_witness(engine, xs, j):
     total = _sum_point(engine, xs)
     lhs = engine.pair(Func.unit(gamma), total)
     rhs = beta * sum(maxima)
-    block_lowers = [sup_norm_interval(engine, x, cuts[r] - 1).lower
-                    for r, x in enumerate(xs)]
-    half = beta * sum(block_lowers) / 2
+    half = rhs / 2
     return gamma, Check(
         judge(lhs == rhs),
         {"cuts": cuts, "etas": etas, "maxima": maxima, "lhs": lhs, "rhs": rhs},
-        {"half_sum": half, "half_ok": lhs >= half,
-         "block_lowers": block_lowers})
+        {"half_sum": half, "half_ok": lhs >= half})
 
 
 # -- exact pairs ----------------------------------------------------------------
@@ -227,7 +218,7 @@ def _window_annihilator(engine, x, lo, hi):
     """A unit-ball functional on ranks (lo, hi] with <b, x> = 0."""
     values = dict(engine.nonzeros(x, hi))
     nonzero = []
-    for gid in _window(engine.registry, lo, hi):
+    for gid in engine.registry.window(lo, hi):
         v = values.get(gid)
         if v is None:
             return Func.unit(gid)
@@ -326,9 +317,7 @@ class DependentSequenceRecord:
     eps: int
     C: Fraction
     length: int
-    cuts: list                  # p_i = rank of xi_i
-    xis: list
-    etas: list
+    xis: list                   # the chain's links; p_i = rank of xi_i
     xs: list                    # the pair vectors
     pair_checks: list           # the Check of each exact pair
 
@@ -345,28 +334,30 @@ class DependentSequenceRecord:
 
     def validate(self, engine):
         """Exact structural checks of the dependent-sequence definition;
-        raises InvariantViolation at the first one that fails."""
+        raises InvariantViolation at the first one that fails.  The
+        registry keeps each link's target, its payload id, in its window."""
         registry = engine.registry
-        require(len(self.xs) == len(self.cuts) == len(self.xis)
-                == len(self.etas) == self.length, "link lists differ in length")
-        prev = 0
-        for i, (x, p, xi, eta) in enumerate(zip(self.xs, self.cuts, self.xis,
-                                                self.etas)):
-            lo, hi = engine.ran(x)
+        w_odd = 2 * self.j0 - 1
+        require(len(self.xs) == len(self.xis) == self.length,
+                "link lists differ in length")
+        prev, pred = 0, None
+        for i, (x, xi) in enumerate(zip(self.xs, self.xis), start=1):
+            lo, hi = engine.ran(x) or (prev, prev)  # a zero x has no range
             rec = registry.record(xi)
-            pred = self.xis[i - 1] if i else None
-            want = 4 * registry.sigma(pred) if i else FIRST_LINK_WEIGHT
             for ok, what in (
-                    (prev < lo and hi < p, "range outside (p_{i-1}, p_i)"),
-                    (prev < registry.rank_of(eta) < p, "eta outside its window"),
-                    (rec.weight_index == 2 * self.j0 - 1 and rec.rank == p,
-                     "xi off the chain weight or cut"),
-                    (list(rec.payload) == [eta], "xi does not evaluate eta"),
+                    (rec.weight_index == w_odd, "xi off the chain weight"),
                     (rec.predecessor == pred, "xi does not extend the chain"),
-                    (registry.record(eta).weight_index == want,
-                     "eta weight index is not %d" % want)):
-                require(ok, "link %d: %s" % (i + 1, what))
-            prev = p
+                    (prev < lo and hi < rec.rank,
+                     "range outside (p_{i-1}, p_i)"),
+                    (len(rec.payload or ()) == 1,
+                     "xi evaluates no single eta")):
+                require(ok, "link %d: %s" % (i, what))
+            (eta,) = rec.payload
+            # the first weight index the registry admits is the link's
+            require(registry.record(eta).weight_index
+                    in registry.target_weights(w_odd, pred)[:1],
+                    "link %d: eta weight index is not the link weight" % i)
+            prev, pred = rec.rank, xi
         return True
 
 
@@ -375,9 +366,10 @@ def make_dependent_sequence(engine, j0, sources, eps, C, length,
     """Thread exact pairs through a forged odd-weight chain of weight
     m_{2j0-1}, alternating over the given block sources.
 
-    The first pair's element has weight index FIRST_LINK_WEIGHT; each
-    later pair is built at the coded index 4*sigma(previous link).  Toy
-    lengths below n_{2j0-1} are allowed and recorded.
+    Each pair is built at the first weight index the registry admits for
+    the target of its link: for the head the least index = 2 mod 4, then
+    the coded index 4*sigma(previous link).  Toy lengths below n_{2j0-1}
+    are allowed and recorded.
 
     blocks_per_pair is an int, or "weight" to use m_w blocks for a pair
     of weight m_w -- the sizing that keeps every coordinate of the pair
@@ -393,16 +385,17 @@ def make_dependent_sequence(engine, j0, sources, eps, C, length,
                          % sched.length_value(w_odd))
     sources = list(sources)
     rec = DependentSequenceRecord(
-        j0=j0, eps=eps, C=Fraction(C), length=length, cuts=[], xis=[],
-        etas=[], xs=[], pair_checks=[])
+        j0=j0, eps=eps, C=Fraction(C), length=length, xis=[], xs=[],
+        pair_checks=[])
     xi = None
     prev_cut = 0
     for i in range(1, length + 1):
-        w = FIRST_LINK_WEIGHT if i == 1 else 4 * registry.sigma(xi)
-        if w > len(sched.m):
+        allowed = registry.target_weights(w_odd, xi)
+        if not allowed:
             raise SearchExhausted(
-                "coded weight index %d beyond schedule length %d"
-                % (w, len(sched.m)))
+                "link %d admits no target weight index within the schedule"
+                % i)
+        w = allowed[0]
         if blocks_per_pair == "weight":
             a_i = min(sched.m[w - 1], sched.length_value(w))
         else:
@@ -413,9 +406,7 @@ def make_dependent_sequence(engine, j0, sources, eps, C, length,
         _, x, eta, pr = make_exact_pair(engine, blocks, w // 2, eps, C)
         p_i = registry.rank_of(eta) + 1
         xi = registry.intern(p_i, w_odd, Func.unit(eta), xi)
-        rec.cuts.append(p_i)
         rec.xis.append(xi)
-        rec.etas.append(eta)
         rec.xs.append(x)
         rec.pair_checks.append(pr)
         prev_cut = p_i
@@ -438,13 +429,13 @@ def alternating_report(engine, rec, N):
     w_odd = 2 * rec.j0 - 1
     beta = sched.weight_value(w_odd)
     n = rec.length
-    if N < max(rec.cuts):
-        raise StageOverflow("stage %d below the chain top %d"
-                            % (N, max(rec.cuts)))
-    # the guard m_w > n_{2j0-1}^2 at the first link weight w is what
-    # makes PlusMinus assertable
-    guard_ok = (sched.m[FIRST_LINK_WEIGHT - 1]
-                > sched.length_value(w_odd) ** 2)
+    top = registry.rank_of(rec.xis[-1])
+    if N < top:
+        raise StageOverflow("stage %d below the chain top %d" % (N, top))
+    # the odd guard at the first link's target weight is what makes
+    # PlusMinus assertable
+    (eta,) = registry.record(rec.xis[0]).payload
+    guard_ok = registry.guard_holds(registry.record(eta).weight_index, w_odd)
     worst = Fraction(0)
     worst_at = None
     for gid in registry.gammas_up_to(N):

@@ -26,18 +26,18 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import index
 
-from .analysis import (DEPENDENT_C, FIRST_LINK_WEIGHT, CarrierSource,
-                       alternating_report, basic_inequality_witness,
-                       check_ris, hi_probe, lower_estimate_witness,
-                       make_dependent_sequence, ris_average_report,
-                       suggested_js)
+from .analysis import (DEPENDENT_C, CarrierSource, alternating_report,
+                       basic_inequality_witness, check_ris, hi_probe,
+                       lower_estimate_witness, make_dependent_sequence,
+                       ris_average_report, suggested_js)
 from .certificates import Check, Ledger, judge, make_certificate
 from .engine import Engine
 from .errors import BDSpaceError, InputError
 from .funcs import Func, frac_str, parse_frac
 from .mtnorm import MTParams, mt_norm, mt_norm_exhaustive, verify_norming_tree
 from .norms import sup_norm_interval
-from .registry import BMT, ENFORCE, Registry, WAIVE, XK
+from .registry import (BMT, ENFORCE, Registry, WAIVE, XK, coded_weight,
+                       first_sigma)
 from .schedule import (geometric_toy_schedule, slow_toy_schedule,
                        validate_schedule)
 from .spaces import (DyadicAverages, PaperFactorial, SignedUnits,
@@ -258,7 +258,7 @@ def suite_treelike(ledger, schedule=None, stage=5, net="units", cap=20000,
         return forge_odd_chain(f_reg, 1, [(r + 1, eta1)])
 
     def extend(xi):
-        coded = 4 * f_reg.sigma(xi)
+        (coded,) = f_reg.target_weights(1, xi)
         t = max(f_reg.max_rank(), coded) + rng.randint(1, 2)
         eta = forge_even(f_reg, coded // 2, [t], [unit_base()])
         return f_reg.intern(t + 1, 1, Func.unit(eta), xi)
@@ -488,10 +488,12 @@ def probe_length_limit(sched):
     rank r carries the even weight index at most r, which the schedule
     must hold.  The pair's witness sits one rank above its last block
     and the chain link one above that, at the cut p; the link's sigma
-    code, the smallest integer above p/4, codes the next weight 4*sigma.
+    code is at least its first candidate, the smallest integer above
+    p/4, which codes the next weight 4*sigma.
     """
     gap = 2     # the carrier gap of a source without companions
-    frontier, w, length = PILOT_RANKS[1], FIRST_LINK_WEIGHT, 0
+    frontier, length = PILOT_RANKS[1], 0
+    w = forge_arena(sched).target_weights(1, None)[0]
     while length < sched.length_value(1) and w <= len(sched.m):
         last = max(frontier, w) + gap * min(sched.m[w - 1],
                                             sched.length_value(w))
@@ -499,7 +501,7 @@ def probe_length_limit(sched):
             break
         length += 1
         frontier = last + 2
-        w = 4 * (frontier // 4 + 1)
+        w = coded_weight(first_sigma(frontier))
     return length
 
 

@@ -113,7 +113,10 @@ class Func(dict):
 
     @classmethod
     def unit(cls, gid, coef=Fraction(1)):
-        return cls([(gid, coef)])
+        """coef e*_gid, for a nonzero Fraction coef, stored as it is."""
+        out = cls.__new__(cls)
+        dict.__setitem__(out, gid, coef)
+        return out
 
     def __repr__(self):
         inner = ", ".join(

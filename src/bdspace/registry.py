@@ -18,10 +18,11 @@ canonical total order on elements is (rank, id).
 
 Odd-weight discipline ("XK"): elements of odd weight carry a single unit
 payload e*_eta whose weight is pinned down by the sigma-coding; this is
-what makes odd-weight chains tree-like.  sigma assigns the smallest unused
-positive integer exceeding rank/4, on first demand rather than at intern
-time -- injective, deterministic in demand order, and small enough that
-coded even weights stay within reach of toy schedules.
+what makes odd-weight chains tree-like; `target_weights` states the rule.
+sigma assigns the smallest unused positive integer exceeding rank/4, on
+first demand rather than at intern time -- injective, deterministic in
+demand order, and small enough that coded even weights stay within reach
+of toy schedules.
 """
 
 from dataclasses import dataclass, replace
@@ -41,6 +42,16 @@ BMT = "BmT"
 
 ENFORCE = "enforce"
 WAIVE = "waive"
+
+
+def first_sigma(rank):
+    """The least sigma-code of an element of this rank: above rank/4."""
+    return rank // 4 + 1
+
+
+def coded_weight(sigma):
+    """The weight index of the target after a link of this sigma-code."""
+    return 4 * sigma
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,7 +93,7 @@ class Registry:
         self._stages = {}
         self._sigma_used = set()
         self.generated_stage = 0
-        self.waivers = []
+        self.waivers = []   # each waived rule once, in order of first use
 
     # -- lookups -------------------------------------------------------------
 
@@ -102,6 +113,27 @@ class Registry:
             self.records[gid] = rec
         return rec.sigma
 
+    def guard_holds(self, h, w):
+        """The odd guard m_h > n_w^2 on a target of weight index h at
+        the head of an odd chain of weight index w."""
+        n_w = self.schedule.length_value(w)
+        return self.schedule.m[h - 1] > n_w * n_w
+
+    def target_weights(self, w, predecessor):
+        """The weight indices of the schedule, in increasing order, that
+        the target of an odd link of weight index w after `predecessor`
+        may carry: for a head every h = 2 mod 4, under ENFORCE only those
+        that pass the guard; for a later link the coded 4 sigma(xi) of
+        its predecessor xi, whose sigma-code this demands."""
+        size = len(self.schedule.m)
+        if predecessor is not None:
+            coded = coded_weight(self.sigma(predecessor))
+            return (coded,) if coded <= size else ()
+        heads = range(2, size + 1, 4)
+        if self.odd_guard == ENFORCE:
+            return [h for h in heads if self.guard_holds(h, w)]
+        return heads
+
     def __len__(self):
         return len(self.records)
 
@@ -111,11 +143,13 @@ class Registry:
 
     def gammas_up_to(self, n):
         """Ids of Gamma_n in the canonical (rank, id) order."""
+        return self.window(0, n)
+
+    def window(self, lo, hi):
+        """Ids of the ranks (lo, hi] in the canonical (rank, id) order."""
         out = []
-        for q in sorted(self._stages):
-            if q > n:
-                break
-            out.extend(self._stages[q])
+        for q in range(lo + 1, hi + 1):
+            out.extend(self._stages.get(q, ()))
         return out
 
     def max_rank(self):
@@ -224,29 +258,19 @@ class Registry:
             raise OddWeightRuleViolation(
                 "odd-weight payload must be a single evaluation functional e*_eta")
         ((eta, _, _),) = ratios
-        eta_rec = self.record(eta)
-        if eta_rec.weight_index is None:
+        h = self.record(eta).weight_index
+        if h is None:
             raise OddWeightRuleViolation("odd-weight target eta must carry a weight")
-        if predecessor is None:
-            if eta_rec.weight_index % 4 != 2:
-                raise OddWeightRuleViolation(
-                    "first odd link needs target weight index = 2 mod 4, got %d"
-                    % eta_rec.weight_index)
-            m_eta = self.schedule.m[eta_rec.weight_index - 1]
-            n_j = self.schedule.length_value(weight_index)
-            if m_eta <= n_j * n_j:
-                if self.odd_guard == ENFORCE:
-                    raise OddWeightRuleViolation(
-                        "guard m_%d = %d <= n_%d^2 = %d"
-                        % (eta_rec.weight_index, m_eta, weight_index, n_j * n_j))
-                self.waivers.append(
-                    ("odd_type1_guard", eta_rec.weight_index, weight_index))
-        else:
-            coded = 4 * self.sigma(predecessor)
-            if eta_rec.weight_index != coded:
-                raise OddWeightRuleViolation(
-                    "target weight index %d != 4*sigma(xi) = %d"
-                    % (eta_rec.weight_index, coded))
+        if h not in self.target_weights(weight_index, predecessor):
+            rule = ("2 mod 4 (under %s, with m_h > n_%d^2)"
+                    % (ENFORCE, weight_index) if predecessor is None else
+                    "4*sigma(xi) = %d" % coded_weight(self.sigma(predecessor)))
+            raise OddWeightRuleViolation(
+                "target weight index %d is not %s" % (h, rule))
+        if predecessor is None and not self.guard_holds(h, weight_index):
+            waiver = ("odd_type1_guard", h, weight_index)
+            if waiver not in self.waivers:
+                self.waivers.append(waiver)
 
     def _admit(self, key, rec):
         self.records.append(rec)
@@ -255,7 +279,7 @@ class Registry:
         return rec.id
 
     def _next_sigma(self, rank):
-        v = rank // 4 + 1
+        v = first_sigma(rank)
         while v in self._sigma_used:
             v += 1
         self._sigma_used.add(v)
@@ -272,7 +296,7 @@ class Registry:
             at = "element %d: " % rec.id
             if rec.sigma is not None:
                 require(rec.sigma not in seen_sigma, at + "sigma not injective")
-                require(4 * rec.sigma > rec.rank, at + "sigma too small")
+                require(rec.sigma >= first_sigma(rec.rank), at + "sigma too small")
                 seen_sigma.add(rec.sigma)
             if rec.rank == 1:
                 require(rec.payload is None and rec.predecessor is None,

@@ -21,7 +21,7 @@ from .errors import (AgeOverflow, BDSpaceError, CombinatorialBlowup,
                      CutTooSmall, InputError, NetTooLarge, StageOverflow,
                      WeightMismatch)
 from .funcs import Func
-from .registry import BMT, ENFORCE, XK
+from .registry import BMT, XK
 
 NET_CAP = 100000    # the most elements a dyadic or factorial net may have
 
@@ -32,12 +32,9 @@ class SignedUnits:
     """B_{n,p} = {+-e*_eta : eta in Gamma_n \\ Gamma_p}."""
 
     def elements(self, registry, n, p):
-        out = []
-        for eta in registry.gammas_up_to(n):
-            if registry.rank_of(eta) > p:
-                out.append(Func.unit(eta, Fraction(1)))
-                out.append(Func.unit(eta, Fraction(-1)))
-        return out
+        signs = (Fraction(1), Fraction(-1))
+        return [Func.unit(eta, s) for eta in registry.window(p, n)
+                for s in signs]
 
 
 class DyadicAverages:
@@ -47,7 +44,7 @@ class DyadicAverages:
         self.K = K
 
     def elements(self, registry, n, p):
-        window = [g for g in registry.gammas_up_to(n) if registry.rank_of(g) > p]
+        window = registry.window(p, n)
         out = []
         for size in range(1, self.K + 1):
             if size > len(window):
@@ -71,7 +68,7 @@ class PaperFactorial:
     """
 
     def elements(self, registry, n, p):
-        window = [g for g in registry.gammas_up_to(n) if registry.rank_of(g) > p]
+        window = registry.window(p, n)
         denom = factorial(n)
         out = []
 
@@ -93,15 +90,6 @@ class PaperFactorial:
         return out
 
 
-def net_elements(registry, n, p, policy):
-    """The family B_{n,p} under the given policy."""
-    if not 0 <= p < n:
-        raise ValueError("need 0 <= p < n")
-    if n > registry.frontier():
-        raise StageOverflow("Gamma_%d not materialized" % n)
-    return policy.elements(registry, n, p)
-
-
 # -- stage generation ----------------------------------------------------------
 
 def generate_stage(registry, q, policy):
@@ -117,40 +105,49 @@ def generate_stage(registry, q, policy):
 
     n = q - 1
     sched = registry.schedule
-    older = registry.gammas_up_to(n)
     new_ids = []
-    seen = set()
     budget = registry.stage_cap
     # nets carry every weight under BmT and the even ones under XK
     step = 1 if registry.discipline == BMT else 2
     nets = {}
 
-    def net(p):
+    def net(w, xi, p):
         if p not in nets:
-            nets[p] = net_elements(registry, n, p, policy)
+            nets[p] = policy.elements(registry, n, p)
         return nets[p]
 
-    def emit(label, first, heads, links):
+    def odd_targets(w, xi, p):
+        """e*_eta for each eta of ranks (p, n] whose weight index the
+        registry admits for the target of the odd link after xi."""
+        allowed = registry.target_weights(w, xi)
+        if not allowed:
+            return []
+        return [Func.unit(eta) for eta in registry.window(p, n)
+                if registry.records[eta].weight_index in allowed]
+
+    def emit(label, first, payloads):
         """Type1 heads of each weight index from `first` in steps of
         `step`, then the Type2 links of every open chain of a lower stage
-        p; heads(w) and links(xi, p) supply their payloads."""
-        def admit(family, w, b, xi=None):
+        p; payloads(w, xi, p) supplies those of weight index w after xi
+        (None for a head) above rank p.  The drafts of one call are
+        pairwise distinct, so each intern makes a new element."""
+        def admit(w, b, xi):
             if len(registry) >= budget:
+                family = ("Type1 weight m_%d" % w if xi is None else
+                          "Type2 weight m_%d cut %d"
+                          % (w, registry.records[xi].rank))
                 raise CombinatorialBlowup(
                     "stage %d exceeds cap %d while emitting %s%s"
                     % (q, budget, label, family))
-            gid = registry.intern(q, w, b, xi)
-            if gid not in seen:
-                seen.add(gid)
-                new_ids.append(gid)
+            new_ids.append(registry.intern(q, w, b, xi))
 
         def weights(top):
             """Weight indices up to `top` (at most the rank of the element)."""
             return range(first, min(top, len(sched.m)) + 1, step)
 
         for w in weights(n + 1):
-            for b in heads(w):
-                admit("Type1 weight m_%d" % w, w, b)
+            for b in payloads(w, None, 0):
+                admit(w, b, None)
         for p in range(1, n):
             for w in weights(p):
                 for xi in registry.stage(p):
@@ -158,35 +155,12 @@ def generate_stage(registry, q, policy):
                     if (rec.weight_index != w
                             or rec.age >= sched.length_value(w)):
                         continue
-                    for b in links(xi, p):
-                        admit("Type2 weight m_%d cut %d" % (w, p), w, b, xi)
+                    for b in payloads(w, xi, p):
+                        admit(w, b, xi)
 
-    def odd_heads(w):
-        """Single targets of weight index = 2 mod 4."""
-        for eta in older:
-            erec = registry.records[eta]
-            if erec.weight_index is None or erec.weight_index % 4 != 2:
-                continue
-            if registry.odd_guard == ENFORCE:
-                nj = sched.length_value(w)
-                if sched.m[erec.weight_index - 1] <= nj * nj:
-                    continue
-            yield Func.unit(eta)
-
-    def odd_links(xi, p):
-        """Targets above the cut at the weight index 4 sigma(xi) codes."""
-        coded = 4 * registry.sigma(xi)
-        if coded > len(sched.m):
-            return
-        for eta in older:
-            erec = registry.records[eta]
-            if erec.rank > p and erec.weight_index == coded:
-                yield Func.unit(eta)
-
-    emit("" if step == 1 else "even ", step, lambda w: net(0),
-         lambda xi, p: net(p))
+    emit("" if step == 1 else "even ", step, net)
     if registry.discipline == XK:
-        emit("odd ", 1, odd_heads, odd_links)
+        emit("odd ", 1, odd_targets)
 
     registry.generated_stage = q
     return new_ids

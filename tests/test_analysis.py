@@ -15,6 +15,9 @@ from bdspace.analysis import (CarrierSource, alternating_report,
 from bdspace.certificates import REPORTED, VERIFIED, VIOLATED
 from bdspace.errors import (CutTooSmall, InvariantViolation, NotBlockSequence,
                             NotCertifiedRIS, NotSkippedBlock, SearchExhausted)
+from bdspace.funcs import Func
+from bdspace.norms import sup_norm_interval
+from bdspace.spaces import forge_even
 
 
 def escalating_blocks(forge_arena, n=3):
@@ -60,13 +63,32 @@ def test_lower_estimate_identity(forge_arena):
     assert registry.records[gamma].age == 3
 
 
+def test_lower_estimate_block_norms_are_window_maxima(forge_arena):
+    """A skipped block vanishes at and below the previous cut, so its
+    norm over Gamma_{p_r - 1} is the window maximum the witness records,
+    and the half sum is rhs/2."""
+    registry, engine = forge_arena()
+    base = registry.base()
+    xs = []
+    for rank, (a, b) in zip((3, 6, 9), ((1, Fraction(-1, 2)),
+                                        (Fraction(1, 3), 2), (-1, 1))):
+        lo = forge_even(registry, 1, [rank], [Func.unit(base)])
+        hi = forge_even(registry, 1, [rank + 1],
+                        [Func.unit(lo, Fraction(-1))])
+        xs.append(engine.point_from_d({lo: Fraction(a), hi: Fraction(b)}))
+    _, report = lower_estimate_witness(engine, xs, 1)
+    maxima = report.values["maxima"]
+    assert [sup_norm_interval(engine, x, p - 1).lower
+            for x, p in zip(xs, report.values["cuts"])] == maxima
+    assert len(set(maxima)) == 3
+    assert report.detail["half_sum"] == report.values["rhs"] / 2
+
+
 def test_lower_estimate_needs_skipping(forge_arena):
     registry, engine = forge_arena()
     source = CarrierSource(registry, engine, companions=False)
     x1 = source.next_block()
     # forge an adjacent block with no skipped rank in between
-    from bdspace.spaces import forge_even
-    from bdspace.funcs import Func
     nxt = forge_even(registry, registry.max_rank() // 2,
                      [registry.max_rank() + 1],
                      [Func.unit(registry.base())])
@@ -115,9 +137,10 @@ def test_dependent_sequence_partial_sums(forge_arena):
     assert rec.validate(engine)
     assert all(pc.passed for pc in rec.pair_checks)
     # chain weights follow the coding rule
-    assert registry.records[rec.etas[0]].weight_index == 2
+    etas = [next(iter(registry.records[xi].payload)) for xi in rec.xis]
+    assert registry.records[etas[0]].weight_index == 2
     for i in range(1, rec.length):
-        assert registry.records[rec.etas[i]].weight_index == \
+        assert registry.records[etas[i]].weight_index == \
             4 * registry.sigma(rec.xis[i - 1])
 
 
@@ -127,9 +150,10 @@ def test_dependent_sequence_validate_names_corruption(forge_arena):
     sources = [CarrierSource(registry, engine, companions=False)]
     rec = make_dependent_sequence(engine, 1, sources, 1, Fraction(45), 2,
                                   blocks_per_pair=2)
-    for field, value in (("cuts", [rec.cuts[0] - 1] + rec.cuts[1:]),
-                         ("etas", rec.etas[::-1]),
-                         ("xis", rec.xis[::-1]),
+    for field, value in (("xis", rec.xis[::-1]),
+                         ("xis", [registry.base()] + rec.xis[1:]),
+                         ("xs", rec.xs[::-1]),
+                         ("xs", [rec.xs[0].scaled(0)] + rec.xs[1:]),
                          ("j0", 2)):
         with pytest.raises(InvariantViolation):
             replace(rec, **{field: value}).validate(engine)

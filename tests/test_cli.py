@@ -98,6 +98,10 @@ def test_export_matrix_digest(tmp_path):
         "f693ac3ffd2a267e4d73bf59c3885a049b9532b358534b9c2919b60efb2def74"
 
 
+# (m, n) whose odd guard holds at weight index 6 but not at 2
+MIXED_GUARD = ((4, 5, 6, 7, 8, 12, 13, 14), (3, 2, 2, 2, 2, 2, 2, 2))
+
+
 @pytest.mark.parametrize("argv, size, digest", [
     (["--stage", "6"], 571,
      "a0a668e728bcac64c9685f5bf7746979c49da15d605cdb8368dbe0daa2f02e31"),
@@ -106,13 +110,24 @@ def test_export_matrix_digest(tmp_path):
     # the perfbench golden gen/table-xk: 80,090 payloads, 2,610 distinct
     (["--schedule", "{xk}", "--stage", "6", "--cap", "200000"], 80091,
      "0ddeebfaac177535627aca760d3972bbb1847e2c87fe69cc68f072f20d3fa4d9"),
-], ids=["XK-stage6", "BmT-stage5", "XK-n2=2-stage6"])
+    (["--stage", "6", "--mode", "admissible"], 243,
+     "cabefe144b12f1cf2317bf8c924d768db8b990529bdc253e6a965a385cf33296"),
+    # a mixed guard: m_2 = 5 fails m > n_1^2 = 9 and m_6 = 12 passes;
+    # 26 generated odd Type2 links, 84 heads interned under the waiver
+    (["--schedule", "{mixed}", "--stage", "5"], 2621,
+     "d169fc4e21705a1d62f96b73ea7f567bb3c561273d77e8dd1d0187159e842f7f"),
+    (["--schedule", "{mixed}", "--stage", "5", "--mode", "admissible"], 1997,
+     "fee7fe1b93dd475e5cb868be9224bf401fe7d44254e5400332af38ae007e4043"),
+], ids=["XK-stage6", "BmT-stage5", "XK-n2=2-stage6", "XK-admissible-stage6",
+        "XK-mixed-stage5", "XK-mixed-admissible-stage5"])
 def test_gen_table_digest(argv, size, digest, tmp_path):
     """The JSON stage tables, kind column included, pinned byte for
     byte."""
     xk = write_schedule(tmp_path, (4, 16), (6, 2))
+    mixed = write_schedule(tmp_path, MIXED_GUARD[0], MIXED_GUARD[1],
+                           "mixed.json")
     out = tmp_path / "table.json"
-    assert main(["gen", *[a.format(xk=xk) for a in argv],
+    assert main(["gen", *[a.format(xk=xk, mixed=mixed) for a in argv],
                  "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())) == size
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

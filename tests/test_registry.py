@@ -12,7 +12,8 @@ from bdspace.errors import (AgeOverflow, InvariantViolation,
                             WeightMismatch)
 from bdspace.cli import build_registry, forge_arena
 from bdspace.funcs import Func
-from bdspace.registry import BASE, BMT, Registry, TYPE1, TYPE2, WAIVE, XK
+from bdspace.registry import (BASE, BMT, ENFORCE, Registry, TYPE1, TYPE2,
+                              WAIVE, XK)
 from bdspace.schedule import slow_toy_schedule, validate_schedule
 from bdspace.spaces import forge_even, forge_odd_chain
 
@@ -182,6 +183,60 @@ def test_odd_rules():
                    payload=Func.unit(
                        reg.intern(rank=7, weight_index=2,
                                   payload=unit_payload(reg))))
+
+
+# (m, n) whose odd guard m_h > n_1^2 = 9 fails at h = 2 and holds at h = 6
+MIXED_GUARD = validate_schedule((4, 5, 6, 7, 8, 12, 13, 14),
+                                (3, 2, 2, 2, 2, 2, 2, 2))
+
+
+def test_target_weights_follow_the_coding():
+    """A head may target each weight index = 2 mod 4, under ENFORCE only
+    those that pass the guard; a later link targets 4 sigma of its
+    predecessor, and nothing once that leaves the schedule."""
+    waive, enforce = (Registry(MIXED_GUARD, discipline=XK, odd_guard=g)
+                      for g in (WAIVE, ENFORCE))
+    assert list(waive.target_weights(1, None)) == [2, 6]
+    assert list(enforce.target_weights(1, None)) == [6]
+    assert list(enforce.target_weights(3, None)) == [2, 6]  # n_3^2 = 4 < m_2
+    eta = waive.intern(2, 2, Func.unit(waive.base()))
+    near, far = (waive.intern(r, 1, Func.unit(eta)) for r in (3, 9))
+    assert waive.target_weights(1, near) == (4 * waive.sigma(near),) == (4,)
+    assert waive.target_weights(1, far) == ()
+    assert waive.records[far].sigma == 3  # demanded all the same
+    target = enforce.intern(2, 2, Func.unit(enforce.base()))
+    with pytest.raises(OddWeightRuleViolation):
+        enforce.intern(3, 1, Func.unit(target))
+
+
+def test_each_waiver_is_recorded_once():
+    """A head that fails the guard under WAIVE is admitted, and its rule
+    is recorded once however often it is waived or re-interned."""
+    reg = Registry(MIXED_GUARD, discipline=XK, odd_guard=WAIVE)
+    eta = reg.intern(2, 2, Func.unit(reg.base()))
+    head = reg.intern(3, 1, Func.unit(eta))
+    assert reg.intern(3, 1, Func.unit(eta)) == head
+    reg.intern(4, 1, Func.unit(eta))
+    assert reg.waivers == [("odd_type1_guard", 2, 1)]
+    assert build_registry(MIXED_GUARD, 5).waivers == \
+        [("odd_type1_guard", 2, 1)]
+
+
+def test_window_reads_the_rank_filter(stage6, forge_arena):
+    """window(lo, hi) lists the ids of ranks (lo, hi] in (rank, id)
+    order, on a generated prefix and on a sparse forged arena."""
+    forged, _ = forge_arena(64)
+    for rank, sign in ((3, 1), (4, 1), (4, -1), (7, 1), (12, -1)):
+        forge_even(forged, 1, [rank], [Func.unit(forged.base(),
+                                                 Fraction(sign))])
+    for reg in (stage6[0], forged):
+        top = reg.max_rank()
+        for lo in range(top + 1):
+            for hi in range(lo, top + 2):
+                assert reg.window(lo, hi) == [
+                    rec.id for rec in sorted(reg.records,
+                                             key=lambda r: (r.rank, r.id))
+                    if lo < rec.rank <= hi]
 
 
 def test_stage_table_export(stage6):

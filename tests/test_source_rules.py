@@ -1,6 +1,6 @@
 """Source rules: checks are not asserts, verdicts have one home, the
 sparse e-coordinate cache of a Point stays private to the engine, an
-element's kind is read only where the registry derives it, the
+element's kind and sigma-code are read only in the registry, the
 engine has no |Gamma|^2 sweep over a stage matrix's ids, no code is
 reachable from the tests alone, and no defaulted parameter keeps a value
 that no caller changes."""
@@ -54,22 +54,33 @@ def test_e_cache_stays_in_the_engine():
 KIND_NAMES = {"BASE", "TYPE1", "TYPE2"}
 
 
+def _outside_the_registry(hit):
+    """file:line of each node outside registry.py for which hit holds."""
+    return ["%s:%d" % (path.name, node.lineno)
+            for path in SOURCES if path.name != "registry.py"
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if hit(node)]
+
+
 def test_element_kind_stays_in_the_registry():
     """An element's kind follows from its structure (rank 1, a
     predecessor), and the registry derives it for its stage tables;
     elsewhere code tests the structure itself, so the kind string does
     not come back as a dispatch key."""
-    found = []
-    for path in SOURCES:
-        if path.name == "registry.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (isinstance(node, ast.Attribute)
-                    and node.attr in KIND_NAMES | {"kind"}
-                    or isinstance(node, ast.alias)
-                    and node.name in KIND_NAMES):
-                found.append("%s:%d" % (path.name, node.lineno))
-    assert found == []
+    assert _outside_the_registry(
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr in KIND_NAMES | {"kind"}
+        or isinstance(node, ast.alias) and node.name in KIND_NAMES) == []
+
+
+def test_sigma_coding_stays_in_the_registry():
+    """The registry decides which weight index an odd link's target may
+    carry (`Registry.target_weights`); elsewhere code asks it, so no
+    module demands a sigma-code itself."""
+    assert _outside_the_registry(
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "sigma") == []
 
 
 def _sweeps_ids(node):

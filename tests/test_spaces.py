@@ -12,7 +12,7 @@ from bdspace.registry import Registry, WAIVE, XK, BMT
 from bdspace.schedule import slow_toy_schedule, validate_schedule
 from bdspace.spaces import (PaperFactorial, SignedUnits, check_treelike,
                             forge_even, forge_odd_chain, generate_stage,
-                            generate_up_to, net_elements)
+                            generate_up_to)
 
 
 def test_stage_counts(stage6):
@@ -38,11 +38,22 @@ def test_bmt_discipline_admits_every_weight():
 
 def test_signed_units_net(stage6):
     registry, _ = stage6
-    elems = net_elements(registry, 3, 1, SignedUnits())
+    elems = SignedUnits().elements(registry, 3, 1)
     window = [g for g in registry.gammas_up_to(3)
               if registry.rank_of(g) > 1]
     assert len(elems) == 2 * len(window)
     assert all(e.l1() == 1 for e in elems)
+
+
+def test_signed_units_compare_no_fraction(stage6, monkeypatch):
+    """Each +-e*_eta of the net stores its one entry as it is."""
+    registry, _ = stage6
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was compared")
+
+    monkeypatch.setattr(Fraction, "__eq__", refuse)
+    assert len(SignedUnits().elements(registry, 6, 0)) == 2 * 571
 
 
 def test_paper_factorial_net_lattice(stage6):
@@ -50,7 +61,7 @@ def test_paper_factorial_net_lattice(stage6):
     with denominator dividing 2 and ell_1 norm at most 1."""
     registry, _ = stage6
     got = {frozenset(e.items())
-           for e in net_elements(registry, 2, 1, PaperFactorial())}
+           for e in PaperFactorial().elements(registry, 2, 1)}
     window = [g for g in registry.gammas_up_to(2)
               if registry.rank_of(g) > 1]
     expected = set()

@@ -22,6 +22,7 @@ import inspect
 import json
 import random
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import index
@@ -124,12 +125,18 @@ def at_least_one(value, option):
         raise InputError("--%s must be at least 1, got %d" % (option, value))
 
 
-def registry_of(args, **kw):
-    """The registry that the registry options of a subcommand describe."""
+def registry_options(args):
+    """(schedule, stage, net, cap) from the registry options of a
+    subcommand, checked, so bad input exits before anything is built."""
     at_least_one(args.stage, "stage")
     at_least_one(args.cap, "cap")
-    return build_registry(load_schedule(args.schedule), args.stage, args.net,
-                          args.cap, **kw)
+    net_policy(args.net)
+    return load_schedule(args.schedule), args.stage, args.net, args.cap
+
+
+def registry_of(args, **kw):
+    """The registry that the registry options of a subcommand describe."""
+    return build_registry(*registry_options(args), **kw)
 
 
 def forge_arena(schedule):
@@ -659,13 +666,12 @@ def open_output(path, opener):
                          % (path, type(exc).__name__, exc)) from None
 
 
-def emit_rows(rows, args):
-    """Write rows to --out, or to standard output, in --format."""
+def rows_sink(args):
+    """--out opened for writing, or standard output when it is not given,
+    as a context manager; InputError when --out cannot be opened."""
     if args.out:
-        with open_output(args.out, lambda path: open(path, "w")) as sink:
-            write_rows(rows, sink, args.format)
-    else:
-        write_rows(rows, sys.stdout, args.format)
+        return open_output(args.out, lambda path: open(path, "w"))
+    return nullcontext(sys.stdout)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -679,10 +685,12 @@ def cmd_schedule(args):
 
 
 def cmd_gen(args):
-    registry = registry_of(args, discipline=args.discipline,
-                           guard=ENFORCE if args.mode == "admissible"
-                           else WAIVE)
-    emit_rows(registry.export_stage_table(args.stage), args)
+    options = registry_options(args)
+    with rows_sink(args) as sink:  # an unwritable --out exits before the build
+        registry = build_registry(*options, discipline=args.discipline,
+                                  guard=ENFORCE if args.mode == "admissible"
+                                  else WAIVE)
+        write_rows(registry.export_stage_table(args.stage), sink, args.format)
     print("generated %d elements to stage %d"
           % (registry.count_up_to(args.stage), args.stage), file=sys.stderr)
     return 0
@@ -764,14 +772,16 @@ def cmd_hiprobe(args):
 
 
 def cmd_export(args):
-    registry = registry_of(args)
-    if args.what == "table":
-        rows = registry.export_stage_table(args.stage)
-    else:
-        engine = Engine(registry)
-        rows = [{"xi": xi, "row": engine.d_star(xi).to_json()}
-                for xi in registry.gammas_up_to(args.stage)]
-    emit_rows(rows, args)
+    options = registry_options(args)
+    with rows_sink(args) as sink:  # an unwritable --out exits before the build
+        registry = build_registry(*options)
+        if args.what == "table":
+            rows = registry.export_stage_table(args.stage)
+        else:
+            engine = Engine(registry)
+            rows = [{"xi": xi, "row": engine.d_star(xi).to_json()}
+                    for xi in registry.gammas_up_to(args.stage)]
+        write_rows(rows, sink, args.format)
     return 0
 
 

@@ -15,28 +15,40 @@ d-support up to the requested stage, and solves only the ids it reaches.
 A stage-matrix column d_gamma is the same solve from the unit d-vector at
 gamma, and the biorthogonality check forms the sparse product D*.D and
 compares it with the identity.  Everything is exact rational.
+
+Storage is one exact kernel, `funcs.IntVec`: integer numerators over one
+denominator per vector.  The c*, d* and prefix-row memos, a Point's
+solved values and the stage-matrix rows and columns are IntVecs, so the
+solve, the D*.D scatter, the analysis identity and the row norms run in
+`int` arithmetic; a solved value is reduced by its gcd before it meets
+its point's common denominator.  `Func` and `Fraction` stay the types at
+the boundary: d-coordinates and payloads come in as Funcs, and
+`c_star`, `d_star`, `prefix_estar`, the projections, `value`, `pair`,
+`nonzeros`, the biorthogonality defects and the row norms hand out Funcs
+and Fractions.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import lcm
+from operator import add, itemgetter
 
 from .errors import BaseHasNoAnalysis, StageOverflow
-from .funcs import Func
+from .funcs import Func, IntVec, common_denominator
 
 
 @dataclass
 class Point:
     """X-side vector: d-basis coefficients plus solved e-coordinates.
 
-    `e_cache` holds only the nonzero values x(gamma).  It is complete for
-    the elements that `covered` = (stage, size) names: those with
-    rank <= stage and id < size, so a missing key there means zero.  Only
-    the Engine reads and grows it (`evaluate`, `value`, `nonzeros`).
+    `e_cache` holds only the nonzero values x(gamma), as an IntVec.  It
+    is complete for the elements that `covered` = (stage, size) names:
+    those with rank <= stage and id < size, so a missing key there means
+    zero.  Only the Engine reads and grows it (`evaluate`, `value`,
+    `nonzeros`).
     """
     d_coords: Func = field(default_factory=Func)
-    e_cache: dict = field(default_factory=dict)
+    e_cache: IntVec = field(default_factory=IntVec)
     covered: tuple = (0, 0)
 
     def is_zero(self):
@@ -44,8 +56,8 @@ class Point:
 
     def scaled(self, scalar):
         scalar = Fraction(scalar)
-        cache = {k: scalar * v for k, v in self.e_cache.items()} if scalar \
-            else {}
+        cache = IntVec().axpy(scalar.numerator, scalar.denominator,
+                              self.e_cache)
         return Point(self.d_coords.scaled(scalar), cache, self.covered)
 
     def __add__(self, other):
@@ -58,38 +70,42 @@ class Point:
 @dataclass
 class StageMatrix:
     """The dual-basis rows d*_xi and the basis columns d_gamma over
-    Gamma_N.  Each column is reach-solved from the unit d-vector at gamma
-    and lists its nonzeros in (rank, id) order."""
+    Gamma_N, as IntVecs.  Each column is reach-solved from the unit
+    d-vector at gamma and lists its nonzeros in (rank, id) order."""
     stage: int
     ids: list                    # Gamma_N in (rank, id) order
-    rows: dict                   # xi -> d*_xi as Func (e*-coordinates)
+    rows: dict                   # xi -> d*_xi (e*-coordinates)
     columns: dict                # gamma -> d_gamma restricted to Gamma_N
 
     def biorthogonality_defects(self):
         """All (xi, gamma, <d*_xi, d_gamma>) off the identity, in the
         (xi, gamma) order of `ids` -- empty when exact.
 
-        D*.D is formed sparsely: the rows are transposed once into
-        delta -> [(xi, coef)] and each column is scattered into the rows
-        that meet its support.  An entry the scatter never reaches is a
-        structural zero, so a missing diagonal is still a defect."""
-        ids = self.ids
+        D*.D is formed sparsely in integer numerators: the rows are
+        transposed once into delta -> [(xi, numerator)] and each column is
+        scattered into the rows that meet its support.  The sum at
+        (xi, gamma) is the pairing over the product of the denominators of
+        rows[xi] and columns[gamma], so the identity asks it to equal that
+        product on the diagonal and 0 off it.  An entry the scatter never
+        reaches is a structural zero, so a missing diagonal is still a
+        defect."""
+        ids, rows = self.ids, self.rows
         meets = {}
         for xi in ids:
-            for delta, coef in self.rows[xi].items():
+            for delta, coef in rows[xi].items():
                 meets.setdefault(delta, []).append((xi, coef))
         defects = []
         for gamma in ids:
+            column = self.columns[gamma]
             product = {}
-            for delta, val in self.columns[gamma].items():
+            for delta, val in column.items():
                 for xi, coef in meets.get(delta, ()):
-                    if xi in product:
-                        product[xi] += coef * val
-                    else:
-                        product[xi] = coef * val
-            product.setdefault(gamma, Fraction(0))
-            defects.extend((xi, gamma, val) for xi, val in product.items()
-                           if val != (1 if xi == gamma else 0))
+                    product[xi] = product.get(xi, 0) + coef * val
+            product.setdefault(gamma, 0)
+            for xi, val in product.items():
+                den = rows[xi].denominator * column.denominator
+                if val != (den if xi == gamma else 0):
+                    defects.append((xi, gamma, Fraction(val, den)))
         order = {gid: i for i, gid in enumerate(ids)}
         defects.sort(key=lambda d: (order[d[0]], order[d[1]]))
         return defects
@@ -107,13 +123,16 @@ class Engine:
 
     # -- BD-functionals and the dual basis ------------------------------------
 
-    def c_star(self, gid):
+    def _c_vec(self, gid):
         out = self._c_star.get(gid)
         if out is None:
             self.registry.record(gid)  # UnknownGamma if dangling
             self._fill((None, gid))
             out = self._c_star[gid]
         return out
+
+    def c_star(self, gid):
+        return self._c_vec(gid).to_func()
 
     def _fill(self, key):
         """Memoize c*_gid (key (None, gid)) or P*_{(0,q]} e*_gid (key
@@ -135,27 +154,33 @@ class Engine:
                     stack.pop()
                     continue
                 if rec.rank == 1:
-                    out = Func()
+                    out = IntVec()
                 else:
-                    need = [(rec.cut, h) for h in rec.payload
-                            if rec.cut > 0 and (rec.cut, h) not in p_memo]
+                    cut = rec.cut
+                    need = [(cut, h) for h in rec.payload
+                            if cut > 0 and (cut, h) not in p_memo]
                     if need:
                         stack.extend(reversed(need))
                         continue
+                    # beta * (b* - P*_{(0,cut]} b*) + e*_predecessor
+                    tail = IntVec.from_func(rec.payload)
+                    if cut > 0:
+                        for hid, coef in rec.payload.items():
+                            tail.axpy(-coef.numerator, coef.denominator,
+                                      p_memo[(cut, hid)])
                     beta = self.registry.schedule.weight_value(
                         rec.weight_index)
-                    tail = rec.payload - self.project_prefix(rec.cut,
-                                                             rec.payload)
-                    out = tail.scaled(beta)
+                    out = IntVec().axpy(beta.numerator, beta.denominator,
+                                        tail)
                     if rec.predecessor is not None:
-                        out.iadd(rec.predecessor, Fraction(1))
+                        out.add(rec.predecessor, 1, 1)
                 c_memo[gid] = out
             else:
                 if (q, gid) in p_memo:
                     stack.pop()
                     continue
                 if rec.rank <= q:
-                    out = Func.unit(gid)
+                    out = IntVec().add(gid, 1, 1)
                 else:
                     cs = c_memo.get(gid)
                     if cs is None:
@@ -165,27 +190,26 @@ class Engine:
                     if need:
                         stack.extend(reversed(need))
                         continue
-                    out = Func()
+                    out = IntVec()
                     for hid, coef in cs.items():
-                        out.accumulate(p_memo[(q, hid)], coef)
+                        out.axpy(coef, cs.denominator, p_memo[(q, hid)])
                 p_memo[(q, gid)] = out
             stack.pop()
 
-    def d_star(self, gid):
-        memo = self._d_star
-        if gid in memo:
-            return memo[gid]
-        out = self.c_star(gid).scaled(-1)
-        out.iadd(gid, Fraction(1))
-        memo[gid] = out
+    def _d_vec(self, gid):
+        out = self._d_star.get(gid)
+        if out is None:
+            out = IntVec().axpy(-1, 1, self._c_vec(gid)).add(gid, 1, 1)
+            self._d_star[gid] = out
         return out
+
+    def d_star(self, gid):
+        return self._d_vec(gid).to_func()
 
     # -- ell_1-side projections ------------------------------------------------
 
-    def prefix_estar(self, q, gid):
-        """P*_{(0,q]} e*_gid, memoized."""
-        if q <= 0:
-            return Func()
+    def _prefix_vec(self, q, gid):
+        """P*_{(0,q]} e*_gid for q >= 1, memoized."""
         out = self._prefix.get((q, gid))
         if out is None:
             self.registry.record(gid)  # UnknownGamma if dangling
@@ -193,12 +217,24 @@ class Engine:
             out = self._prefix[(q, gid)]
         return out
 
+    def prefix_estar(self, q, gid):
+        """P*_{(0,q]} e*_gid."""
+        if q <= 0:
+            return Func()
+        return self._prefix_vec(q, gid).to_func()
+
+    def _project(self, q, f):
+        """P*_{(0,q]} f for a Func f, as a new IntVec."""
+        out = IntVec()
+        if q > 0:
+            for gid, coef in f.items():
+                out.axpy(coef.numerator, coef.denominator,
+                         self._prefix_vec(q, gid))
+        return out
+
     def project_prefix(self, q, f):
         """P*_{(0,q]} f for any Func f."""
-        out = Func()
-        for gid, coef in f.items():
-            out.accumulate(self.prefix_estar(q, gid), coef)
-        return out
+        return self._project(q, f).to_func()
 
     def project_l1(self, interval, f):
         """P*_I f for a rank interval I = (lo, hi]; hi=None means infinity."""
@@ -223,7 +259,8 @@ class Engine:
         return self.registry.chain(gid)
 
     def analysis_identity_sides(self, gid, tail_variant):
-        """(e*_gid, reconstruction) for the evaluation-analysis identity.
+        """(e*_gid, reconstruction) for the evaluation-analysis identity,
+        as IntVecs, so the identity holds exactly when they are equal.
 
         tail_variant=False uses the windows P*_{(p_{r-1}, p_r)}, otherwise the
         tails P*_{(p_{r-1}, infinity)}; both must reproduce e*_gid exactly.
@@ -231,17 +268,18 @@ class Engine:
         rows = self.evaluation_analysis(gid)
         rec = self.registry.record(gid)
         beta = self.registry.schedule.weight_value(rec.weight_index)
-        rhs = Func()
+        rhs = IntVec()
         prev_cut = 0
         for row in rows:
-            rhs.accumulate(self.d_star(row.id))
+            rhs.axpy(1, 1, self._d_vec(row.id))
             if tail_variant:
-                piece = row.payload - self.project_prefix(prev_cut, row.payload)
+                piece = IntVec.from_func(row.payload)
             else:
-                piece = self.project_open(prev_cut, row.rank, row.payload)
-            rhs.accumulate(piece, beta)
+                piece = self._project(row.rank - 1, row.payload)
+            piece.axpy(-1, 1, self._project(prev_cut, row.payload))
+            rhs.axpy(beta.numerator, beta.denominator, piece)
             prev_cut = row.rank
-        return Func.unit(gid), rhs
+        return IntVec().add(gid, 1, 1), rhs
 
     # -- points ---------------------------------------------------------------
 
@@ -250,7 +288,7 @@ class Engine:
         users = self._users
         for gid in range(len(users), len(self.registry)):
             users.append([])
-            for hid in self.c_star(gid):
+            for hid in self._c_vec(gid):
                 users[hid].append(gid)
         return users
 
@@ -264,7 +302,9 @@ class Engine:
         order, pruned at rank > stage.  Elements the coverage marker names
         are final and skipped, so a registry grown since the last call,
         even below its stage, is caught up.  The covered stage never
-        shrinks."""
+        shrinks.  Each value is solved in integers over the product of
+        the denominators it meets and reduced before it joins the
+        cache."""
         cache = point.e_cache
         old_stage, old_size = point.covered
         size = len(self.registry)
@@ -274,7 +314,7 @@ class Engine:
         records = self.registry.records
         users = self._index()
         c_memo = self._c_star
-        d = point.d_coords
+        d = IntVec.from_func(point.d_coords)
 
         def fresh(gid):
             rank = records[gid].rank
@@ -294,9 +334,13 @@ class Engine:
             if gid == last:
                 continue
             last = gid
-            val = d.get(gid, 0) + c_memo[gid].dot(cache)
-            if val:
-                cache[gid] = val
+            cs = c_memo[gid]
+            num, den = cs.dot(cache), cs.denominator * cache.denominator
+            if gid in d:
+                num = num * d.denominator + d[gid] * den
+                den *= d.denominator
+            if num:
+                cache.add(gid, num, den)
                 for uid in users[gid]:
                     if fresh(uid):
                         heappush(heap, uid)
@@ -306,14 +350,16 @@ class Engine:
     def value(self, point, gid):
         """x(gamma) for one element."""
         self.evaluate(point, self.registry.rank_of(gid))
-        return point.e_cache.get(gid, Fraction(0))
+        cache = point.e_cache
+        return Fraction(cache.get(gid, 0), cache.denominator)
 
     def nonzeros(self, point, n):
         """[(gid, x(gid))] for the nonzero values of rank <= n, in the
         canonical (rank, id) order."""
-        self.evaluate(point, n)
+        cache = self.evaluate(point, n)
         records = self.registry.records
-        return sorted(((gid, v) for gid, v in point.e_cache.items()
+        den = cache.denominator
+        return sorted(((gid, Fraction(v, den)) for gid, v in cache.items()
                        if records[gid].rank <= n),
                       key=lambda item: (records[item[0]].rank, item[0]))
 
@@ -321,7 +367,8 @@ class Engine:
         """<f, x> for a Func f against a Point x."""
         if f:
             self.evaluate(point, max(self.registry.rank_of(g) for g in f))
-        return f.dot(point.e_cache)
+        fv, cache = IntVec.from_func(f), point.e_cache
+        return Fraction(fv.dot(cache), fv.denominator * cache.denominator)
 
     def ran(self, point):
         """Smallest rank interval [lo, hi] covering the d-support; None if zero."""
@@ -343,8 +390,7 @@ class Engine:
 
     def eval_after_projection(self, gid, s, point):
         """<e*_gamma, P_{(s, infinity)} x> computed on the ell_1 side."""
-        f = self.project_l1((s, None), Func.unit(gid))
-        return self.pair(f, point)
+        return self.pair(Func.unit(gid) - self.prefix_estar(s, gid), point)
 
     def extend(self, q, u, stage):
         """i_q(u): the unique vector in span{d_gamma : gamma in Gamma_q}
@@ -376,11 +422,14 @@ class Engine:
 
     def stage_matrix(self, n):
         """Rows d*_xi and columns d_gamma over Gamma_n; each column is the
-        point with the single d-coordinate gamma, reach-solved to stage n."""
+        solved cache of the point with the single d-coordinate gamma,
+        reach-solved to stage n, in (rank, id) order."""
         self._require_stage(n)
         ids = self.registry.gammas_up_to(n)
-        rows = {gid: self.d_star(gid) for gid in ids}
-        columns = {gamma: dict(self.nonzeros(Point(Func.unit(gamma)), n))
+        records = self.registry.records
+        rows = {gid: self._d_vec(gid) for gid in ids}
+        columns = {gamma: self.evaluate(Point(Func.unit(gamma)), n).ordered(
+                       lambda gid: (records[gid].rank, gid))
                    for gamma in ids}
         return StageMatrix(stage=n, ids=ids, rows=rows, columns=columns)
 
@@ -396,42 +445,46 @@ class Engine:
         """Stage-n max-row-sums of every P_{(p,q]} and every tail P_{(p,inf)}.
 
         Returns ({(p, q): value}, {p: value}).  Row gamma of P_{(0,q]} in
-        e-coordinates is P*_{(0,q]} e*_gamma, read from the prefix memo.
-        For q >= rank(gamma) that row is e*_gamma, so only the rows
-        q < rank(gamma) are read: pairs with p >= rank(gamma) contribute
-        0, and a pair with q >= rank(gamma) > p contributes the row's tail
-        sum at p, computed once.  The rows of gamma are summed in integer
-        numerators over one denominator, the lcm of theirs, and the
-        maxima are cross-multiplied.
+        e-coordinates is P*_{(0,q]} e*_gamma, read from the prefix memo
+        for q < rank(gamma); it is 0 at q = 0 and e*_gamma from
+        q = rank(gamma) on, and "row n + 1" is the row e*_gamma of the
+        identity that a tail subtracts from.  The rows of gamma are
+        brought to one denominator, the lcm of theirs.  Each row sum is
+        ||row_q - row_p||_1 = ||row_q||_1 + ||row_p||_1 minus, for every
+        coordinate the two rows share, |a| + |b| - |a - b|; so all sums
+        start from the row norms in one pass, and only shared
+        coordinates cost a correction.  Row sums over the same
+        denominator are maximized as integers, one list per
+        denominator, and the lists are compared as Fractions at the end.
         """
         self._require_stage(n)
-        interval = {(p, q): (0, 1) for p in range(n + 1)
-                    for q in range(p + 1, n + 1)}
-        tail = dict.fromkeys(range(n + 1), (0, 1))
-
-        def bump(best, key, num, den):
-            b_num, b_den = best[key]
-            if num * b_den > b_num * den:
-                best[key] = (num, den)
-
+        pairs = [(p, q) for p in range(n + 1) for q in range(p + 1, n + 1)]
+        gaps = pairs + [(p, n + 1) for p in range(n + 1)]
+        slot = {gap: i for i, gap in enumerate(gaps)}
+        hi = itemgetter(*[q for _, q in gaps])
+        lo = itemgetter(*[p for p, _ in gaps])
+        best = {}  # denominator -> [numerator of each gap], maximized
         for gid in self.registry.gammas_up_to(n):
             rank = self.registry.rank_of(gid)
-            prefixes = [self.prefix_estar(q, gid) for q in range(1, rank)]
-            den = lcm(*{v.denominator for row in prefixes
-                        for v in row.values()})
-            rows = [{}] + [{k: v.numerator * (den // v.denominator)
-                            for k, v in row.items()} for row in prefixes]
-            for p, lo in enumerate(rows):
-                gap = _l1_gap({gid: den}, lo)
-                bump(tail, p, gap, den)
-                for q in range(p + 1, n + 1):
-                    bump(interval, (p, q),
-                         _l1_gap(rows[q], lo) if q < rank else gap, den)
-        return ({k: Fraction(*v) for k, v in interval.items()},
-                {k: Fraction(*v) for k, v in tail.items()})
-
-
-def _l1_gap(hi, lo):
-    """||hi - lo||_1 of two sparse maps."""
-    return sum(abs(v - lo.get(k, 0)) for k, v in hi.items()) + \
-        sum(abs(v) for k, v in lo.items() if k not in hi)
+            rows = [self._prefix_vec(q, gid) for q in range(1, rank)]
+            den = common_denominator(rows)
+            norms = [0]
+            rows_at = {gid: [(q, den) for q in range(rank, n + 2)]}
+            for q, row in enumerate(rows, 1):
+                up = den // row.denominator
+                norms.append(up * sum(map(abs, row.values())))
+                for k, v in row.items():
+                    rows_at.setdefault(k, []).append((q, up * v))
+            norms += [den] * (n + 2 - rank)
+            sums = list(map(add, hi(norms), lo(norms)))
+            for entries in rows_at.values():
+                if len(entries) > 1:
+                    for i, (p, a) in enumerate(entries):
+                        for q, b in entries[i + 1:]:
+                            sums[slot[(p, q)]] -= abs(a) + abs(b) - abs(a - b)
+            top = best.get(den)
+            best[den] = sums if top is None else list(map(max, top, sums))
+        values = [max(Fraction(nums[i], den) for den, nums in best.items())
+                  for i in range(len(gaps))]
+        return (dict(zip(pairs, values)),
+                dict(enumerate(values[len(pairs):])))

@@ -1,12 +1,22 @@
-"""Sparse exact-rational functionals on the index set Gamma.
+"""Sparse exact-rational vectors on the index set Gamma.
 
 A Func maps element ids to nonzero Fractions.  It plays the ell_1 side of
-the duality: evaluation functionals e*_gamma, dual basis vectors d*_gamma,
-BD-functionals c*_gamma and net payloads b* are all Funcs.  Zero
+the duality at every boundary: evaluation functionals e*_gamma, dual
+basis vectors d*_gamma, BD-functionals c*_gamma and net payloads b* are
+handed out and stored in registries and certificates as Funcs.  Zero
 coefficients are never stored.
+
+An IntVec is the same kind of vector as integer numerators over one
+positive integer denominator -- Bareiss's fraction-free idea for a whole
+vector -- and is the engine's storage.  It is always reduced, so equal
+vectors have equal numerators and denominators, and its arithmetic is
+`int` arithmetic with one gcd pass per operation instead of one per
+entry.  This module is the one home of integer scaling: nothing else
+takes an lcm of denominators.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def frac_str(q):
@@ -122,3 +132,142 @@ class Func(dict):
         inner = ", ".join(
             "%d: %s" % (k, frac_str(v)) for k, v in sorted(self.items()))
         return "Func{%s}" % inner
+
+
+def common_denominator(rationals):
+    """The lcm of the denominators of some rationals (ints, Fractions or
+    IntVecs): the least one over which all of them have integer
+    numerators."""
+    return lcm(*[v.denominator for v in rationals])
+
+
+class IntVec(dict):
+    """Finitely supported map id -> nonzero int numerator over one
+    positive int `denominator`: the vector {id: num / denominator}.
+
+    It is always reduced: the numerators and the denominator have gcd 1,
+    and the zero vector has denominator 1.  So two IntVecs are equal
+    exactly when their maps and denominators are.  Entries keep insertion
+    order, as a dict's do."""
+
+    __slots__ = ("denominator",)
+
+    def __init__(self):
+        self.denominator = 1
+
+    @classmethod
+    def from_func(cls, f):
+        """The IntVec of a mapping id -> rational (a Func, or a dict of
+        Fractions and ints), over the common denominator of its values.
+        Each value is reduced, so no gcd pass is needed."""
+        out = cls()
+        den = common_denominator(f.values())
+        dict.update(out, {k: v.numerator * (den // v.denominator)
+                          for k, v in f.items() if v})
+        out.denominator = den
+        return out
+
+    def to_func(self):
+        """The same vector as a Func of Fractions, in entry order."""
+        den = self.denominator
+        out = Func()
+        dict.update(out, {k: Fraction(v, den) for k, v in self.items()})
+        return out
+
+    def _scale_to(self, q):
+        """Bring the denominator to its lcm with q; returns the new one."""
+        den = self.denominator
+        up = q // gcd(den, q)
+        if up > 1:
+            if self:
+                dict.update(self, {k: v * up for k, v in self.items()})
+            den *= up
+            self.denominator = den
+        return den
+
+    def axpy(self, p, q, x):
+        """self += (p/q) * x for ints p and q > 0 and an IntVec x: the
+        factor p / (q * x.denominator) is reduced first, both sides are
+        brought to the lcm of the two denominators, entries that cancel
+        are dropped, and one gcd pass reduces the result.  Returns
+        self."""
+        if not p or not x:
+            return self
+        q *= x.denominator
+        g = gcd(p, q)
+        if g > 1:
+            p, q = p // g, q // g
+        den = self._scale_to(q)
+        if den != q:
+            p *= den // q
+        get = self.get
+        for k, v in x.items():
+            w = get(k, 0) + p * v
+            if w:
+                self[k] = w
+            else:
+                del self[k]
+        self._reduce()
+        return self
+
+    def add(self, key, p, q):
+        """self[key] += p/q for ints p and q > 0.  The value is reduced by
+        its gcd before it meets the common denominator; at a key the
+        vector does not hold, the result is then reduced already (the two
+        scale-ups of an lcm are coprime), so no gcd pass is made.
+        Returns self."""
+        g = gcd(p, q)
+        if g > 1:
+            p, q = p // g, q // g
+        if not p:
+            return self
+        den = self._scale_to(q)
+        p *= den // q
+        old = self.get(key)
+        if old is None:
+            self[key] = p
+            return self
+        if old + p:
+            self[key] = old + p
+        else:
+            del self[key]
+        self._reduce()
+        return self
+
+    def _reduce(self):
+        g = gcd(self.denominator, *self.values())
+        if g > 1:
+            dict.update(self, {k: v // g for k, v in self.items()})
+            self.denominator //= g
+
+    def dot(self, other):
+        """The numerator of <self, other> over the product of the two
+        denominators."""
+        total = 0
+        get = other.get
+        for k, v in self.items():
+            w = get(k)
+            if w:
+                total += v * w
+        return total
+
+    def ordered(self, key):
+        """A copy with its entries sorted by key(id)."""
+        out = IntVec()
+        dict.update(out, sorted(self.items(), key=lambda kv: key(kv[0])))
+        out.denominator = self.denominator
+        return out
+
+    def __eq__(self, other):
+        return (isinstance(other, IntVec)
+                and self.denominator == other.denominator
+                and dict.__eq__(self, other))
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "IntVec{%s}/%d" % (", ".join(
+            "%d: %d" % kv for kv in sorted(self.items())), self.denominator)

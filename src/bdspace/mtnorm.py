@@ -35,11 +35,10 @@ and the tree is rebuilt from these back-pointers.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .errors import BruteForceCapExceeded, IndexOutOfSchedule, require
-from .funcs import Func
+from .funcs import Func, IntVec, common_denominator
 
 ORACLE_BUDGET = 500000    # recursive evaluations of the exhaustive oracle
 
@@ -186,11 +185,11 @@ def mt_norm(x, params):
         return Fraction(0), None
     pos = sorted(entries)
     n = len(pos)
-    mags = [abs(entries[p]) for p in pos]
-    scale = (lcm(*(v.denominator for v in mags))
-             * lcm(*(th.denominator for _, th in params.pairs))
-             ** norming_height(n, params))
-    a = [v.numerator * (scale // v.denominator) for v in mags]
+    mags = IntVec.from_func({p: abs(entries[p]) for p in pos})
+    lift = common_denominator(th for _, th in params.pairs) \
+        ** norming_height(n, params)
+    scale = mags.denominator * lift
+    a = [mags[p] * lift for p in pos]
     pre = [0]
     for v in a:
         pre.append(pre[-1] + v)

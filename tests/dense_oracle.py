@@ -1,23 +1,73 @@
-"""Dense oracles for the engine's sparse paths: the point evaluator
-x(gamma) = d_gamma + <c*_gamma, x> for every gamma of Gamma_n in the
-canonical (rank, id) order, zeros included; the stage-matrix columns by
-forward substitution through every row; and the biorthogonality check
-as the full |Gamma_n|^2 sweep of row-column pairings; the FDD row
-norms from column-by-row outer products of those columns.  Also the
-`Fraction` interval DP for the mixed Tsirelson norm, the oracle of the
-integer DP in `bdspace.mtnorm`."""
+"""Dense oracles for the engine's sparse paths: the c*, d* and prefix
+recursion in `Fraction`s straight from the registry records; the point
+evaluator x(gamma) = d_gamma + <c*_gamma, x> for every gamma of Gamma_n
+in the canonical (rank, id) order, zeros included; the stage-matrix
+columns by forward substitution through every row; and the
+biorthogonality check as the full |Gamma_n|^2 sweep of row-column
+pairings; the FDD row norms from column-by-row outer products of those
+columns.  Also the `Fraction` interval DP for the mixed Tsirelson norm,
+the oracle of the integer DP in `bdspace.mtnorm`.  None of them computes
+through the engine's memos or its integer kernel: a stage matrix is read
+as Funcs."""
 
 from fractions import Fraction
 
+from bdspace.funcs import Func
 from bdspace.mtnorm import Leaf, Node
+
+
+class FractionRecursion:
+    """c*_gamma, d*_gamma and P*_{(0,q]} e*_gamma as Funcs of Fractions,
+    read from the registry records by the paper's recursion:
+    c*_gamma = e*_xi + beta (b* - P*_{(0,cut]} b*) (no e*_xi without a
+    predecessor, 0 at the Base), d*_gamma = e*_gamma - c*_gamma, and
+    P*_{(0,q]} e*_gamma = e*_gamma at rank <= q, else the sum of
+    c*_gamma[h] P*_{(0,q]} e*_h.  Plain recursion, for small
+    registries."""
+
+    def __init__(self, registry):
+        self.registry = registry
+        self._c = {}
+        self._p = {}
+
+    def c_star(self, gid):
+        if gid not in self._c:
+            rec = self.registry.records[gid]
+            out = Func()
+            if rec.rank > 1:
+                beta = self.registry.schedule.weight_value(rec.weight_index)
+                out.accumulate(rec.payload, beta)
+                for h, coef in rec.payload.items():
+                    out.accumulate(self.prefix(rec.cut, h), -beta * coef)
+                if rec.predecessor is not None:
+                    out.iadd(rec.predecessor, Fraction(1))
+            self._c[gid] = out
+        return self._c[gid]
+
+    def d_star(self, gid):
+        return Func.unit(gid) - self.c_star(gid)
+
+    def prefix(self, q, gid):
+        if q <= 0:
+            return Func()
+        if (q, gid) not in self._p:
+            if self.registry.rank_of(gid) <= q:
+                out = Func.unit(gid)
+            else:
+                out = Func()
+                for h, coef in self.c_star(gid).items():
+                    out.accumulate(self.prefix(q, h), coef)
+            self._p[(q, gid)] = out
+        return self._p[(q, gid)]
 
 
 def dense_values(engine, point, n):
     """{gid: x(gid)} over all of Gamma_n, in (rank, id) order."""
+    oracle = FractionRecursion(engine.registry)
     values = {}
     for gid in engine.registry.gammas_up_to(n):
         val = point.d_coords.get(gid, Fraction(0))
-        cs = engine.c_star(gid)
+        cs = oracle.c_star(gid)
         if cs:
             val = val + cs.dot(values)
         values[gid] = val
@@ -43,7 +93,8 @@ def dense_sup_norm(engine, point, n):
 
 def dense_columns(ids, rows):
     """{gamma: d_gamma} solving <d*_xi, d_gamma> = delta row by row over
-    all of `ids`, each column's nonzeros in the order of `ids`."""
+    all of `ids`, each column's nonzeros in the order of `ids`; the rows
+    are Funcs."""
     columns = {}
     for gamma in ids:
         col = {}
@@ -60,12 +111,13 @@ def dense_columns(ids, rows):
 
 def dense_defects(sm):
     """All (xi, gamma, <d*_xi, d_gamma>) off the identity, pairing every
-    row with every column."""
+    row with every column, both read as Funcs."""
+    columns = {g: c.to_func() for g, c in sm.columns.items()}
     defects = []
     for xi in sm.ids:
-        row = sm.rows[xi]
+        row = sm.rows[xi].to_func()
         for gamma in sm.ids:
-            val = row.dot(sm.columns[gamma])
+            val = row.dot(columns[gamma])
             if val != (1 if xi == gamma else 0):
                 defects.append((xi, gamma, val))
     return defects
@@ -78,7 +130,8 @@ def dense_fdd_row_norms(engine, n):
     union of the supports."""
     registry = engine.registry
     ids = registry.gammas_up_to(n)
-    rows = {xi: engine.d_star(xi) for xi in ids}
+    oracle = FractionRecursion(registry)
+    rows = {xi: oracle.d_star(xi) for xi in ids}
     columns = dense_columns(ids, rows)
     running = {g: {} for g in ids}
     prefix_rows = {0: {g: {} for g in ids}}

@@ -343,6 +343,29 @@ def test_unwritable_ledger_fails_before_the_run(argv, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("argv", [
+    ["gen", "--stage", "6", "--schedule", "{schedule}"],
+    ["gen", "--stage", "6", "--format", "csv"],
+    ["export", "--stage", "6"],
+    ["export", "--stage", "6", "--what", "matrix"],
+])
+def test_unwritable_table_fails_before_the_build(argv, tmp_path, capsys,
+                                                 monkeypatch):
+    """`gen` and `export` open --out before they build the registry, as
+    `verify` and `hiprobe` open their ledger before the run."""
+    def refuse(*args, **kw):
+        raise AssertionError("the build started")
+    monkeypatch.setattr(cli, "build_registry", refuse)
+    schedule = tmp_path / "s.json"
+    schedule.write_text(json.dumps({"m": [4, 16], "n": [6, 2]}))
+    out = tmp_path / "missing" / "t.json"
+    argv = [a.format(schedule=schedule) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InputError: cannot write ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
     ["verify", "lowerest", "--cases", "0"],
     ["hiprobe", "--cases", "0"],
     ["hiprobe", "--length", "99"],

@@ -41,7 +41,7 @@ def test_stage_matrix_against_dense_solve(stage6):
     # dense unit-lower-triangular system: A[i][j] = <d*_{ids[i]}, e-coord j>
     A = [[Fraction(0)] * k for _ in range(k)]
     for i, g in enumerate(ids):
-        for h, c in sm.rows[g].items():
+        for h, c in sm.rows[g].to_func().items():
             A[i][idx[h]] = c
     # independent forward substitution for A X = I
     for col in range(k):
@@ -51,7 +51,7 @@ def test_stage_matrix_against_dense_solve(stage6):
             acc -= sum(A[i][j] * x[j] for j in range(i) if A[i][j])
             x[i] = acc  # A[i][i] == 1
         expected = {ids[i]: x[i] for i in range(k) if x[i]}
-        assert expected == sm.columns[ids[col]]
+        assert expected == sm.columns[ids[col]].to_func()
 
 
 def test_biorthogonality_stage4(stage6):

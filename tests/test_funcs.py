@@ -1,11 +1,14 @@
-"""Func arithmetic and rational rendering."""
+"""Func arithmetic, rational rendering, and the IntVec kernel against
+Func/Fraction arithmetic."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from bdspace.funcs import Func, frac_str, parse_frac
+from bdspace.funcs import (Func, IntVec, common_denominator, frac_str,
+                           parse_frac)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 funcs = st.dictionaries(st.integers(0, 8), rationals, max_size=6).map(Func)
@@ -103,3 +106,100 @@ def test_copy_is_equal_and_separate(f):
 def test_l1_of_one_entry_is_its_absolute_value():
     assert Func.unit(3, Fraction(-2, 3)).l1() == Fraction(2, 3)
     assert Func().l1() == 0
+
+
+# -- the IntVec kernel against Func/Fraction arithmetic ----------------------
+
+# denominators well beyond powers of 2: point values in the probe towers
+# reach 699 = 3 * 233
+wide = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=700),
+    st.sampled_from([Fraction(1, 699), Fraction(-233, 3), Fraction(7, 233)]))
+wide_funcs = st.dictionaries(st.integers(0, 8), wide, max_size=6).map(Func)
+scalars = st.fractions(min_value=-20, max_value=20, max_denominator=700)
+
+
+def assert_reduced(v):
+    """No zero entry, int numerators, a positive denominator, gcd 1."""
+    assert type(v) is IntVec
+    assert type(v.denominator) is int and v.denominator > 0
+    assert all(type(n) is int and n != 0 for n in v.values())
+    assert gcd(v.denominator, *v.values()) == 1
+
+
+@given(wide_funcs)
+def test_intvec_round_trip(f):
+    v = IntVec.from_func(f)
+    assert_reduced(v)
+    assert v.denominator == lcm(*[x.denominator for x in f.values()])
+    back = v.to_func()
+    assert back == f and list(back) == list(f)
+    assert type(back) is Func
+    assert all(type(x) is Fraction for x in back.values())
+
+
+@given(wide_funcs, wide_funcs, scalars)
+@example(Func({1: Fraction(1, 699)}), Func({1: Fraction(2, 233)}),
+         Fraction(-3, 2))
+def test_axpy_is_func_accumulate(f, g, c):
+    v = IntVec.from_func(f).axpy(c.numerator, c.denominator,
+                                 IntVec.from_func(g))
+    expected = f.copy().accumulate(g, c)
+    assert_reduced(v)
+    assert v.to_func() == expected
+    assert v == IntVec.from_func(expected)
+
+
+@given(wide_funcs, wide_funcs, scalars.filter(bool))
+def test_axpy_cancels_entries_to_zero(f, g, c):
+    """(f + c g) - c g leaves f: g's entries outside f cancel and are not
+    stored; f - f is the zero vector over 1."""
+    v = IntVec.from_func(f + g.scaled(c))
+    v.axpy(-c.numerator, c.denominator, IntVec.from_func(g))
+    assert_reduced(v)
+    assert v == IntVec.from_func(f)
+    zero = IntVec.from_func(f).axpy(-1, 1, IntVec.from_func(f))
+    assert not zero and zero.denominator == 1 and zero == IntVec()
+
+
+@given(wide_funcs, scalars.filter(lambda c: c < 0))
+def test_scaling_by_a_negative_fraction(f, c):
+    v = IntVec().axpy(c.numerator, c.denominator, IntVec.from_func(f))
+    assert_reduced(v)
+    assert v.to_func() == f.scaled(c)
+
+
+@given(wide_funcs, st.integers(0, 8), scalars)
+def test_add_is_func_iadd(f, key, c):
+    v = IntVec.from_func(f).add(key, c.numerator, c.denominator)
+    expected = f.copy()
+    expected.iadd(key, c)
+    assert_reduced(v)
+    assert v.to_func() == expected
+
+
+@given(wide_funcs, wide_funcs)
+def test_reduced_form_decides_equality(f, g):
+    v, w = IntVec.from_func(f), IntVec.from_func(g)
+    assert (v == w) == (f == g) and (v != w) == (f != g)
+    # the same rationals written over a larger denominator reduce back
+    scaled = IntVec().axpy(3, 1, v).axpy(-2, 1, v)
+    assert scaled == v and scaled.denominator == v.denominator
+    # a plain dict with the same numerators is not the vector
+    assert v != dict(v) and not v == dict(v)
+
+
+@given(wide_funcs, wide_funcs)
+def test_dot_and_common_denominator(f, g):
+    v, w = IntVec.from_func(f), IntVec.from_func(g)
+    assert Fraction(v.dot(w), v.denominator * w.denominator) == f.dot(g)
+    den = common_denominator([v, w])
+    assert den == lcm(v.denominator, w.denominator)
+    assert common_denominator(list(f.values()) + list(g.values())) == den
+
+
+@given(wide_funcs)
+def test_ordered_keeps_the_vector(f):
+    v = IntVec.from_func(f)
+    out = v.ordered(lambda k: -k)
+    assert out == v and list(out) == sorted(v, reverse=True)

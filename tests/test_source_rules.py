@@ -1,5 +1,6 @@
 """Source rules: checks are not asserts, verdicts have one home, the
-sparse e-coordinate cache of a Point stays private to the engine, an
+sparse e-coordinate cache of a Point stays private to the engine, only
+the integer kernel takes an lcm of denominators, an
 element's kind and sigma-code are read only in the registry, the
 engine has no |Gamma|^2 sweep over a stage matrix's ids, no code is
 reachable from the tests alone, and no defaulted parameter keeps a value
@@ -49,6 +50,23 @@ def test_e_cache_stays_in_the_engine():
             if isinstance(node, ast.Attribute) and node.attr == "e_cache":
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+def _takes_lcm(node):
+    """`from math import lcm` or a `math.lcm` read."""
+    return (isinstance(node, ast.ImportFrom) and node.module == "math"
+            and any(alias.name == "lcm" for alias in node.names)
+            or isinstance(node, ast.Attribute) and node.attr == "lcm")
+
+
+def test_integer_scaling_has_one_home():
+    """Only the kernel in funcs.py takes an lcm of denominators; the
+    engine and the mixed-Tsirelson DP scale through `IntVec` and
+    `common_denominator`, so no module keeps its own copy."""
+    found = {path.name for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if _takes_lcm(node)}
+    assert found == {"funcs.py"}
 
 
 KIND_NAMES = {"BASE", "TYPE1", "TYPE2"}

@@ -1,14 +1,15 @@
 """The engine's reach-driven sparse paths against the dense oracles.
 
-Points are random sparse d-vectors over the generated stage-6 and rich
-stage-5 registries and over random forged towers, whose ids are not in
-rank order.  Values, the nonzero listing, norm intervals, sums, scalings
-and a registry grown after an evaluation must all agree exactly.  Stage
-matrices over the same registries must have the dense solve's columns,
-in order, and the sparse D*.D check must list the dense sweep's defects,
-also for deliberately corrupted matrices.  The FDD row norms and the
-basis constant read from the prefix memo must equal the outer-product
-sums over the dense columns."""
+The c*, d* and prefix memos must equal the Fraction recursion read from
+the registry records.  Points are random sparse d-vectors over the
+generated stage-6 and rich stage-5 registries and over random forged
+towers, whose ids are not in rank order.  Values, the nonzero listing,
+norm intervals, sums, scalings and a registry grown after an evaluation
+must all agree exactly.  Stage matrices over the same registries must
+have the dense solve's columns, in order, and the sparse D*.D check must
+list the dense sweep's defects, also for deliberately corrupted
+matrices.  The FDD row norms and the basis constant read from the prefix
+memo must equal the outer-product sums over the dense columns."""
 
 import random
 from fractions import Fraction
@@ -20,12 +21,12 @@ from hypothesis import (HealthCheck, example, given, settings,
 from bdspace.cli import forge_arena
 from bdspace.engine import Engine, StageMatrix
 from bdspace.errors import UnknownGamma
-from bdspace.funcs import Func
+from bdspace.funcs import Func, IntVec
 from bdspace.norms import sup_norm_interval
 from bdspace.schedule import slow_toy_schedule
 from bdspace.spaces import forge_even
-from dense_oracle import (dense_columns, dense_defects, dense_fdd_row_norms,
-                          dense_sup_norm, dense_values)
+from dense_oracle import (FractionRecursion, dense_columns, dense_defects,
+                          dense_fdd_row_norms, dense_sup_norm, dense_values)
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -152,15 +153,46 @@ def test_unknown_d_coordinate_is_named(stage6):
             engine.evaluate(engine.point_from_d({gid: Fraction(1)}), 6)
 
 
+# -- the c*, d* and prefix memos ---------------------------------------------
+
+def assert_memos_match_recursion(engine, n):
+    """c*, d* and every P*_{(0,q]} e*_gamma over Gamma_n equal the
+    Fraction recursion entry for entry; a fresh recursion, so nothing is
+    shared with other tests."""
+    registry = engine.registry
+    oracle = FractionRecursion(registry)
+    for gid in registry.gammas_up_to(n):
+        assert engine.c_star(gid) == oracle.c_star(gid)
+        assert engine.d_star(gid) == oracle.d_star(gid)
+        for q in range(0, n + 1):
+            prefix = engine.prefix_estar(q, gid)
+            assert prefix == oracle.prefix(q, gid)
+            assert all(type(v) is Fraction for v in prefix.values())
+
+
+@pytest.mark.parametrize("name", ["stage6", "rich5"])
+def test_memos_match_fraction_recursion(request, name):
+    registry, engine = request.getfixturevalue(name)
+    assert_memos_match_recursion(engine, registry.max_rank())
+
+
+@SETTINGS
+@given(seed=st.integers(0, 10 ** 6))
+def test_forged_tower_memos_match_fraction_recursion(seed):
+    _, registry, engine = random_tower(seed)
+    assert_memos_match_recursion(engine, registry.max_rank())
+
+
 # -- stage matrices ----------------------------------------------------------
 
 def assert_stage_matrix_matches_dense(engine, n):
     """Columns equal to the dense solve as ordered item lists, and no
     defects by either check; returns the matrix."""
     sm = engine.stage_matrix(n)
-    dense = dense_columns(sm.ids, sm.rows)
+    oracle = FractionRecursion(engine.registry)
+    dense = dense_columns(sm.ids, {g: oracle.d_star(g) for g in sm.ids})
     assert list(sm.columns) == sm.ids
-    assert [list(sm.columns[g].items()) for g in sm.ids] == \
+    assert [list(sm.columns[g].to_func().items()) for g in sm.ids] == \
         [list(dense[g].items()) for g in sm.ids]
     assert sm.biorthogonality_defects() == dense_defects(sm) == []
     return sm
@@ -177,11 +209,12 @@ CORRUPTIONS = ("perturb", "off-support", "drop-diagonal", "row")
 
 def corrupt(sm, data):
     """A copy of sm with one to three drawn corruptions: a column entry
-    perturbed (possibly to a stored zero), an entry added off the
-    column's support, a column's diagonal dropped, or a row entry added
-    or perturbed."""
-    rows = dict(sm.rows)
-    columns = {g: dict(c) for g, c in sm.columns.items()}
+    perturbed (possibly to zero), an entry added off the column's
+    support, a column's diagonal dropped, or a row entry added or
+    perturbed.  Rows and columns are corrupted as Funcs and stored back
+    as IntVecs, whose denominators then differ from the solve's."""
+    rows = {g: r.to_func() for g, r in sm.rows.items()}
+    columns = {g: c.to_func() for g, c in sm.columns.items()}
     for _ in range(data.draw(st.integers(1, 3))):
         kind = data.draw(st.sampled_from(CORRUPTIONS))
         gamma = data.draw(st.sampled_from(sm.ids))
@@ -198,7 +231,9 @@ def corrupt(sm, data):
         elif kind == "row":
             rows[gamma] = rows[gamma] + Func.unit(
                 data.draw(st.sampled_from(sm.ids)), data.draw(coefs))
-    return StageMatrix(sm.stage, sm.ids, rows, columns)
+    return StageMatrix(sm.stage, sm.ids,
+                       {g: IntVec.from_func(r) for g, r in rows.items()},
+                       {g: IntVec.from_func(c) for g, c in columns.items()})
 
 
 @pytest.mark.parametrize("name, n", [("stage6", n) for n in range(1, 7)]

@@ -195,8 +195,7 @@ def _projections(engine, stage):
     # the basis constant, as `Engine.basis_constant` reads it
     bc = max(interval_sums[(0, q)] for q in range(1, stage + 1))
     interval, tail = max(interval_sums.values()), max(tail_sums.values())
-    dstar = max(engine.d_star(g).l1()
-                for g in engine.registry.gammas_up_to(stage))
+    dstar = max(map(engine.d_star_l1, engine.registry.gammas_up_to(stage)))
     return Check(judge(bc <= 2 and interval <= 4 and tail <= 3 and dstar <= 3),
                  {"basis_constant": bc, "max_interval_rowsum": interval,
                   "max_tail_rowsum": tail, "max_dstar_l1": dstar})

@@ -206,6 +206,11 @@ class Engine:
     def d_star(self, gid):
         return self._d_vec(gid).to_func()
 
+    def d_star_l1(self, gid):
+        """||d*_gid||_1, read off the integer row without a Func."""
+        row = self._d_vec(gid)
+        return Fraction(sum(map(abs, row.values())), row.denominator)
+
     # -- ell_1-side projections ------------------------------------------------
 
     def _prefix_vec(self, q, gid):

@@ -6,8 +6,9 @@ members.  The implicit norm is computed exactly by a DP over contiguous
 windows of the support: because the admissible families constrain only
 cardinality and successiveness, and the norm is monotone under support
 restriction, an optimal decomposition may be taken to consist of
-intervals of the support.  The brute-force successive-subset oracle in
-the test suite checks exactly this reduction.
+intervals of the support.  The brute-force successive-subset oracle
+`mt_norm_exhaustive` below, which `bdspace verify mt-oracle` runs
+against the DP, checks exactly this reduction.
 
 The DP runs in exact integers.  Every value it compares is a sum of
 |x_t| * prod theta_j along the paths of a tree.  With theta_j = a_j/b_j
@@ -40,7 +41,7 @@ from typing import Optional
 from .errors import BruteForceCapExceeded, IndexOutOfSchedule, require
 from .funcs import Func, IntVec, common_denominator
 
-ORACLE_BUDGET = 500000    # recursive evaluations of the exhaustive oracle
+ORACLE_BUDGET = 500000    # distinct subsets the exhaustive oracle scores
 
 
 @dataclass(frozen=True)
@@ -274,60 +275,76 @@ def mt_norm(x, params):
 
 
 def mt_norm_exhaustive(x, params):
-    """Brute-force oracle: enumerate every norming tree over subsets.
+    """Brute-force oracle: the best norming tree over arbitrary subsets.
 
     Independent of the DP above: pieces are arbitrary successive subsets
     of the support, not just intervals, so agreement of the two routes is
-    evidence for the interval-decomposition reduction.  Only usable for
-    tiny supports: past ORACLE_BUDGET recursive evaluations it raises
+    evidence for the interval-decomposition reduction.  A pool (a subset
+    of the support, as a bit mask over its sorted coordinates) is scored
+    once: best(pool) is the larger of max |x_c| and, for every
+    non-excluded j, theta_j times the largest sum of best over at most
+    l_j successive pieces other than the pool itself.  Of the j sharing
+    a cap only the first, of the largest weight, can attain.  The sum
+    splits off a first piece P, any nonempty subset of the pool, and
+    continues in its tail, the elements of the pool after P's last one:
+    most(tail, k) is the largest sum over at most k successive pieces of
+    the tail.  Each pool's (piece, tail) list is built once, and best
+    and most are memoized per pool and per (pool, k).  Only usable for
+    tiny supports: past ORACLE_BUDGET distinct pools scored it raises
     BruteForceCapExceeded.
     """
     entries = {int(k): Fraction(v) for k, v in dict(x).items() if v}
     if not entries:
         return Fraction(0)
-    coords = tuple(sorted(entries))
-    memo = {}
+    mags = [abs(entries[c]) for c in sorted(entries)]
+    weights = {}   # cap l_j -> the largest theta_j of a live j with it
+    for j, (cap, theta) in enumerate(params.pairs, 1):
+        if j != params.excluded:
+            weights.setdefault(cap, theta)
+    best_memo, most_memo, split_memo = {}, {}, {}
     budget = [ORACLE_BUDGET]
 
-    def pieces(pool, max_count):
-        """Ordered tuples of disjoint successive nonempty subsets of pool."""
-        if max_count == 0 or not pool:
-            yield ()
-            return
-        n = len(pool)
-        for first_lo in range(n):
-            # the first piece starts at pool[first_lo]
-            rest = pool[first_lo + 1:]
-            for mask in range(1 << len(rest)):
-                piece = (pool[first_lo],) + tuple(
-                    c for i, c in enumerate(rest) if mask >> i & 1)
-                tail_pool = tuple(c for c in rest if c > piece[-1])
-                for tail in pieces(tail_pool, max_count - 1):
-                    yield (piece,) + tail
+    def splits(pool):
+        """(piece, tail) for every nonempty piece of the pool."""
+        out = split_memo.get(pool)
+        if out is None:
+            out = []
+            piece = pool
+            while piece:
+                top = piece.bit_length()
+                out.append((piece, pool >> top << top))
+                piece = (piece - 1) & pool
+            split_memo[pool] = out
+        return out
+
+    def most(pool, k):
+        """The largest sum of best over at most k successive pieces."""
+        if not pool or not k:
+            return 0
+        out = most_memo.get((pool, k))
+        if out is None:
+            out = max(best(piece) + most(tail, k - 1)
+                      for piece, tail in splits(pool))
+            most_memo[(pool, k)] = out
+        return out
 
     def best(pool):
-        if pool in memo:
-            return memo[pool]
+        out = best_memo.get(pool)
+        if out is not None:
+            return out
         budget[0] -= 1
         if budget[0] < 0:
             raise BruteForceCapExceeded(
                 "exhaustive oracle exceeds %d evaluations" % ORACLE_BUDGET)
-        out = max(abs(entries[c]) for c in pool)
-        for j in range(1, len(params.pairs) + 1):
-            if j == params.excluded:
-                continue
-            theta = params.theta(j)
-            cap_j = min(params.cap(j), len(pool))
-            for split in pieces(pool, cap_j):
-                if not split:
-                    continue
-                if len(split) == 1 and split[0] == pool:
-                    # theta < 1, so a one-piece self-split never improves
-                    continue
-                v = theta * sum(best(p) for p in split)
-                if v > out:
-                    out = v
-        memo[pool] = out
+        out = max(m for i, m in enumerate(mags) if pool >> i & 1)
+        for cap, theta in weights.items():
+            # theta < 1, so the one-piece split into the pool never improves
+            v = theta * max((best(piece) + most(tail, cap - 1)
+                             for piece, tail in splits(pool)
+                             if piece != pool), default=0)
+            if v > out:
+                out = v
+        best_memo[pool] = out
         return out
 
-    return best(coords)
+    return best((1 << len(mags)) - 1)

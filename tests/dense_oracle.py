@@ -6,12 +6,16 @@ columns by forward substitution through every row; and the
 biorthogonality check as the full |Gamma_n|^2 sweep of row-column
 pairings; the FDD row norms from column-by-row outer products of those
 columns.  Also the `Fraction` interval DP for the mixed Tsirelson norm,
-the oracle of the integer DP in `bdspace.mtnorm`.  None of them computes
+the oracle of the integer DP in `bdspace.mtnorm`, and the per-weight
+enumeration of every successive-subset split, the reference of the
+memoized brute force `mt_norm_exhaustive`.  None of them computes
 through the engine's memos or its integer kernel: a stage matrix is read
 as Funcs."""
 
 from fractions import Fraction
 
+from bdspace import mtnorm
+from bdspace.errors import BruteForceCapExceeded
 from bdspace.funcs import Func
 from bdspace.mtnorm import Leaf, Node
 
@@ -259,3 +263,60 @@ def fraction_mt_norm(x, params):
 
     value, _ = window(0, len(pos))
     return value, build(0, len(pos))
+
+
+def pieces_mt_norm(x, params):
+    """The mixed Tsirelson norm by enumerating, for each weight index j,
+    every split of a subset into at most l_j successive nonempty subsets
+    and summing the memoized norms of its pieces.  Raises
+    BruteForceCapExceeded past `mtnorm.ORACLE_BUDGET` distinct subsets."""
+    entries = {int(k): Fraction(v) for k, v in dict(x).items() if v}
+    if not entries:
+        return Fraction(0)
+    coords = tuple(sorted(entries))
+    memo = {}
+    budget = [mtnorm.ORACLE_BUDGET]
+
+    def pieces(pool, max_count):
+        """Ordered tuples of disjoint successive nonempty subsets of pool."""
+        if max_count == 0 or not pool:
+            yield ()
+            return
+        n = len(pool)
+        for first_lo in range(n):
+            # the first piece starts at pool[first_lo]
+            rest = pool[first_lo + 1:]
+            for mask in range(1 << len(rest)):
+                piece = (pool[first_lo],) + tuple(
+                    c for i, c in enumerate(rest) if mask >> i & 1)
+                tail_pool = tuple(c for c in rest if c > piece[-1])
+                for tail in pieces(tail_pool, max_count - 1):
+                    yield (piece,) + tail
+
+    def best(pool):
+        if pool in memo:
+            return memo[pool]
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise BruteForceCapExceeded(
+                "exhaustive oracle exceeds %d evaluations"
+                % mtnorm.ORACLE_BUDGET)
+        out = max(abs(entries[c]) for c in pool)
+        for j in range(1, len(params.pairs) + 1):
+            if j == params.excluded:
+                continue
+            theta = params.theta(j)
+            cap_j = min(params.cap(j), len(pool))
+            for split in pieces(pool, cap_j):
+                if not split:
+                    continue
+                if len(split) == 1 and split[0] == pool:
+                    # theta < 1, so a one-piece self-split never improves
+                    continue
+                v = theta * sum(best(p) for p in split)
+                if v > out:
+                    out = v
+        memo[pool] = out
+        return out
+
+    return best(coords)

@@ -542,6 +542,26 @@ def test_verify_stage_8(suite, values, tmp_path):
     assert cert["verdict"] == "verified" and cert["values"] == values
 
 
+@pytest.mark.parametrize("suite, digest", [
+    ("biorthogonality",
+     "1ff33d798c5055edda89559c2154e8f2fa28c9905fc9fda838855a4b5dec31eb"),
+    ("eval-analysis",
+     "33a4b8c7a56df5f23171f2df51bf4354ab29b12eb8aa88cc886c319875ed7cef"),
+    # basis constant 1157/1024, d* ell_1 bound 2181/1024
+    ("projections",
+     "cbe9f12d8809ca5d6dfca37cdf48611eca34619a5c754f2af24f7450c865a38a"),
+])
+def test_verify_xk_stage_5_digest(suite, digest, tmp_path):
+    """Stage 5 of the XK schedule (4,16),(6,2): 1,305 elements, 1,056 of
+    them Type2 links, so c* runs the recursion through a predecessor;
+    each ledger is pinned byte for byte."""
+    sched = write_schedule(tmp_path, (4, 16), (6, 2))
+    out = tmp_path / "ledger.jsonl"
+    assert main(["verify", suite, "--schedule", sched, "--stage", "5",
+                 "--cap", "200000", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_verify_averages_keeps_each_verdict(tmp_path, capsys):
     """One certificate per check of each case: the RIS checks and the
     eps = 1 plain-average lower values are decided, every estimate whose

@@ -31,6 +31,19 @@ def test_d_star_unit_triangular(stage6):
                    for h in d)
 
 
+@pytest.mark.parametrize("name", ["stage6", "rich5"])
+def test_d_star_l1_from_integer_rows(request, name):
+    """The ell_1 norm read off the integer row is the Func's, exactly;
+    rich5 holds Type2 links, whose d* rows reach over several ranks."""
+    registry, engine = request.getfixturevalue(name)
+    norms = [engine.d_star_l1(g) for g in registry.gammas_up_to(5)]
+    assert norms == [engine.d_star(g).l1()
+                     for g in registry.gammas_up_to(5)]
+    assert all(type(v) is Fraction for v in norms)
+    assert max(norms) == {"stage6": Fraction(5, 4),
+                          "rich5": Fraction(2181, 1024)}[name]
+
+
 def test_stage_matrix_against_dense_solve(stage6):
     registry, engine = stage6
     n = 4

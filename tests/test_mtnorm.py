@@ -14,7 +14,7 @@ from bdspace.mtnorm import (Leaf, MTParams, Node, mt_norm,
                             mt_norm_exhaustive, norming_height, tree_action,
                             tree_support, verify_norming_tree)
 from bdspace.schedule import validate_schedule
-from dense_oracle import fraction_mt_norm
+from dense_oracle import fraction_mt_norm, pieces_mt_norm
 
 PARAMS = MTParams(pairs=((3, Fraction(1, 4)), (4, Fraction(1, 16))))
 
@@ -60,6 +60,31 @@ def test_exhaustive_oracle_budget(monkeypatch):
     monkeypatch.setattr(mtnorm, "ORACLE_BUDGET", 3)
     with pytest.raises(BruteForceCapExceeded):
         mt_norm_exhaustive({k: Fraction(1) for k in range(6)}, PARAMS)
+
+
+def test_exhaustive_matches_per_weight_enumeration():
+    """The memoized oracle against the enumeration of every split for
+    each weight index, on 300 seeded cases: one to three pairs, caps 1
+    to 5 (cap-1 pairs included), every exclusion, supports up to 6."""
+    rng = random.Random(16)
+    weights = sorted({Fraction(a, b) for a in (1, 2, 3)
+                      for b in range(4, 25)})
+    shapes = set()
+    for _ in range(300):
+        size = rng.randint(1, 3)
+        thetas = sorted(rng.sample(weights, size), reverse=True)
+        caps = [rng.randint(1, 5) for _ in thetas]
+        params = MTParams(pairs=tuple(zip(caps, thetas)),
+                          excluded=rng.choice([None] + list(
+                              range(1, size + 1))))
+        x = {k: Fraction(rng.choice([-1, 1]) * rng.randint(1, 6),
+                         rng.randint(1, 4))
+             for k in rng.sample(range(12), rng.randint(1, 6))}
+        assert mt_norm_exhaustive(x, params) == pieces_mt_norm(x, params)
+        shapes.add((size, 1 in caps, params.excluded is not None, len(x)))
+    assert {s[0] for s in shapes} == {1, 2, 3}
+    assert {s[3] for s in shapes} == set(range(1, 7))
+    assert any(s[1] for s in shapes) and any(s[2] for s in shapes)
 
 
 def test_excluded_index():

@@ -1,10 +1,11 @@
 """Source rules: checks are not asserts, verdicts have one home, the
 sparse e-coordinate cache of a Point stays private to the engine, only
-the integer kernel takes an lcm of denominators, an
-element's kind and sigma-code are read only in the registry, the
-engine has no |Gamma|^2 sweep over a stage matrix's ids, no code is
-reachable from the tests alone, and no defaulted parameter keeps a value
-that no caller changes."""
+the integer kernel takes an lcm of denominators, the mixed-Tsirelson
+oracle names nothing of the DP it checks, an element's kind and
+sigma-code are read only in the registry, the engine has no |Gamma|^2
+sweep over a stage matrix's ids, no code is reachable from the tests
+alone, and no defaulted parameter keeps a value that no caller
+changes."""
 
 import ast
 import pathlib
@@ -67,6 +68,22 @@ def test_integer_scaling_has_one_home():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if _takes_lcm(node)}
     assert found == {"funcs.py"}
+
+
+DP_NAMES = {"mt_norm", "IntVec", "common_denominator", "norming_height",
+            "active_indices"}
+
+
+def test_oracle_shares_nothing_with_the_dp():
+    """`mt_norm_exhaustive` is the slow oracle of the interval DP, so its
+    body names neither the DP nor the helpers the DP scales and prunes
+    with; a speedup that reused them would check the DP against
+    itself."""
+    path = SOURCES[0].parent / "mtnorm.py"
+    (oracle,) = [node for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "mt_norm_exhaustive"]
+    assert set(_names_used(oracle)) & DP_NAMES == set()
 
 
 KIND_NAMES = {"BASE", "TYPE1", "TYPE2"}

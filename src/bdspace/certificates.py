@@ -62,7 +62,7 @@ def _canon(obj):
         return frac_str(obj)
     if isinstance(obj, dict):
         return {str(k): _canon(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if type(obj) in (list, tuple):  # not a tuple subclass: a record
         return [_canon(v) for v in obj]
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj

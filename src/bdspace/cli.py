@@ -25,7 +25,7 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import index
+from operator import index, itemgetter
 
 from .analysis import (DEPENDENT_C, CarrierSource, alternating_report,
                        basic_inequality_witness, check_ris, hi_probe,
@@ -37,8 +37,8 @@ from .errors import BDSpaceError, InputError
 from .funcs import Func, frac_str, parse_frac
 from .mtnorm import MTParams, mt_norm, mt_norm_exhaustive, verify_norming_tree
 from .norms import sup_norm_interval
-from .registry import (BMT, ENFORCE, Registry, WAIVE, XK, coded_weight,
-                       first_sigma)
+from .registry import (BMT, ENFORCE, STAGE_CAP, Registry, WAIVE, XK,
+                       coded_weight, first_sigma)
 from .schedule import (geometric_toy_schedule, slow_toy_schedule,
                        validate_schedule)
 from .spaces import (DyadicAverages, PaperFactorial, SignedUnits,
@@ -111,8 +111,8 @@ def net_policy(name):
                      "K >= 1)" % name)
 
 
-def build_registry(schedule, stage, net="units", cap=20000, discipline=XK,
-                   guard=WAIVE):
+def build_registry(schedule, stage, net="units", cap=STAGE_CAP,
+                   discipline=XK, guard=WAIVE):
     registry = Registry(schedule, discipline=discipline, odd_guard=guard,
                         stage_cap=cap)
     generate_up_to(registry, stage, net_policy(net))
@@ -156,8 +156,8 @@ def tally(values, failures, name="failures"):
 def stage_suite(claim_id, claim, check):
     """A suite judging one claim over Gamma_stage of a generated registry;
     check(engine, stage) returns its Check."""
-    def suite(ledger, schedule=None, stage=6, net="units", cap=20000,
-              seed=DEFAULT_SEED):
+    def suite(ledger, schedule=None, stage=6, net="units",
+              cap=STAGE_CAP, seed=DEFAULT_SEED):
         schedule = schedule or default_stage6_schedule()
         registry = build_registry(schedule, stage, net, cap)
         ledger.add(make_certificate(
@@ -244,8 +244,8 @@ _suite_treelike_exhaustive = stage_suite(
     "a unique branching index", _treelike_pairs)
 
 
-def suite_treelike(ledger, schedule=None, stage=5, net="units", cap=20000,
-                   forged_pairs=20, seed=DEFAULT_SEED):
+def suite_treelike(ledger, schedule=None, stage=5, net="units",
+                   cap=STAGE_CAP, forged_pairs=20, seed=DEFAULT_SEED):
     _suite_treelike_exhaustive(
         ledger, schedule or validate_schedule((4, 16), (6, 2)), stage, net,
         cap, seed)
@@ -632,9 +632,55 @@ def nested_text(value, depth, layouts, shared):
     return hit[1]
 
 
+# a run of rows that share one key layout is encoded column by column,
+# at most this many rows at a time, so the texts held stay small
+ROW_BLOCK = 2048
+FLAT = frozenset(LEAF_TEXT)
+# a column of flat values in one C call: no value's text holds "\0",
+# which the encoder spells \u0000 inside a string
+FLAT_COLUMN = json.JSONEncoder(separators=("\0", ": "), check_circular=False)
+
+
+def row_blocks(rows):
+    """(keys, rows) of each run of consecutive non-empty dict rows with
+    the same keys in the same order, at most ROW_BLOCK long; every other
+    row, a dict subclass too, is a run of one with keys None."""
+    block, keys = [], None
+    for row in rows:
+        layout = tuple(row) if type(row) is dict and row else None
+        if block and (keys is None or layout != keys
+                      or len(block) == ROW_BLOCK):
+            yield keys, block
+            block = []
+        if not block:
+            keys = layout
+        block.append(row)
+    if block:
+        yield keys, block
+
+
+def column_texts(column, layouts, shared):
+    """The json_text at depth 2 of each value of a column."""
+    if FLAT.issuperset(map(type, column)):
+        return FLAT_COLUMN.encode(column)[1:-1].split("\0")
+    return [leaf(v) if (leaf := LEAF_TEXT.get(type(v)))
+            else nested_text(v, 2, layouts, shared) for v in column]
+
+
+def block_text(keys, block, layouts, shared):
+    """The rows of a run from row_blocks as json_text writes each at
+    depth 1, joined by the separator between rows."""
+    if keys is None:
+        return json_text(block[0], 1, layouts, shared)
+    # a column at a time, so no per-row object outlives its row
+    columns = [column_texts(list(map(itemgetter(key), block)), layouts,
+                            shared) for key in keys]
+    return ",\n ".join(map(layouts[keys, 1].__mod__, zip(*columns)))
+
+
 def write_rows(rows, out, fmt):
-    """Rows as indented JSON, written row by row, or as CSV with list,
-    tuple and dict cells in compact JSON."""
+    """Rows as indented JSON, written a run of rows at a time, or as CSV
+    with list, tuple and dict cells in compact JSON."""
     if fmt == "csv":
         if not rows:
             return
@@ -649,8 +695,8 @@ def write_rows(rows, out, fmt):
     else:
         layouts, shared = DictLayouts(), {}
         sep = "[\n "
-        for row in rows:
-            out.write(sep + json_text(row, 1, layouts, shared))
+        for keys, block in row_blocks(rows):
+            out.write(sep + block_text(keys, block, layouts, shared))
             sep = ",\n "
         out.write("\n]\n")
 
@@ -788,7 +834,7 @@ OPTIONS = {
     "schedule": {"help": "JSON schedule file {m: [...], n: [...]}"},
     "net": {"default": "units", "help": "net policy: paper | units | dyadic:K"},
     "stage": {"type": int, "default": 6},
-    "cap": {"type": int, "default": 20000},
+    "cap": {"type": int, "default": STAGE_CAP},
     "mode": {"choices": ["admissible", "toy"], "default": "toy"},
     "seed": {"type": int, "default": DEFAULT_SEED},
     "out": {"help": "output file (ledger/table)"},

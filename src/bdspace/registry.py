@@ -16,6 +16,11 @@ first.  Interning validates all structural invariants, is idempotent on
 identical drafts, and assigns ids densely in insertion order.  The
 canonical total order on elements is (rank, id).
 
+A record (`ElementRecord`) is an immutable tuple with named fields, the
+cheapest record Python builds; only the registry builds one (`base`,
+`intern`, and `sigma`, which fills in a sigma-code), so each record in
+an arena has passed the checks that `revalidate` repeats.
+
 Odd-weight discipline ("XK"): elements of odd weight carry a single unit
 payload e*_eta whose weight is pinned down by the sigma-coding; this is
 what makes odd-weight chains tree-like; `target_weights` states the rule.
@@ -25,8 +30,8 @@ demand order, and small enough that coded even weights stay within reach
 of toy schedules.
 """
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from collections import defaultdict
+from typing import NamedTuple, Optional
 
 from .errors import (AgeOverflow, OddWeightRuleViolation, ScheduleViolation,
                      StageOverflow, SupportOutOfWindow, UnknownGamma,
@@ -43,6 +48,8 @@ BMT = "BmT"
 ENFORCE = "enforce"
 WAIVE = "waive"
 
+STAGE_CAP = 20000   # the most elements a registry admits, unless told more
+
 
 def first_sigma(rank):
     """The least sigma-code of an element of this rank: above rank/4."""
@@ -54,8 +61,17 @@ def coded_weight(sigma):
     return 4 * sigma
 
 
-@dataclass(frozen=True, slots=True)
-class ElementRecord:
+def kind_of(rank, predecessor):
+    """The element type, which its structure decides: Base at rank 1,
+    Type2 when it extends a predecessor's chain, Type1 otherwise."""
+    if rank == 1:
+        return BASE
+    return TYPE1 if predecessor is None else TYPE2
+
+
+class ElementRecord(NamedTuple):
+    """One element, immutable: a tuple whose fields are named."""
+
     id: int
     rank: int
     weight_index: Optional[int] = None
@@ -67,11 +83,7 @@ class ElementRecord:
 
     @property
     def kind(self):
-        """The element type, which its structure decides: Base at rank 1,
-        Type2 when it extends a predecessor's chain, Type1 otherwise."""
-        if self.rank == 1:
-            return BASE
-        return TYPE1 if self.predecessor is None else TYPE2
+        return kind_of(self.rank, self.predecessor)
 
     def is_odd_weight(self):
         return self.weight_index is not None and self.weight_index % 2 == 1
@@ -80,7 +92,8 @@ class ElementRecord:
 class Registry:
     """Single-writer arena of ElementRecords over a fixed schedule."""
 
-    def __init__(self, schedule, discipline=XK, odd_guard=WAIVE, stage_cap=20000):
+    def __init__(self, schedule, discipline=XK, odd_guard=WAIVE,
+                 stage_cap=STAGE_CAP):
         if discipline not in (XK, BMT):
             raise ValueError("unknown discipline %r" % discipline)
         self.schedule = schedule
@@ -90,7 +103,7 @@ class Registry:
         self.records = []
         self._by_key = {}
         self._payloads = {}  # payload ratios -> (the same ratios, stored Func)
-        self._stages = {}
+        self._stages = defaultdict(list)   # rank -> ids of that rank
         self._sigma_used = set()
         self.generated_stage = 0
         self.waivers = []   # each waived rule once, in order of first use
@@ -109,7 +122,7 @@ class Registry:
         """The sigma-code of an element, assigned on first demand."""
         rec = self.record(gid)
         if rec.sigma is None:
-            rec = replace(rec, sigma=self._next_sigma(rec.rank))
+            rec = rec._replace(sigma=self._next_sigma(rec.rank))
             self.records[gid] = rec
         return rec.sigma
 
@@ -193,15 +206,22 @@ class Registry:
         can change a record's payload afterwards."""
         if rank < 2:
             raise ScheduleViolation("Type1/Type2 elements need rank >= 2")
-        self.schedule.require_weight_index(weight_index)
+        # the checks read the schedule and the arena straight from their
+        # lists, and call the methods that raise only to raise
+        schedule, records = self.schedule, self.records
+        if not 1 <= weight_index <= len(schedule.m):
+            schedule.require_weight_index(weight_index)
         if weight_index > rank:
             raise ScheduleViolation(
                 "weight index %d exceeds rank %d" % (weight_index, rank))
 
+        size = len(records)
         if predecessor is None:
             cut, age = 0, 1
         else:
-            pred = self.record(predecessor)
+            if type(predecessor) is not int or not 0 <= predecessor < size:
+                self.record(predecessor)  # UnknownGamma if dangling
+            pred = records[predecessor]
             if pred.rank == 1:
                 raise WeightMismatch("Base element cannot head a chain")
             if pred.weight_index != weight_index:
@@ -211,10 +231,10 @@ class Registry:
             cut, age = pred.rank, pred.age + 1
             if not cut < rank:
                 raise ScheduleViolation("cut %d must be below rank %d" % (cut, rank))
-            if age > self.schedule.length_value(weight_index):
-                raise AgeOverflow(
-                    "age %d exceeds n_%d = %d"
-                    % (age, weight_index, self.schedule.length_value(weight_index)))
+            if age > schedule.n[weight_index - 1]:
+                raise AgeOverflow("age %d exceeds n_%d = %d"
+                                  % (age, weight_index,
+                                     schedule.n[weight_index - 1]))
 
         if not isinstance(payload, Func):
             payload = Func(payload)
@@ -223,7 +243,9 @@ class Registry:
         # pure-Python Fraction.__hash__ and __eq__
         ratios = []
         for gid, v in payload.items():
-            r = self.rank_of(gid)  # UnknownGamma if dangling
+            if type(gid) is not int or not 0 <= gid < size:
+                self.record(gid)  # UnknownGamma if dangling
+            r = records[gid].rank
             if not cut < r <= rank - 1:
                 raise SupportOutOfWindow(
                     "payload id %d has rank %d outside (%d, %d]"
@@ -236,29 +258,29 @@ class Registry:
         if self.discipline == XK and weight_index % 2 == 1:
             self._check_odd_rules(weight_index, predecessor, ratios)
 
+        # one key, holding the stored payload's ratios when there is one
         items = frozenset(ratios)
-        gid = self._by_key.get((rank, weight_index, predecessor, items))
+        stored = self._payloads.get(items)
+        key = (rank, weight_index, predecessor,
+               items if stored is None else stored[0])
+        gid = self._by_key.get(key)
         if gid is not None:
             return gid
         if rank <= self.generated_stage:
             raise StageOverflow(
                 "rank %d is inside the enumerated prefix (stage %d); "
                 "forged towers must sit above it" % (rank, self.generated_stage))
-        stored = self._payloads.get(items)
         if stored is None:
             stored = self._payloads[items] = (items, Func(payload))
-        items, payload = stored
-        rec = ElementRecord(id=len(self.records), rank=rank,
-                            weight_index=weight_index, age=age, cut=cut,
-                            predecessor=predecessor, payload=payload)
-        return self._admit((rank, weight_index, predecessor, items), rec)
+        return self._admit(key, ElementRecord(
+            size, rank, weight_index, age, cut, predecessor, stored[1]))
 
     def _check_odd_rules(self, weight_index, predecessor, ratios):
         if len(ratios) != 1 or ratios[0][1:] != (1, 1):
             raise OddWeightRuleViolation(
                 "odd-weight payload must be a single evaluation functional e*_eta")
         ((eta, _, _),) = ratios
-        h = self.record(eta).weight_index
+        h = self.records[eta].weight_index  # a payload id: it exists
         if h is None:
             raise OddWeightRuleViolation("odd-weight target eta must carry a weight")
         if h not in self.target_weights(weight_index, predecessor):
@@ -275,7 +297,7 @@ class Registry:
     def _admit(self, key, rec):
         self.records.append(rec)
         self._by_key[key] = rec.id
-        self._stages.setdefault(rec.rank, []).append(rec.id)
+        self._stages[rec.rank].append(rec.id)
         return rec.id
 
     def _next_sigma(self, rank):
@@ -331,9 +353,10 @@ class Registry:
         immutable, no row can change another row or the registry."""
         forms = {}  # id of a stored payload -> its exported form
         rows = []
+        records = self.records
         for gid in self.gammas_up_to(n):
-            rec = self.records[gid]
-            payload = rec.payload
+            _, rank, weight_index, age, cut, predecessor, payload, sigma = \
+                records[gid]
             if payload is not None:
                 form = forms.get(id(payload))
                 if form is None:
@@ -341,14 +364,14 @@ class Registry:
                         map(tuple, payload.to_json()))
                 payload = form
             rows.append({
-                "id": rec.id,
-                "rank": rec.rank,
-                "kind": rec.kind,
-                "weight_index": rec.weight_index,
-                "age": rec.age,
-                "cut": rec.cut,
-                "predecessor": rec.predecessor,
+                "id": gid,
+                "rank": rank,
+                "kind": kind_of(rank, predecessor),
+                "weight_index": weight_index,
+                "age": age,
+                "cut": cut,
+                "predecessor": predecessor,
                 "payload": payload,
-                "sigma": rec.sigma,
+                "sigma": sigma,
             })
         return rows

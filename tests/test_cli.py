@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,53 @@ def test_json_row_writer_keeps_types_apart():
             [(1,), (True,), shared], {"p": (1,)}]
     assert written(rows) == dumped(rows)
     assert '"p": [\n   true\n  ]' in written(rows)
+
+
+def run_lengths(rows):
+    return [(keys, len(block)) for keys, block in cli.row_blocks(rows)]
+
+
+def test_row_runs_break_at_the_block_and_at_each_layout():
+    """Rows are encoded column by column in runs of one key layout, at
+    most ROW_BLOCK long; a changed key order is another layout, and each
+    row that is not a non-empty plain dict is a run of one."""
+    n = cli.ROW_BLOCK
+    a = [{"id": i, "kind": "Type1", "payload": ((i, "1/1"),)}
+         for i in range(n + 5)]
+    b = [{"id": i, "kind": "Type1", "payload": None, "sigma": i}
+         for i in range(3)]
+    swapped = [{"kind": "Type2", "id": i, "payload": None} for i in range(2)]
+    subclass = [OrderedDict(a[0]), OrderedDict(a[1])]
+    rows = (a + b + a[:n - 1] + swapped + [{}, {}, [1], (2,), 3] + subclass
+            + a[:2])
+    ab, bb, sb = ("id", "kind", "payload"), tuple(b[0]), tuple(swapped[0])
+    assert run_lengths(rows) == [
+        (ab, n), (ab, 5), (bb, 3), (ab, n - 1), (sb, 2)] + [(None, 1)] * 7 \
+        + [(ab, 2)]
+    assert written(rows) == dumped(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    # strings the column separator, the encoder's item separator or a
+    # template could be confused by
+    [{"s": v, "t": "x"} for v in ["\0", "a\0b", ", ", '", "', "\0, \0",
+                                  "é", "\u2028", "\U0001f600", "%s", "%%",
+                                  "", "\\", "\n"]],
+    # bool columns next to int columns, and a column mixing the two
+    [{"flag": i % 2 == 0, "n": i, "mix": [1, True, 0, False][i % 4],
+      "big": 2 ** 70 * (-1) ** i} for i in range(9)],
+    # floats, alone and in a column with ints
+    [{"x": v, "y": 1.0, "z": [1, 1.0][i % 2]}
+     for i, v in enumerate([0.5, -0.0, 1e300, float("inf"), float("nan"),
+                            float("-inf"), 3.0])],
+    # None columns and a column None in every row but one
+    [{"p": None, "q": None if i else "only"} for i in range(4)],
+    [{}], [{}, {}], [[1, {"a": 2}], (3,), "s", 5, None, {"a": 1}, {"a": 2},
+                     [], {}, {"a": 3}],
+], ids=["strings", "bools-and-ints", "floats", "nulls", "one-empty-dict",
+        "empty-dicts", "non-dict-rows"])
+def test_json_column_runs_match_json_dump(rows):
+    assert written(rows) == dumped(rows)
 
 
 def test_csv_writes_a_tuple_as_a_list(tmp_path):

@@ -1,15 +1,15 @@
 """Interning, structural validation, and the sigma-coding."""
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from bdspace.errors import (AgeOverflow, InvariantViolation,
-                            OddWeightRuleViolation, ScheduleViolation,
-                            StageOverflow, SupportOutOfWindow, UnknownGamma,
-                            WeightMismatch)
+from bdspace.errors import (AgeOverflow, BDSpaceError, IndexOutOfSchedule,
+                            InvariantViolation, OddWeightRuleViolation,
+                            ScheduleViolation, StageOverflow,
+                            SupportOutOfWindow, UnknownGamma, WeightMismatch)
+from bdspace.certificates import canonical_json
 from bdspace.cli import build_registry, forge_arena
 from bdspace.funcs import Func
 from bdspace.registry import (BASE, BMT, ENFORCE, Registry, TYPE1, TYPE2,
@@ -162,7 +162,7 @@ def test_revalidate_names_corruption():
         reg.intern(rank=7, weight_index=2, predecessor=head,
                    payload=Func.unit(mid))
         assert reg.revalidate() == 4
-        reg.records[gid] = replace(reg.records[gid], **change)
+        reg.records[gid] = reg.records[gid]._replace(**change)
         with pytest.raises(InvariantViolation):
             reg.revalidate()
 
@@ -188,6 +188,129 @@ def test_odd_rules():
 # (m, n) whose odd guard m_h > n_1^2 = 9 fails at h = 2 and holds at h = 6
 MIXED_GUARD = validate_schedule((4, 5, 6, 7, 8, 12, 13, 14),
                                 (3, 2, 2, 2, 2, 2, 2, 2))
+
+
+def faults_arena():
+    """An ENFORCE arena on MIXED_GUARD, counted as generated to its top
+    rank 8, so a draft that passed every check would raise StageOverflow:
+    0 Base; 1 (2, w2); 2 a head (3, w2); 3 (4, w4); 4 the link (5, w2)
+    after 2, at age n_2 = 2; 5 (6, w6); 6 an odd head (7, w1) on 5,
+    whose links target 4 sigma(6) = 8; 7 (8, w4)."""
+    reg = Registry(MIXED_GUARD, discipline=XK, odd_guard=ENFORCE)
+    g = reg.base()
+    for draft in [(2, 2, {g: 1}), (3, 2, {g: 1}), (4, 4, {g: 1}),
+                  (5, 2, {3: 1}, 2), (6, 6, {g: 1}), (7, 1, {5: 1}),
+                  (8, 4, {g: 1})]:
+        reg.intern(*draft)
+    reg.generated_stage = 8
+    return reg
+
+
+HALF = Fraction(1, 2)
+ODD_OFF_HEAD = "target weight index %d is not 2 mod 4 (under enforce, " \
+    "with m_h > n_1^2)"
+
+# (draft, exception type, message), in the order intern checks them; a
+# draft with two faults reports the one it checks first
+INTERN_FAULTS = {
+    "rank below 2": ((1, 2, {0: 1}), ScheduleViolation,
+                     "Type1/Type2 elements need rank >= 2"),
+    "weight index 0": ((3, 0, {0: 1}), IndexOutOfSchedule,
+                       "weight index 0 not in 1..8"),
+    "weight index past the schedule": ((9, 9, {0: 1}), IndexOutOfSchedule,
+                                       "weight index 9 not in 1..8"),
+    "weight index above the rank": ((3, 4, {0: 1}), ScheduleViolation,
+                                    "weight index 4 exceeds rank 3"),
+    "dangling predecessor": ((9, 2, {0: 1}, 99), UnknownGamma,
+                             "no element with id 99"),
+    "non-int predecessor": ((9, 2, {0: 1}, "2"), UnknownGamma,
+                            "no element with id '2'"),
+    "Base predecessor": ((3, 2, {0: 1}, 0), WeightMismatch,
+                         "Base element cannot head a chain"),
+    "weight mismatch": ((6, 4, {3: 1}, 2), WeightMismatch,
+                        "chain weight m_4 != predecessor weight m_2"),
+    "cut at the rank": ((3, 2, {0: 1}, 2), ScheduleViolation,
+                        "cut 3 must be below rank 3"),
+    "age above n_j": ((7, 2, {5: 1}, 4), AgeOverflow,
+                      "age 3 exceeds n_2 = 2"),
+    "dangling payload id": ((3, 2, {99: 1}), UnknownGamma,
+                            "no element with id 99"),
+    "negative payload id": ((3, 2, {-1: 1}), UnknownGamma,
+                            "no element with id -1"),
+    "non-int payload id": ((3, 2, {"0": 1}), UnknownGamma,
+                           "no element with id '0'"),
+    "payload id below the cut": ((5, 2, {0: 1}, 2), SupportOutOfWindow,
+                                 "payload id 0 has rank 1 outside (3, 4]"),
+    "payload id at the cut": ((5, 2, {2: 1}, 2), SupportOutOfWindow,
+                              "payload id 2 has rank 3 outside (3, 4]"),
+    "payload id at the rank": ((4, 2, {3: 1}), SupportOutOfWindow,
+                               "payload id 3 has rank 4 outside (0, 3]"),
+    "payload id above the window": ((3, 2, {3: 1}), SupportOutOfWindow,
+                                    "payload id 3 has rank 4 outside (0, 2]"),
+    "one-entry l1 above 1": ((3, 2, {0: Fraction(3, 2)}), SupportOutOfWindow,
+                             "payload ell_1-norm exceeds 1"),
+    "multi-entry l1 above 1": ((3, 2, {0: HALF, 1: Fraction(2, 3)}),
+                               SupportOutOfWindow,
+                               "payload ell_1-norm exceeds 1"),
+    "odd payload of half a unit": (
+        (8, 1, {5: HALF}), OddWeightRuleViolation,
+        "odd-weight payload must be a single evaluation functional e*_eta"),
+    "odd payload of two entries": (
+        (8, 1, {5: HALF, 6: HALF}), OddWeightRuleViolation,
+        "odd-weight payload must be a single evaluation functional e*_eta"),
+    "odd payload -e*": (
+        (8, 1, {5: -1}), OddWeightRuleViolation,
+        "odd-weight payload must be a single evaluation functional e*_eta"),
+    "odd target without a weight": ((2, 1, {0: 1}), OddWeightRuleViolation,
+                                    "odd-weight target eta must carry a "
+                                    "weight"),
+    "odd head target not 2 mod 4": ((5, 1, {3: 1}), OddWeightRuleViolation,
+                                    ODD_OFF_HEAD % 4),
+    "odd head target failing the guard": (
+        (3, 1, {1: 1}), OddWeightRuleViolation, ODD_OFF_HEAD % 2),
+    "odd link target off the coding": (
+        (9, 1, {7: 1}, 6), OddWeightRuleViolation,
+        "target weight index 4 is not 4*sigma(xi) = 8"),
+    "new draft in the generated prefix": (
+        (8, 2, {5: 1}), StageOverflow,
+        "rank 8 is inside the enumerated prefix (stage 8); forged towers "
+        "must sit above it"),
+    # two faults each
+    "rank below 2, weight index past": ((1, 99, {99: 1}), ScheduleViolation,
+                                        "Type1/Type2 elements need rank >= 2"),
+    "weight index above the rank, dangling id": (
+        (3, 4, {99: 1}), ScheduleViolation, "weight index 4 exceeds rank 3"),
+    "age above n_j, payload below the cut, l1": (
+        (7, 2, {0: 3}, 4), AgeOverflow, "age 3 exceeds n_2 = 2"),
+    "dangling id, then an id above the window": (
+        (3, 2, {99: HALF, 3: HALF}), UnknownGamma, "no element with id 99"),
+    "an id above the window, then a dangling id": (
+        (3, 2, {3: HALF, 99: HALF}), SupportOutOfWindow,
+        "payload id 3 has rank 4 outside (0, 2]"),
+    "payload id above the window, l1": (
+        (3, 2, {3: 2}), SupportOutOfWindow,
+        "payload id 3 has rank 4 outside (0, 2]"),
+    "odd payload not a unit, target off the coding": (
+        (9, 1, {7: HALF}, 6), OddWeightRuleViolation,
+        "odd-weight payload must be a single evaluation functional e*_eta"),
+    "odd rule, in the generated prefix": (
+        (8, 1, {5: HALF}), OddWeightRuleViolation,
+        "odd-weight payload must be a single evaluation functional e*_eta"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(INTERN_FAULTS))
+def test_intern_reports_each_fault(fault):
+    """Each faulty draft raises its own exception type and message, the
+    first fault in check order when it has two, and admits nothing;
+    the arena's own drafts still return their ids."""
+    draft, kind, message = INTERN_FAULTS[fault]
+    reg = faults_arena()
+    with pytest.raises(BDSpaceError) as info:
+        reg.intern(*draft)
+    assert (type(info.value), str(info.value)) == (kind, message)
+    assert len(reg) == 8
+    assert reg.intern(3, 2, {0: 1}) == 2 and reg.intern(7, 1, {5: 1}) == 6
 
 
 def test_target_weights_follow_the_coding():
@@ -287,6 +410,37 @@ def test_caller_changes_do_not_reach_a_record():
 def test_revalidate_passes_on_a_generated_stage6(stage6):
     registry, _ = stage6
     assert registry.revalidate() == len(registry) == 571
+
+
+def test_rich5_drafts_intern_to_their_own_ids(rich5):
+    """Re-interning each record's own draft returns its id and changes
+    nothing, not even a sigma-code, inside the generated prefix."""
+    registry, _ = rich5
+    before = list(registry.records)
+    assert len(before) == 1305
+    for rec in before[1:]:
+        assert registry.intern(rec.rank, rec.weight_index, rec.payload,
+                               rec.predecessor) == rec.id
+    assert all(a is b for a, b in zip(registry.records, before))
+    assert len(registry) == 1305
+    assert registry.revalidate() == 1305
+
+
+def test_records_are_immutable_and_not_certifiable(rich5):
+    """A record's fields cannot be assigned, it takes no new attribute,
+    and canonical_json refuses it rather than writing its fields as a
+    list, as it writes a plain tuple."""
+    registry, _ = rich5
+    rec = next(r for r in registry.records if r.kind == TYPE2)
+    for field in rec._fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(rec, field, 0)
+    with pytest.raises(TypeError):
+        canonical_json(rec)
+    with pytest.raises(TypeError):
+        canonical_json({"records": [registry.records[0]]})
+    assert canonical_json(tuple(registry.records[0])) == \
+        b"[0,1,null,null,0,null,null,null]"
 
 
 def per_record_table(registry, n):

@@ -2,7 +2,8 @@
 sparse e-coordinate cache of a Point stays private to the engine, only
 the integer kernel takes an lcm of denominators, the mixed-Tsirelson
 oracle names nothing of the DP it checks, an element's kind and
-sigma-code are read only in the registry, the engine has no |Gamma|^2
+sigma-code are read only in the registry, element records are built
+only by the registry's two constructors, the engine has no |Gamma|^2
 sweep over a stage matrix's ids, no code is reachable from the tests
 alone, and no defaulted parameter keeps a value that no caller
 changes."""
@@ -116,6 +117,36 @@ def test_sigma_coding_stays_in_the_registry():
         lambda node: isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and node.func.attr == "sigma") == []
+
+
+RECORD_BUILDERS = {"ElementRecord", "_make", "_replace"}
+
+
+def _record_builds(node, owner="<module>"):
+    """The innermost enclosing function of each call below node that
+    makes an element record: `ElementRecord(...)`, `_make` or
+    `_replace`."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Call)
+                and getattr(child.func, "id", getattr(child.func, "attr",
+                                                      None))
+                in RECORD_BUILDERS):
+            yield owner
+        yield from _record_builds(
+            child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+
+def test_records_are_built_only_by_the_registry():
+    """A record is a tuple with named fields, so anything could make
+    one; only `Registry.base` and the chain-link constructor
+    `Registry.intern` build records, and `Registry.sigma` fills in a
+    sigma-code, so every record in an arena passed its checks."""
+    found = {(path.name, owner) for path in SOURCES + BENCH
+             for owner in _record_builds(ast.parse(path.read_text(),
+                                                   str(path)))}
+    assert found == {("registry.py", "base"), ("registry.py", "intern"),
+                     ("registry.py", "sigma")}
 
 
 def _sweeps_ids(node):

@@ -32,6 +32,9 @@ DEPENDENT_C = Fraction(45)    # the constant C of the dependent sequences
 
 # -- block sources -------------------------------------------------------------
 
+CARRIER_GAP = 2  # ranks between carriers without companions: skips one
+
+
 class CarrierSource:
     """Generator of skipped blocks in a fresh tower above the registry.
 
@@ -42,14 +45,14 @@ class CarrierSource:
     blocks a RIS).  A companion of minimal weight is forged one rank
     below the carrier; the block vanishes on it, so every window later
     owns an annihilating unit functional (used by the epsilon = 0 exact
-    pairs).  Carriers sit `gap` ranks apart: 2 skips one rank, and a
-    companion takes one more.
+    pairs).  Carriers sit `gap` ranks apart: CARRIER_GAP, and one more
+    with companions.
     """
 
-    def __init__(self, registry, engine, companions):
-        self.registry = registry
+    def __init__(self, engine, companions):
+        self.registry = engine.registry
         self.engine = engine
-        self.gap = 3 if companions else 2
+        self.gap = CARRIER_GAP + 1 if companions else CARRIER_GAP
         self.companions = companions
 
     def next_block(self, above=0):

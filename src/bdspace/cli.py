@@ -27,10 +27,11 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import index, itemgetter
 
-from .analysis import (DEPENDENT_C, CarrierSource, alternating_report,
-                       basic_inequality_witness, check_ris, hi_probe,
-                       lower_estimate_witness, make_dependent_sequence,
-                       ris_average_report, suggested_js)
+from .analysis import (CARRIER_GAP, DEPENDENT_C, CarrierSource,
+                       alternating_report, basic_inequality_witness,
+                       check_ris, hi_probe, lower_estimate_witness,
+                       make_dependent_sequence, ris_average_report,
+                       suggested_js)
 from .certificates import Check, Ledger, judge, make_certificate
 from .engine import Engine
 from .errors import BDSpaceError, InputError
@@ -353,7 +354,7 @@ def seeded_suite(claim_id, claim, make_schedule, default_cases, run_case):
 
 
 def _lowerest_case(case, rng, engine):
-    source = CarrierSource(engine.registry, engine, companions=False)
+    source = CarrierSource(engine, companions=False)
     blocks = []
     for _ in range(rng.randint(2, 4)):
         b = source.next_block()
@@ -367,7 +368,7 @@ def _lowerest_case(case, rng, engine):
 def _ris_blocks(rng, engine, fewest, most):
     """Seeded skipped blocks, their 2-RIS Check with the suggested
     indices, and seeded coefficients, one per block."""
-    source = CarrierSource(engine.registry, engine, companions=False)
+    source = CarrierSource(engine, companions=False)
     xs = [source.next_block() for _ in range(rng.randint(fewest, most))]
     ris = check_ris(engine, xs, Fraction(2), suggested_js(engine, xs),
                     engine.registry.max_rank())
@@ -389,7 +390,7 @@ def _dependent_sequence(case, rng, engine):
     """The dependent sequence of a seeded case over 1-2 block sources;
     eps alternates with the case's parity."""
     eps = 0 if case % 2 else 1
-    sources = [CarrierSource(engine.registry, engine, companions=(eps == 0))
+    sources = [CarrierSource(engine, companions=(eps == 0))
                for _ in range(rng.randint(1, 2))]
     return make_dependent_sequence(engine, 1, sources, eps, DEPENDENT_C,
                                    2 + case % 4, blocks_per_pair=2)
@@ -490,19 +491,19 @@ def probe_length_limit(sched):
     pilot rank, capped at n_1 (the chain has odd weight index 1).
 
     Pair i, of coded weight index w, takes min(m_w, n_w) carrier blocks
-    `gap` ranks apart, the first `gap` above max(frontier, w); a block of
-    rank r carries the even weight index at most r, which the schedule
-    must hold.  The pair's witness sits one rank above its last block
+    CARRIER_GAP ranks apart, the first CARRIER_GAP above max(frontier,
+    w), as a source without companions forges them; a block of rank r
+    carries the even weight index at most r, which the schedule must
+    hold.  The pair's witness sits one rank above its last block
     and the chain link one above that, at the cut p; the link's sigma
     code is at least its first candidate, the smallest integer above
     p/4, which codes the next weight 4*sigma.
     """
-    gap = 2     # the carrier gap of a source without companions
     frontier, length = PILOT_RANKS[1], 0
     w = forge_arena(sched).target_weights(1, None)[0]
     while length < sched.length_value(1) and w <= len(sched.m):
-        last = max(frontier, w) + gap * min(sched.m[w - 1],
-                                            sched.length_value(w))
+        last = max(frontier, w) + CARRIER_GAP * min(sched.m[w - 1],
+                                                    sched.length_value(w))
         if last - last % 2 > len(sched.m):
             break
         length += 1
@@ -534,8 +535,8 @@ def run_hi_probes(ledger, cases=10, length=5, seed=DEFAULT_SEED):
         # giving each case a genuinely different instance of the same size
         forge_even(registry, 1, [rng.randint(*PILOT_RANKS)],
                    [Func.unit(registry.base())])
-        Y = CarrierSource(registry, engine, companions=False)
-        Z = CarrierSource(registry, engine, companions=False)
+        Y = CarrierSource(engine, companions=False)
+        Z = CarrierSource(engine, companions=False)
         _, minus, probe = hi_probe(engine, Y, Z, j0=1, length=length)
         rows.append({"case": case, "witness": probe.values["witness"],
                      "minus_lower": probe.values["minus_lower"],
@@ -566,79 +567,28 @@ def run_hi_probes(ledger, cases=10, length=5, seed=DEFAULT_SEED):
 
 # -- file formats --------------------------------------------------------------
 
-# the JSON text of the exact scalar types, each by one C call
-LEAF_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
-             bool: ("false", "true").__getitem__,
-             type(None): {None: "null"}.__getitem__}
-
-
-class DictLayouts(dict):
-    """The text of a dict around its values, by its keys and depth: a
-    %-template with each `"key": ` spelled once and a %s per value,
-    made on first use."""
-
-    def __missing__(self, keys_depth):
-        keys, depth = keys_depth
-        gap = "\n" + " " * (depth + 1)
-        text = self[keys_depth] = (
-            "{" + gap
-            + ("," + gap).join(encode_basestring_ascii(k).replace("%", "%%")
-                               + ": %s" for k in keys)
-            + gap[:-1] + "}")
-        return text
-
-
-def json_text(value, depth, layouts, shared):
-    """value as `json.dump(..., indent=1)` writes it at nesting depth:
-    the same bytes, joined into one string instead of one write per
-    token.  Dict keys are strings, as in every table bdspace writes.
-
-    The memos last one write: `layouts` (a DictLayouts) spells the keys
-    of each dict shape once, and `shared` keeps the text of each nested
-    tuple by its identity and depth, so a tuple that rows share, as the
-    payloads of a stage table, is spelled once.  Keyed by identity,
-    equal tuples of different types, (1,) and (True,), never share a
-    text; each entry holds its tuple, so no id is reused while the memo
-    lives."""
-    leaf = LEAF_TEXT.get(type(value))
-    if leaf is not None:
-        return leaf(value)
-    if not isinstance(value, (list, tuple, dict)):
-        return json.dumps(value)  # floats, subclasses of str and int
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    # leaves are spelled in place: a Python call for each costs a
-    # quarter of the writer's time
-    if isinstance(value, dict):
-        return layouts[tuple(value), depth] % tuple([
-            leaf(v) if (leaf := LEAF_TEXT.get(type(v)))
-            else nested_text(v, depth + 1, layouts, shared)
-            for v in value.values()])
-    gap = "\n" + " " * (depth + 1)
-    texts = [leaf(v) if (leaf := LEAF_TEXT.get(type(v)))
-             else nested_text(v, depth + 1, layouts, shared)
-             for v in value]
-    return "[" + gap + ("," + gap).join(texts) + gap[:-1] + "]"
-
-
-def nested_text(value, depth, layouts, shared):
-    """json_text of a value inside a row; a tuple's text is memoized."""
-    if type(value) is not tuple:
-        return json_text(value, depth, layouts, shared)
-    key = (id(value), depth)
-    hit = shared.get(key)
-    if hit is None:
-        hit = shared[key] = (value, json_text(value, depth, layouts, shared))
-    return hit[1]
-
-
 # a run of rows that share one key layout is encoded column by column,
 # at most this many rows at a time, so the texts held stay small
 ROW_BLOCK = 2048
-FLAT = frozenset(LEAF_TEXT)
+FLAT = frozenset((int, str, bool, type(None)))
 # a column of flat values in one C call: no value's text holds "\0",
 # which the encoder spells \u0000 inside a string
 FLAT_COLUMN = json.JSONEncoder(separators=("\0", ": "), check_circular=False)
+
+
+def indented(value, depth, texts):
+    """value as `json.dump(..., indent=1)` writes it at nesting depth:
+    `json.dumps` escapes each newline inside a string, so every newline
+    of its text is a line break, indented here by depth.  `texts` keeps
+    each text by identity and depth for one write, so a payload that
+    rows share is spelled once; each entry holds its value, so no id is
+    reused and (1,) and (True,) never share a text."""
+    key = (id(value), depth)
+    hit = texts.get(key)
+    if hit is None:
+        hit = texts[key] = (value, json.dumps(value, indent=1).replace(
+            "\n", "\n" + " " * depth))
+    return hit[1]
 
 
 def row_blocks(rows):
@@ -659,28 +609,19 @@ def row_blocks(rows):
         yield keys, block
 
 
-def column_texts(column, layouts, shared):
-    """The json_text at depth 2 of each value of a column."""
+def column_texts(column, texts):
+    """The text at depth 2 of each value of a column."""
     if FLAT.issuperset(map(type, column)):
         return FLAT_COLUMN.encode(column)[1:-1].split("\0")
-    return [leaf(v) if (leaf := LEAF_TEXT.get(type(v)))
-            else nested_text(v, 2, layouts, shared) for v in column]
-
-
-def block_text(keys, block, layouts, shared):
-    """The rows of a run from row_blocks as json_text writes each at
-    depth 1, joined by the separator between rows."""
-    if keys is None:
-        return json_text(block[0], 1, layouts, shared)
-    # a column at a time, so no per-row object outlives its row
-    columns = [column_texts(list(map(itemgetter(key), block)), layouts,
-                            shared) for key in keys]
-    return ",\n ".join(map(layouts[keys, 1].__mod__, zip(*columns)))
+    return [indented(v, 2, texts) for v in column]
 
 
 def write_rows(rows, out, fmt):
     """Rows as indented JSON, written a run of rows at a time, or as CSV
-    with list, tuple and dict cells in compact JSON."""
+    with list, tuple and dict cells in compact JSON.  A run from
+    row_blocks is written by the %-template of its keys (strings in
+    every table bdspace writes) a column at a time, its texts unnamed so
+    none outlives its write; every other row is one value."""
     if fmt == "csv":
         if not rows:
             return
@@ -693,10 +634,18 @@ def write_rows(rows, out, fmt):
     elif not rows:
         out.write("[]\n")
     else:
-        layouts, shared = DictLayouts(), {}
+        texts = {}
         sep = "[\n "
         for keys, block in row_blocks(rows):
-            out.write(sep + block_text(keys, block, layouts, shared))
+            if keys is None:
+                out.write(sep + indented(block[0], 1, texts))
+            else:
+                template = "{\n  %s\n }" % ",\n  ".join(
+                    encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+                    for k in keys)
+                out.write(sep + ",\n ".join(map(template.__mod__, zip(*[
+                    column_texts(list(map(itemgetter(k), block)), texts)
+                    for k in keys]))))
             sep = ",\n "
         out.write("\n]\n")
 

@@ -71,7 +71,7 @@ class Point:
 class StageMatrix:
     """The dual-basis rows d*_xi and the basis columns d_gamma over
     Gamma_N, as IntVecs.  Each column is reach-solved from the unit
-    d-vector at gamma and lists its nonzeros in (rank, id) order."""
+    d-vector at gamma; its entries are in no particular order."""
     stage: int
     ids: list                    # Gamma_N in (rank, id) order
     rows: dict                   # xi -> d*_xi (e*-coordinates)
@@ -428,13 +428,11 @@ class Engine:
     def stage_matrix(self, n):
         """Rows d*_xi and columns d_gamma over Gamma_n; each column is the
         solved cache of the point with the single d-coordinate gamma,
-        reach-solved to stage n, in (rank, id) order."""
+        reach-solved to stage n."""
         self._require_stage(n)
         ids = self.registry.gammas_up_to(n)
-        records = self.registry.records
         rows = {gid: self._d_vec(gid) for gid in ids}
-        columns = {gamma: self.evaluate(Point(Func.unit(gamma)), n).ordered(
-                       lambda gid: (records[gid].rank, gid))
+        columns = {gamma: self.evaluate(Point(Func.unit(gamma)), n)
                    for gamma in ids}
         return StageMatrix(stage=n, ids=ids, rows=rows, columns=columns)
 

@@ -251,13 +251,6 @@ class IntVec(dict):
                 total += v * w
         return total
 
-    def ordered(self, key):
-        """A copy with its entries sorted by key(id)."""
-        out = IntVec()
-        dict.update(out, sorted(self.items(), key=lambda kv: key(kv[0])))
-        out.denominator = self.denominator
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, IntVec)
                 and self.denominator == other.denominator

@@ -170,7 +170,7 @@ def test_08_dependent_sequences():
         length = 2 + case % 4
         registry = forge_arena(sched)
         engine = Engine(registry)
-        src = CarrierSource(registry, engine, companions=False)
+        src = CarrierSource(engine, companions=False)
         rec = make_dependent_sequence(engine, 1, [src], 1, Fraction(45),
                                      length, blocks_per_pair=2)
         for s, lhs, rhs, ok in rec.partial_sums(engine):
@@ -178,7 +178,7 @@ def test_08_dependent_sequences():
     for length in (2, 3):
         registry = forge_arena(sched)
         engine = Engine(registry)
-        src = CarrierSource(registry, engine, companions=True)
+        src = CarrierSource(engine, companions=True)
         rec = make_dependent_sequence(engine, 1, [src], 0, Fraction(45),
                                      length, blocks_per_pair=2)
         for s, lhs, rhs, ok in rec.partial_sums(engine):

@@ -22,7 +22,7 @@ from bdspace.spaces import forge_even
 
 def escalating_blocks(forge_arena, n=3):
     registry, engine = forge_arena()
-    source = CarrierSource(registry, engine, companions=False)
+    source = CarrierSource(engine, companions=False)
     return registry, engine, source, [source.next_block() for _ in range(n)]
 
 
@@ -86,7 +86,7 @@ def test_lower_estimate_block_norms_are_window_maxima(forge_arena):
 
 def test_lower_estimate_needs_skipping(forge_arena):
     registry, engine = forge_arena()
-    source = CarrierSource(registry, engine, companions=False)
+    source = CarrierSource(engine, companions=False)
     x1 = source.next_block()
     # forge an adjacent block with no skipped rank in between
     nxt = forge_even(registry, registry.max_rank() // 2,
@@ -115,7 +115,7 @@ def test_exact_pair_eps1(forge_arena):
 
 def test_exact_pair_eps0(forge_arena):
     registry, engine = forge_arena()
-    source = CarrierSource(registry, engine, companions=True)  # gap 3
+    source = CarrierSource(engine, companions=True)  # gap 3
     xs = [source.next_block() for _ in range(3)]
     theta, z, gamma, report = make_exact_pair(engine, xs, 1, 0, Fraction(2))
     assert engine.value(z, gamma) == 0
@@ -127,7 +127,7 @@ def test_exact_pair_eps0(forge_arena):
 
 def test_dependent_sequence_partial_sums(forge_arena):
     registry, engine = forge_arena()
-    sources = [CarrierSource(registry, engine, companions=False)]
+    sources = [CarrierSource(engine, companions=False)]
     rec = make_dependent_sequence(engine, 1, sources, 1, Fraction(45), 3,
                                   blocks_per_pair=2)
     rows = rec.partial_sums(engine)
@@ -147,7 +147,7 @@ def test_dependent_sequence_partial_sums(forge_arena):
 def test_dependent_sequence_validate_names_corruption(forge_arena):
     """A corrupted record raises InvariantViolation, which python -O keeps."""
     registry, engine = forge_arena()
-    sources = [CarrierSource(registry, engine, companions=False)]
+    sources = [CarrierSource(engine, companions=False)]
     rec = make_dependent_sequence(engine, 1, sources, 1, Fraction(45), 2,
                                   blocks_per_pair=2)
     for field, value in (("xis", rec.xis[::-1]),
@@ -161,7 +161,7 @@ def test_dependent_sequence_validate_names_corruption(forge_arena):
 
 def test_dependent_sequence_eps0(forge_arena):
     registry, engine = forge_arena()
-    sources = [CarrierSource(registry, engine, companions=True)]
+    sources = [CarrierSource(engine, companions=True)]
     rec = make_dependent_sequence(engine, 1, sources, 0, Fraction(45), 2,
                                   blocks_per_pair=2)
     for s, lhs, rhs, ok in rec.partial_sums(engine):
@@ -170,7 +170,7 @@ def test_dependent_sequence_eps0(forge_arena):
 
 def test_alternating_report(forge_arena):
     registry, engine = forge_arena()
-    sources = [CarrierSource(registry, engine, companions=False)]
+    sources = [CarrierSource(engine, companions=False)]
     rec = make_dependent_sequence(engine, 1, sources, 1, Fraction(45), 3,
                                   blocks_per_pair=2)
     out = alternating_report(engine, rec, registry.max_rank())
@@ -182,8 +182,8 @@ def test_alternating_report(forge_arena):
 
 def test_hi_probe_strict(forge_arena):
     registry, engine = forge_arena(8192)
-    Y = CarrierSource(registry, engine, companions=False)
-    Z = CarrierSource(registry, engine, companions=False)
+    Y = CarrierSource(engine, companions=False)
+    Z = CarrierSource(engine, companions=False)
     plus, minus, probe = hi_probe(engine, Y, Z, j0=1, length=5)
     assert probe.values["witness"] == Fraction(5, 4)
     assert plus.lower >= Fraction(5, 4)
@@ -193,7 +193,7 @@ def test_hi_probe_strict(forge_arena):
 
 def test_basic_inequality(forge_arena):
     registry, engine = forge_arena()
-    source = CarrierSource(registry, engine, companions=False)
+    source = CarrierSource(engine, companions=False)
     xs = [source.next_block() for _ in range(4)]
     js = suggested_js(engine, xs)
     cert = check_ris(engine, xs, Fraction(2), js, registry.max_rank())
@@ -209,7 +209,7 @@ def test_basic_inequality(forge_arena):
 
 def test_basic_inequality_requires_certificate(forge_arena):
     registry, engine = forge_arena()
-    source = CarrierSource(registry, engine, companions=False)
+    source = CarrierSource(engine, companions=False)
     xs = [source.next_block() for _ in range(2)]
     js = suggested_js(engine, xs)
     bad = check_ris(engine, xs, Fraction(0), js, registry.max_rank())
@@ -221,7 +221,7 @@ def test_basic_inequality_requires_certificate(forge_arena):
 
 def test_ris_average_report(forge_arena):
     registry, engine = forge_arena()
-    source = CarrierSource(registry, engine, companions=False)
+    source = CarrierSource(engine, companions=False)
     xs = [source.next_block() for _ in range(3)]
     js = suggested_js(engine, xs)
     cert = check_ris(engine, xs, Fraction(2), js, registry.max_rank())
@@ -234,7 +234,7 @@ def test_ris_average_report(forge_arena):
 
 def test_search_exhausted_past_schedule(forge_arena):
     registry, engine = forge_arena(16)
-    source = CarrierSource(registry, engine, companions=False)
+    source = CarrierSource(engine, companions=False)
     with pytest.raises(SearchExhausted):
         for _ in range(20):
             source.next_block()

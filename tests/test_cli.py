@@ -177,7 +177,19 @@ def test_json_row_writer_matches_json_dump(rows):
 @pytest.mark.parametrize("rows", [[], [[]], [{}], [{}, [], [[], {}]],
                                   [{"a": None, "b": [True, False, -1]}],
                                   [{"\x00\"\\é": 2 ** 70}],
-                                  [{"%s": "%d", "100%": {"%%": [1]}}]])
+                                  [{"%s": "%d", "100%": {"%%": [1]}}],
+                                  # a raw newline or line separator in keys
+                                  # and strings: in a nested dict, in a
+                                  # tuple cell of a plain-dict run, and in
+                                  # rows that are not plain dicts
+                                  [{"a\n": {"k\n\u2028": "v\n\u2028",
+                                            "\u2028": [("\n",)]}},
+                                   {"a\n": ("s\n", "\u2028",
+                                            {"t\n": "\u2028\n"})},
+                                   OrderedDict([("o\n", "\u2028"),
+                                                ("p", ("q\n", {"\n": 1}))]),
+                                   ["l\n", ("\u2028\n",),
+                                    {"m\u2028": "\n"}]]])
 def test_json_row_writer_edge_cases(rows):
     out = io.StringIO()
     write_rows(rows, out, "json")
@@ -569,7 +581,7 @@ def forge_probe_chain(sched, pilot, length):
     engine = Engine(forge_arena(sched))
     registry = engine.registry
     forge_even(registry, 1, [pilot], [Func.unit(registry.base())])
-    Y, Z = (CarrierSource(registry, engine, companions=False)
+    Y, Z = (CarrierSource(engine, companions=False)
             for _ in range(2))
     return make_dependent_sequence(engine, 1, [Y, Z], eps=1, C=45,
                                    length=length, blocks_per_pair="weight")

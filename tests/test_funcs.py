@@ -196,10 +196,3 @@ def test_dot_and_common_denominator(f, g):
     den = common_denominator([v, w])
     assert den == lcm(v.denominator, w.denominator)
     assert common_denominator(list(f.values()) + list(g.values())) == den
-
-
-@given(wide_funcs)
-def test_ordered_keeps_the_vector(f):
-    v = IntVec.from_func(f)
-    out = v.ordered(lambda k: -k)
-    assert out == v and list(out) == sorted(v, reverse=True)

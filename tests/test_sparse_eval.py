@@ -186,14 +186,14 @@ def test_forged_tower_memos_match_fraction_recursion(seed):
 # -- stage matrices ----------------------------------------------------------
 
 def assert_stage_matrix_matches_dense(engine, n):
-    """Columns equal to the dense solve as ordered item lists, and no
-    defects by either check; returns the matrix."""
+    """Columns equal to the dense solve as maps, and no defects by either
+    check; returns the matrix."""
     sm = engine.stage_matrix(n)
     oracle = FractionRecursion(engine.registry)
     dense = dense_columns(sm.ids, {g: oracle.d_star(g) for g in sm.ids})
     assert list(sm.columns) == sm.ids
-    assert [list(sm.columns[g].to_func().items()) for g in sm.ids] == \
-        [list(dense[g].items()) for g in sm.ids]
+    assert [sm.columns[g].to_func() for g in sm.ids] == \
+        [dense[g] for g in sm.ids]
     assert sm.biorthogonality_defects() == dense_defects(sm) == []
     return sm
 

@@ -580,14 +580,17 @@ def indented(value, depth, texts):
     """value as `json.dump(..., indent=1)` writes it at nesting depth:
     `json.dumps` escapes each newline inside a string, so every newline
     of its text is a line break, indented here by depth.  `texts` keeps
-    each text by identity and depth for one write, so a payload that
-    rows share is spelled once; each entry holds its value, so no id is
-    reused and (1,) and (True,) never share a text."""
+    the text of each tuple by identity and depth for one write, so a
+    payload that rows share is spelled once; each entry holds its tuple,
+    so no id is reused and (1,) and (True,) never share a text.  Other
+    values, as the d* row list of each exported row, are not kept."""
     key = (id(value), depth)
     hit = texts.get(key)
     if hit is None:
-        hit = texts[key] = (value, json.dumps(value, indent=1).replace(
+        hit = (value, json.dumps(value, indent=1).replace(
             "\n", "\n" + " " * depth))
+        if type(value) is tuple:
+            texts[key] = hit
     return hit[1]
 
 

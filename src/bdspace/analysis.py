@@ -365,7 +365,7 @@ class DependentSequenceRecord:
 
 
 def make_dependent_sequence(engine, j0, sources, eps, C, length,
-                            blocks_per_pair=2):
+                            blocks_per_pair):
     """Thread exact pairs through a forged odd-weight chain of weight
     m_{2j0-1}, alternating over the given block sources.
 

@@ -1,15 +1,17 @@
 """Command-line front end: generation, forging, norm queries,
-verification suites, and certificate/table export.
+verification suites, and the export of the dual-basis rows d*.
 
 Subcommands: schedule | gen | forge | norm | mtnorm | verify | hiprobe |
 export; each accepts only the options it reads, and `verify` only the
 options its suite has parameters for.  Most verification suites come
 from two factories: a stage suite judges one claim over a generated
-stage, a seeded suite runs seeded cases, each on a fresh forging arena
-(`forge_arena`), into one tally.  The `averages` suite and the HI probe
-certify each check of each case on its own.  Every suite takes a seed
-(default 7) and is fully deterministic given (schedule, seed, stage,
-cap): re-running reproduces byte-identical certificates.
+stage, a seeded suite runs seeded cases into one tally.  The `mt-oracle`
+cases draw mixed-Tsirelson instances; the `lowerest`, `basicineq` and
+`depseq` cases each build a fresh forging arena (`forge_arena`).  The
+`averages` suite and the HI probe certify each check of each case on its
+own.  Every suite takes a seed (default 7) and is fully deterministic
+given (schedule, seed, stage, cap): re-running reproduces byte-identical
+certificates.
 
 Exit codes: 0 when no certificate carries verdict "violated" ("reported"
 rows never affect it), 1 when one does, and 2 on bad input or usage,
@@ -135,9 +137,9 @@ def registry_options(args):
     return load_schedule(args.schedule), args.stage, args.net, args.cap
 
 
-def registry_of(args, **kw):
+def registry_of(args):
     """The registry that the registry options of a subcommand describe."""
-    return build_registry(*registry_options(args), **kw)
+    return build_registry(*registry_options(args))
 
 
 def forge_arena(schedule):
@@ -183,11 +185,11 @@ def _eval_analysis(engine, stage):
     for gid in registry.gammas_up_to(stage):
         if registry.records[gid].rank == 1:
             continue
-        for tail in (False, True):
-            lhs, rhs = engine.analysis_identity_sides(gid, tail_variant=tail)
+        lhs, window, tail = engine.analysis_identity_sides(gid)
+        for is_tail, rhs in ((False, window), (True, tail)):
             checked += 1
             if lhs != rhs:
-                bad.append([gid, tail])
+                bad.append([gid, is_tail])
     return tally({"checked": checked}, bad, "mismatches")
 
 
@@ -298,49 +300,18 @@ def suite_treelike(ledger, schedule=None, stage=5, net="units",
     return ledger
 
 
-def suite_mt_oracle(ledger, cases=200, seed=DEFAULT_SEED):
-    rng = random.Random(seed)
-    ran_cases, failures = 0, []
-    while ran_cases < cases:
-        caps = sorted(rng.sample(range(2, 5), 2))
-        thetas = sorted([Fraction(1, rng.randint(2, 6)),
-                         Fraction(1, rng.randint(7, 12))], reverse=True)
-        params = MTParams(pairs=((caps[0], thetas[0]), (caps[1], thetas[1])),
-                          excluded=rng.choice([None, None, 1, 2]))
-        supp = rng.randint(1, 6)
-        x = {k: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-             for k in rng.sample(range(10), supp)}
-        x = {k: v for k, v in x.items() if v}
-        if not x:
-            continue
-        ran_cases += 1
-        dp, tree = mt_norm(x, params)
-        oracle = mt_norm_exhaustive(x, params)
-        tree_ok, why = verify_norming_tree(tree, params)
-        if dp != oracle or not tree_ok:
-            failures.append([ran_cases, frac_str(dp), frac_str(oracle), why])
-    ledger.add(make_certificate(
-        "mt-oracle",
-        "the interval dynamic program agrees exactly with the brute-force "
-        "successive-subset oracle, and the attaining trees verify",
-        {"m": [], "n": [], "mode": "n/a"},
-        {"cases": cases, "seed": seed},
-        tally({"cases": ran_cases}, failures),
-        seed=seed))
-    return ledger
-
-
 def seeded_suite(claim_id, claim, make_schedule, default_cases, run_case):
-    """A suite of seeded cases, each on a fresh forging arena over
-    make_schedule(); run_case(case, rng, engine) returns None when the
-    case holds and the tail of its failure row otherwise."""
+    """A suite of seeded cases over make_schedule(); run_case(case, rng,
+    schedule) returns None when the case holds and the tail of its
+    failure row otherwise, and a case that raises a BDSpaceError fails
+    with its message."""
     def suite(ledger, cases=default_cases, seed=DEFAULT_SEED):
         schedule = make_schedule()
         rng = random.Random(seed)
         failures = []
         for case in range(cases):
             try:
-                failure = run_case(case, rng, Engine(forge_arena(schedule)))
+                failure = run_case(case, rng, schedule)
             except BDSpaceError as exc:
                 failure = [str(exc)]
             if failure:
@@ -353,7 +324,28 @@ def seeded_suite(claim_id, claim, make_schedule, default_cases, run_case):
     return suite
 
 
-def _lowerest_case(case, rng, engine):
+def _mt_oracle_case(case, rng, schedule):
+    """A seeded two-pair instance on a nonzero vector of support at most
+    6, drawn again whole until the vector is nonzero."""
+    x = None
+    while not x:
+        caps = sorted(rng.sample(range(2, 5), 2))
+        thetas = sorted([Fraction(1, rng.randint(2, 6)),
+                         Fraction(1, rng.randint(7, 12))], reverse=True)
+        params = MTParams(pairs=((caps[0], thetas[0]), (caps[1], thetas[1])),
+                          excluded=rng.choice([None, None, 1, 2]))
+        x = {k: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+             for k in rng.sample(range(10), rng.randint(1, 6))}
+        x = {k: v for k, v in x.items() if v}
+    dp, tree = mt_norm(x, params)
+    oracle = mt_norm_exhaustive(x, params)
+    tree_ok, why = verify_norming_tree(tree, params)
+    if dp != oracle or not tree_ok:
+        return [frac_str(dp), frac_str(oracle), why]
+
+
+def _lowerest_case(case, rng, schedule):
+    engine = Engine(forge_arena(schedule))
     source = CarrierSource(engine, companions=False)
     blocks = []
     for _ in range(rng.randint(2, 4)):
@@ -376,7 +368,8 @@ def _ris_blocks(rng, engine, fewest, most):
                      for _ in xs]
 
 
-def _basicineq_case(case, rng, engine):
+def _basicineq_case(case, rng, schedule):
+    engine = Engine(forge_arena(schedule))
     xs, ris, lams = _ris_blocks(rng, engine, 3, 5)
     gamma, _ = lower_estimate_witness(engine, xs, 1)
     s = rng.choice([0, engine.ran(xs[0])[0] - 1])
@@ -396,11 +389,18 @@ def _dependent_sequence(case, rng, engine):
                                    2 + case % 4, blocks_per_pair=2)
 
 
-def _depseq_case(case, rng, engine):
+def _depseq_case(case, rng, schedule):
+    engine = Engine(forge_arena(schedule))
     rec = _dependent_sequence(case, rng, engine)
     if not all(ok for _, _, _, ok in rec.partial_sums(engine)):
         return ["partial sums"]
 
+
+suite_mt_oracle = seeded_suite(
+    "mt-oracle",
+    "the interval dynamic program agrees exactly with the brute-force "
+    "successive-subset oracle, and the attaining trees verify",
+    lambda: {"m": [], "n": [], "mode": "n/a"}, 200, _mt_oracle_case)
 
 suite_lowerest = seeded_suite(
     "lowerest",
@@ -771,13 +771,9 @@ def cmd_hiprobe(args):
 def cmd_export(args):
     options = registry_options(args)
     with rows_sink(args) as sink:  # an unwritable --out exits before the build
-        registry = build_registry(*options)
-        if args.what == "table":
-            rows = registry.export_stage_table(args.stage)
-        else:
-            engine = Engine(registry)
-            rows = [{"xi": xi, "row": engine.d_star(xi).to_json()}
-                    for xi in registry.gammas_up_to(args.stage)]
+        engine = Engine(build_registry(*options))
+        rows = [{"xi": xi, "row": engine.d_star(xi).to_json()}
+                for xi in engine.registry.gammas_up_to(args.stage)]
         write_rows(rows, sink, args.format)
     return 0
 
@@ -842,9 +838,8 @@ def main(argv=None):
     p.add_argument("--cases", type=int, default=10)
     p.add_argument("--length", type=int, default=5)
 
-    p = add("export", cmd_export, "dump stage tables/matrices",
-            REGISTRY_OPTIONS + ("out", "format"))
-    p.add_argument("--what", choices=["table", "matrix"], default="table")
+    add("export", cmd_export, "dump the dual-basis rows d*",
+        REGISTRY_OPTIONS + ("out", "format"))
 
     args = parser.parse_args(argv)
     try:

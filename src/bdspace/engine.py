@@ -72,7 +72,6 @@ class StageMatrix:
     """The dual-basis rows d*_xi and the basis columns d_gamma over
     Gamma_N, as IntVecs.  Each column is reach-solved from the unit
     d-vector at gamma; its entries are in no particular order."""
-    stage: int
     ids: list                    # Gamma_N in (rank, id) order
     rows: dict                   # xi -> d*_xi (e*-coordinates)
     columns: dict                # gamma -> d_gamma restricted to Gamma_N
@@ -263,28 +262,31 @@ class Engine:
             raise BaseHasNoAnalysis("element %d is the Base element" % gid)
         return self.registry.chain(gid)
 
-    def analysis_identity_sides(self, gid, tail_variant):
-        """(e*_gid, reconstruction) for the evaluation-analysis identity,
-        as IntVecs, so the identity holds exactly when they are equal.
+    def analysis_identity_sides(self, gid):
+        """(e*_gid, window, tail) for the evaluation-analysis identity, as
+        IntVecs, so each form holds exactly when it equals e*_gid.
 
-        tail_variant=False uses the windows P*_{(p_{r-1}, p_r)}, otherwise the
-        tails P*_{(p_{r-1}, infinity)}; both must reproduce e*_gid exactly.
+        Both reconstructions sum d*_{xi_r} plus m_j^{-1} times a piece of
+        each b*_r: the window form takes P*_{(p_{r-1}, p_r)} b*_r, the
+        tail form P*_{(p_{r-1}, infinity)} b*_r.  One walk of the chain
+        builds both, sharing the d* sum and P*_{(0, p_{r-1}]} b*_r.
         """
         rows = self.evaluation_analysis(gid)
         rec = self.registry.record(gid)
         beta = self.registry.schedule.weight_value(rec.weight_index)
-        rhs = IntVec()
+        d_sum, window, tail = IntVec(), IntVec(), IntVec()
         prev_cut = 0
         for row in rows:
-            rhs.axpy(1, 1, self._d_vec(row.id))
-            if tail_variant:
-                piece = IntVec.from_func(row.payload)
-            else:
-                piece = self._project(row.rank - 1, row.payload)
-            piece.axpy(-1, 1, self._project(prev_cut, row.payload))
-            rhs.axpy(beta.numerator, beta.denominator, piece)
+            d_sum.axpy(1, 1, self._d_vec(row.id))
+            below = self._project(prev_cut, row.payload)
+            for side, piece in (
+                    (window, self._project(row.rank - 1, row.payload)),
+                    (tail, IntVec.from_func(row.payload))):
+                piece.axpy(-1, 1, below)
+                side.axpy(beta.numerator, beta.denominator, piece)
             prev_cut = row.rank
-        return IntVec().add(gid, 1, 1), rhs
+        return (IntVec().add(gid, 1, 1), window.axpy(1, 1, d_sum),
+                tail.axpy(1, 1, d_sum))
 
     # -- points ---------------------------------------------------------------
 
@@ -434,7 +436,7 @@ class Engine:
         rows = {gid: self._d_vec(gid) for gid in ids}
         columns = {gamma: self.evaluate(Point(Func.unit(gamma)), n)
                    for gamma in ids}
-        return StageMatrix(stage=n, ids=ids, rows=rows, columns=columns)
+        return StageMatrix(ids=ids, rows=rows, columns=columns)
 
     def basis_constant(self, n):
         """max_q ||P*_{(0,q]}||_{ell_1 -> ell_1} over Gamma_n, exact: the

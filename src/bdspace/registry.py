@@ -81,10 +81,6 @@ class ElementRecord(NamedTuple):
     payload: Optional[Func] = None
     sigma: Optional[int] = None
 
-    @property
-    def kind(self):
-        return kind_of(self.rank, self.predecessor)
-
     def is_odd_weight(self):
         return self.weight_index is not None and self.weight_index % 2 == 1
 
@@ -149,10 +145,6 @@ class Registry:
 
     def __len__(self):
         return len(self.records)
-
-    def stage(self, q):
-        """Ids of Delta_q (insertion order)."""
-        return list(self._stages.get(q, ()))
 
     def gammas_up_to(self, n):
         """Ids of Gamma_n in the canonical (rank, id) order."""

@@ -10,6 +10,7 @@ growth conditions are downgraded to "reported" on toy schedules.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .errors import IndexOutOfSchedule, ScheduleViolation
 
@@ -24,9 +25,6 @@ class ParameterSchedule:
     mode: str
     theta: Fraction
     M: Fraction
-
-    def __len__(self):
-        return len(self.m)
 
     def weight_value(self, j):
         """The weight m_j^{-1} for a 1-based index j."""
@@ -69,10 +67,19 @@ def _growth_ok(m, n):
     return True
 
 
+def _integer(v):
+    """A schedule entry read through operator.index: a float, a string
+    and, as `funcs.parse_frac` has it, a bool raise ScheduleViolation."""
+    if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+        raise ScheduleViolation("schedule entries must be integers, got %r"
+                                % (v,))
+    return index(v)
+
+
 def validate_schedule(m, n):
     """Classify (m, n) as admissible or toy; raise if neither fits."""
-    m = tuple(int(v) for v in m)
-    n = tuple(int(v) for v in n)
+    m = tuple(map(_integer, m))
+    n = tuple(map(_integer, n))
     if not m or not n or len(m) != len(n):
         raise ScheduleViolation("m and n must be nonempty lists of equal length")
     if any(v < 1 for v in m) or any(v < 1 for v in n):

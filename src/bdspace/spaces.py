@@ -150,7 +150,7 @@ def generate_stage(registry, q, policy):
                 admit(w, b, None)
         for p in range(1, n):
             for w in weights(p):
-                for xi in registry.stage(p):
+                for xi in registry.window(p - 1, p):
                     rec = registry.records[xi]
                     if (rec.weight_index != w
                             or rec.age >= sched.length_value(w)):

@@ -140,7 +140,7 @@ def dense_fdd_row_norms(engine, n):
     running = {g: {} for g in ids}
     prefix_rows = {0: {g: {} for g in ids}}
     for q in range(1, n + 1):
-        for xi in registry.stage(q):
+        for xi in registry.window(q - 1, q):
             for gamma, bval in columns[xi].items():
                 tgt = running[gamma]
                 for delta, aval in rows[xi].items():

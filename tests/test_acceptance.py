@@ -87,11 +87,10 @@ def test_02_evaluation_analysis_identity(stage6):
     registry, engine = stage6
     checked = 0
     for gid in registry.gammas_up_to(6):
-        if registry.records[gid].kind == "Base":
+        if registry.records[gid].rank == 1:
             continue
-        for tail in (False, True):
-            lhs, rhs = engine.analysis_identity_sides(gid, tail_variant=tail)
-            assert lhs == rhs
+        lhs, window, tail = engine.analysis_identity_sides(gid)
+        assert lhs == window == tail
         checked += 1
     assert checked == 570
     assert within()

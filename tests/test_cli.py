@@ -17,11 +17,11 @@ from hypothesis import given, settings, strategies as st
 from bdspace import cli
 from bdspace.analysis import (CarrierSource, check_ris,
                               make_dependent_sequence)
-from bdspace.certificates import VIOLATED, Check
+from bdspace.certificates import VIOLATED, Check, Ledger
 from bdspace.cli import (PILOT_RANKS, forge_arena, load_schedule, main,
                          probe_length_limit, write_rows)
 from bdspace.engine import Engine
-from bdspace.errors import SearchExhausted
+from bdspace.errors import BruteForceCapExceeded, SearchExhausted
 from bdspace.funcs import Func, frac_str
 from bdspace.mtnorm import MTParams, mt_norm_exhaustive
 from bdspace.schedule import slow_toy_schedule
@@ -45,6 +45,19 @@ def test_schedule_rejects_bad_input(tmp_path, capsys):
     path = write_schedule(tmp_path, (3, 16), (6, 1))
     assert main(["schedule", "--schedule", path]) == 2
     assert "ScheduleViolation" in capsys.readouterr().err
+    # an entry that is not an int is refused, not rounded or converted
+    for i, (m, n) in enumerate([((4, 16), (6.5, 1)), ((4, 16), (6, True)),
+                                (("4", 16), (6, 1))]):
+        path = write_schedule(tmp_path, m, n, "bad%d.json" % i)
+        for argv in (["schedule"], ["verify", "biorthogonality",
+                                    "--stage", "3"]):
+            assert main(argv + ["--schedule", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(
+                "error: ScheduleViolation: schedule entries must be "
+                "integers, got ")
+            assert captured.err.count("\n") == 1
 
 
 def test_gen_and_export(tmp_path, capsys):
@@ -57,17 +70,10 @@ def test_gen_and_export(tmp_path, capsys):
     gen_csv = tmp_path / "gen.csv"
     assert main(["gen", "--schedule", path, "--stage", "4",
                  "--format", "csv", "--out", str(gen_csv)]) == 0
+    assert gen_csv.read_text().startswith("age,")
     assert read_csv(gen_csv) == [as_csv(row) for row in rows]
     for fmt in ("json", "csv"):
-        assert main(["export", "--schedule", path, "--stage", "3",
-                     "--format", fmt,
-                     "--out", str(tmp_path / ("table." + fmt))]) == 0
-    csv_out = tmp_path / "table.csv"
-    assert csv_out.read_text().startswith("age,")
-    table = json.loads((tmp_path / "table.json").read_text())
-    assert read_csv(csv_out) == [as_csv(row) for row in table]
-    for fmt in ("json", "csv"):
-        assert main(["export", "--what", "matrix", "--schedule", path,
+        assert main(["export", "--schedule", path,
                      "--stage", "3", "--format", fmt,
                      "--out", str(tmp_path / ("matrix." + fmt))]) == 0
     matrix = json.loads((tmp_path / "matrix.json").read_text())
@@ -93,8 +99,7 @@ def test_export_matrix_digest(tmp_path):
     """The dual-basis rows d*_xi over Gamma_4 of the default schedule,
     pinned byte for byte."""
     out = tmp_path / "matrix.json"
-    assert main(["export", "--what", "matrix", "--stage", "4",
-                 "--out", str(out)]) == 0
+    assert main(["export", "--stage", "4", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "f693ac3ffd2a267e4d73bf59c3885a049b9532b358534b9c2919b60efb2def74"
 
@@ -365,6 +370,27 @@ def test_verify_seeded_suites_quick(capsys):
     capsys.readouterr()
 
 
+def test_mt_oracle_tallies_a_case_that_raises(monkeypatch, capsys):
+    """A case whose oracle raises a library error is a failure row of
+    the tally, as in every seeded suite, and the run exits 1."""
+    calls = []
+
+    def exhaustive_once(x, params):
+        calls.append(x)
+        if len(calls) == 2:
+            raise BruteForceCapExceeded("budget spent")
+        return mt_norm_exhaustive(x, params)
+    monkeypatch.setattr(cli, "mt_norm_exhaustive", exhaustive_once)
+    ledger = cli.suite_mt_oracle(Ledger(), cases=3)
+    (cert,) = ledger.certificates
+    assert cert.verdict == VIOLATED
+    assert cert.values["failures"] == 1
+    assert cert.detail["first_failures"] == [[1, "budget spent"]]
+    calls.clear()
+    assert main(["verify", "mt-oracle", "--cases", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["counts"]["violated"] == 1
+
+
 def test_verify_rerun_is_byte_identical(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     assert main(["verify", "eval-analysis", "--out", str(a)]) == 0
@@ -406,7 +432,7 @@ def test_unwritable_ledger_fails_before_the_run(argv, tmp_path, capsys,
     ["gen", "--stage", "6", "--schedule", "{schedule}"],
     ["gen", "--stage", "6", "--format", "csv"],
     ["export", "--stage", "6"],
-    ["export", "--stage", "6", "--what", "matrix"],
+    ["export", "--stage", "6", "--format", "csv"],
 ])
 def test_unwritable_table_fails_before_the_build(argv, tmp_path, capsys,
                                                  monkeypatch):
@@ -448,6 +474,7 @@ def test_usage_error():
     ["mtnorm", "--stage", "3"],
     ["schedule", "--seed", "1"],
     ["forge", "--out", "o.json", "spec.json"],
+    ["export", "--what", "table"],
 ])
 def test_unread_options_are_rejected(argv):
     with pytest.raises(SystemExit):

@@ -90,26 +90,30 @@ def test_tail_plus_prefix_is_identity(stage6):
     assert engine.project_prefix(4, f) + engine.project_l1((4, None), f) == f
 
 
-def test_evaluation_analysis_identity(stage6):
-    registry, engine = stage6
-    count = 0
-    for gid in registry.gammas_up_to(5):
-        if registry.records[gid].kind == "Base":
-            with pytest.raises(BaseHasNoAnalysis):
-                engine.evaluation_analysis(gid)
-            continue
-        count += 1
-        for tail in (False, True):
-            lhs, rhs = engine.analysis_identity_sides(gid, tail_variant=tail)
-            assert lhs == rhs
-    assert count == registry.count_up_to(5) - 1
+def test_evaluation_analysis_identity(stage6, rich5):
+    """The window and the tail reconstruction of one shared walk both
+    equal e*_gamma; rich5 holds Type2 chains of several links, stage6
+    only one-link chains."""
+    for registry, engine in (stage6, rich5):
+        count = longest = 0
+        for gid in registry.gammas_up_to(5):
+            if registry.records[gid].rank == 1:
+                with pytest.raises(BaseHasNoAnalysis):
+                    engine.evaluation_analysis(gid)
+                continue
+            count += 1
+            longest = max(longest, len(engine.evaluation_analysis(gid)))
+            lhs, window, tail = engine.analysis_identity_sides(gid)
+            assert lhs == window == tail
+        assert count == registry.count_up_to(5) - 1
+    assert longest > 1
 
 
 def test_analysis_rows_shape(stage6):
     registry, engine = stage6
     for gid in registry.gammas_up_to(5):
         rec = registry.records[gid]
-        if rec.kind == "Base":
+        if rec.rank == 1:
             continue
         rows = engine.evaluation_analysis(gid)
         assert rows[-1].id == gid

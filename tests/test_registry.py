@@ -13,7 +13,7 @@ from bdspace.certificates import canonical_json
 from bdspace.cli import build_registry, forge_arena
 from bdspace.funcs import Func
 from bdspace.registry import (BASE, BMT, ENFORCE, Registry, TYPE1, TYPE2,
-                              WAIVE, XK)
+                              WAIVE, XK, kind_of)
 from bdspace.schedule import slow_toy_schedule, validate_schedule
 from bdspace.spaces import forge_even, forge_odd_chain
 
@@ -66,7 +66,7 @@ def test_predecessor_makes_a_type2_link():
     link = reg.intern(7, 2, Func.unit(mid), head)
     top = reg.intern(9, 2, Func.unit(reg.intern(8, 4, unit_payload(reg))),
                      link)
-    rows = [(r.kind, r.cut, r.age, r.predecessor)
+    rows = [(kind_of(r.rank, r.predecessor), r.cut, r.age, r.predecessor)
             for r in (reg.records[g] for g in (head, link, top))]
     assert rows == [(TYPE1, 0, 1, None), (TYPE2, 4, 2, head),
                     (TYPE2, 7, 3, link)]
@@ -81,7 +81,7 @@ def test_chain_runs_from_the_head():
     assert [r.id for r in reg.chain(link)] == [head, link]
     assert [r.id for r in reg.chain(head)] == [head]
     (base,) = reg.chain(reg.base())  # Base is a chain of one
-    assert base.kind == BASE
+    assert kind_of(base.rank, base.predecessor) == BASE
     with pytest.raises(UnknownGamma):
         reg.chain(99)
 
@@ -431,7 +431,8 @@ def test_records_are_immutable_and_not_certifiable(rich5):
     and canonical_json refuses it rather than writing its fields as a
     list, as it writes a plain tuple."""
     registry, _ = rich5
-    rec = next(r for r in registry.records if r.kind == TYPE2)
+    rec = next(r for r in registry.records
+               if kind_of(r.rank, r.predecessor) == TYPE2)
     for field in rec._fields + ("extra",):
         with pytest.raises(AttributeError):
             setattr(rec, field, 0)
@@ -446,7 +447,8 @@ def test_records_are_immutable_and_not_certifiable(rich5):
 def per_record_table(registry, n):
     """The oracle: the stage table with each record's payload exported
     on its own, by `Func.to_json`."""
-    return [{"id": rec.id, "rank": rec.rank, "kind": rec.kind,
+    return [{"id": rec.id, "rank": rec.rank,
+             "kind": kind_of(rec.rank, rec.predecessor),
              "weight_index": rec.weight_index, "age": rec.age,
              "cut": rec.cut, "predecessor": rec.predecessor,
              "payload": (rec.payload.to_json()

@@ -17,7 +17,7 @@ from bdspace.spaces import (PaperFactorial, SignedUnits, check_treelike,
 
 def test_stage_counts(stage6):
     registry, _ = stage6
-    assert [len(registry.stage(q)) for q in range(1, 7)] == \
+    assert [len(registry.window(q - 1, q)) for q in range(1, 7)] == \
         [1, 2, 8, 30, 112, 418]
     assert registry.count_up_to(6) == 571
 

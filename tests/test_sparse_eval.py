@@ -231,7 +231,7 @@ def corrupt(sm, data):
         elif kind == "row":
             rows[gamma] = rows[gamma] + Func.unit(
                 data.draw(st.sampled_from(sm.ids)), data.draw(coefs))
-    return StageMatrix(sm.stage, sm.ids,
+    return StageMatrix(sm.ids,
                        {g: IntVec.from_func(r) for g, r in rows.items()},
                        {g: IntVec.from_func(c) for g, c in columns.items()})
 

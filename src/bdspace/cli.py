@@ -27,7 +27,7 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import index, itemgetter
+from operator import itemgetter
 
 from .analysis import (CARRIER_GAP, DEPENDENT_C, CarrierSource,
                        alternating_report, basic_inequality_witness,
@@ -37,7 +37,7 @@ from .analysis import (CARRIER_GAP, DEPENDENT_C, CarrierSource,
 from .certificates import Check, Ledger, judge, make_certificate
 from .engine import Engine
 from .errors import BDSpaceError, InputError
-from .funcs import Func, frac_str, parse_frac
+from .funcs import Func, frac_str, parse_frac, parse_int
 from .mtnorm import MTParams, mt_norm, mt_norm_exhaustive, verify_norming_tree
 from .norms import sup_norm_interval
 from .registry import (BMT, ENFORCE, STAGE_CAP, Registry, WAIVE, XK,
@@ -82,7 +82,7 @@ def read_coordinates(path):
     """{index: Fraction} from a JSON file [[k, "p/q"], ...], each index
     given once."""
     def parse(rows):
-        coords = {index(k): parse_frac(v) for k, v in rows}
+        coords = {parse_int(k): parse_frac(v) for k, v in rows}
         if len(coords) != len(rows):
             raise ValueError("an index is given twice")
         return coords
@@ -91,13 +91,14 @@ def read_coordinates(path):
 
 def parse_forge_spec(spec):
     """The even towers [(j, cuts, payloads)] and odd towers [(j0,
-    [(cut, target)])] of a forge spec, every index an int; ValueError or
-    TypeError when the spec has another shape."""
-    even = [(index(t["j"]), [index(p) for p in t["cuts"]],
+    [(cut, target)])] of a forge spec, every index an int that
+    `parse_int` reads; ValueError or TypeError when the spec has another
+    shape."""
+    even = [(parse_int(t["j"]), list(map(parse_int, t["cuts"])),
              [Func.from_json(b) for b in t["payloads"]])
             for t in spec.get("even", [])]
-    odd = [(index(t["j0"]), [(index(p), index(eta))
-                             for p, eta in t["targets"]])
+    odd = [(parse_int(t["j0"]), [(parse_int(p), parse_int(eta))
+                                 for p, eta in t["targets"]])
            for t in spec.get("odd", [])]
     return even, odd
 
@@ -108,7 +109,9 @@ def net_policy(name):
     if name == "paper":
         return PaperFactorial()
     kind, _, k = name.partition(":")
-    if kind == "dyadic" and k.isdigit() and int(k) >= 1:
+    # ASCII digits only: str.isdigit takes full-width digits too, and the
+    # name is echoed in certificates as given
+    if kind == "dyadic" and k.isascii() and k.isdigit() and int(k) >= 1:
         return DyadicAverages(int(k))
     raise InputError("unknown net policy %r (paper | units | dyadic:K, "
                      "K >= 1)" % name)
@@ -567,8 +570,8 @@ def run_hi_probes(ledger, cases=10, length=5, seed=DEFAULT_SEED):
 
 # -- file formats --------------------------------------------------------------
 
-# a run of rows that share one key layout is encoded column by column,
-# at most this many rows at a time, so the texts held stay small
+# a table is written column by column, at most this many rows at a
+# time, so the texts held stay small
 ROW_BLOCK = 2048
 FLAT = frozenset((int, str, bool, type(None)))
 # a column of flat values in one C call: no value's text holds "\0",
@@ -576,55 +579,36 @@ FLAT = frozenset((int, str, bool, type(None)))
 FLAT_COLUMN = json.JSONEncoder(separators=("\0", ": "), check_circular=False)
 
 
-def indented(value, depth, texts):
-    """value as `json.dump(..., indent=1)` writes it at nesting depth:
-    `json.dumps` escapes each newline inside a string, so every newline
-    of its text is a line break, indented here by depth.  `texts` keeps
-    the text of each tuple by identity and depth for one write, so a
-    payload that rows share is spelled once; each entry holds its tuple,
-    so no id is reused and (1,) and (True,) never share a text.  Other
-    values, as the d* row list of each exported row, are not kept."""
-    key = (id(value), depth)
-    hit = texts.get(key)
-    if hit is None:
-        hit = (value, json.dumps(value, indent=1).replace(
-            "\n", "\n" + " " * depth))
-        if type(value) is tuple:
-            texts[key] = hit
-    return hit[1]
-
-
-def row_blocks(rows):
-    """(keys, rows) of each run of consecutive non-empty dict rows with
-    the same keys in the same order, at most ROW_BLOCK long; every other
-    row, a dict subclass too, is a run of one with keys None."""
-    block, keys = [], None
-    for row in rows:
-        layout = tuple(row) if type(row) is dict and row else None
-        if block and (keys is None or layout != keys
-                      or len(block) == ROW_BLOCK):
-            yield keys, block
-            block = []
-        if not block:
-            keys = layout
-        block.append(row)
-    if block:
-        yield keys, block
-
-
 def column_texts(column, texts):
-    """The text at depth 2 of each value of a column."""
+    """The text at depth 2 of each value of a column: a flat column in
+    one call of FLAT_COLUMN, any other value as `json.dumps(value,
+    indent=1)`, which escapes each newline inside a string, so every
+    newline of its text is a line break to indent.  `texts` keeps the
+    text of each tuple by identity for one write, so a payload that rows
+    share is spelled once; each entry holds its tuple, so no id is
+    reused and (1,) and (True,) never share a text.  Other values, as
+    the d* row list of each exported row, are not kept."""
     if FLAT.issuperset(map(type, column)):
         return FLAT_COLUMN.encode(column)[1:-1].split("\0")
-    return [indented(v, 2, texts) for v in column]
+    spelled = []
+    for value in column:
+        hit = texts.get(id(value))
+        if hit is None:
+            hit = (value, json.dumps(value, indent=1).replace("\n", "\n  "))
+            if type(value) is tuple:
+                texts[id(value)] = hit
+        spelled.append(hit[1])
+    return spelled
 
 
 def write_rows(rows, out, fmt):
-    """Rows as indented JSON, written a run of rows at a time, or as CSV
-    with list, tuple and dict cells in compact JSON.  A run from
-    row_blocks is written by the %-template of its keys (strings in
-    every table bdspace writes) a column at a time, its texts unnamed so
-    none outlives its write; every other row is one value."""
+    """A table, as indented JSON or as CSV with list, tuple and dict
+    cells in compact JSON.  A table is a list of non-empty plain dicts
+    that have the keys of rows[0] (strings) in the same order, as every
+    table bdspace writes.  JSON is written ROW_BLOCK rows at a time, a
+    column at a time, by one %-template of the keys, byte for byte as
+    `json.dump(rows, indent=1)` and a newline; the texts of a block are
+    unnamed, so none outlives its write."""
     if fmt == "csv":
         if not rows:
             return
@@ -637,18 +621,17 @@ def write_rows(rows, out, fmt):
     elif not rows:
         out.write("[]\n")
     else:
+        keys = list(rows[0])
+        template = "{\n  %s\n }" % ",\n  ".join(
+            encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+            for k in keys)
         texts = {}
         sep = "[\n "
-        for keys, block in row_blocks(rows):
-            if keys is None:
-                out.write(sep + indented(block[0], 1, texts))
-            else:
-                template = "{\n  %s\n }" % ",\n  ".join(
-                    encode_basestring_ascii(k).replace("%", "%%") + ": %s"
-                    for k in keys)
-                out.write(sep + ",\n ".join(map(template.__mod__, zip(*[
-                    column_texts(list(map(itemgetter(k), block)), texts)
-                    for k in keys]))))
+        for start in range(0, len(rows), ROW_BLOCK):
+            block = rows[start:start + ROW_BLOCK]
+            out.write(sep + ",\n ".join(map(template.__mod__, zip(*[
+                column_texts(list(map(itemgetter(k), block)), texts)
+                for k in keys]))))
             sep = ",\n "
         out.write("\n]\n")
 
@@ -717,8 +700,8 @@ def cmd_mtnorm(args):
         raise InputError("--excluded %d not in 1..%d"
                          % (args.excluded, len(sched.m)))
     if args.avg:
-        _, _, j0 = args.avg.partition("=")
-        if not j0.isdigit():
+        key, _, j0 = args.avg.partition("=")
+        if key != "j0" or not (j0.isascii() and j0.isdigit()):
             raise InputError("--avg takes j0=J, got %r" % args.avg)
         n = sched.length_value(int(j0))
         x = {k: Fraction(1, n) for k in range(1, n + 1)}

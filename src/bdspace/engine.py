@@ -17,15 +17,15 @@ gamma, and the biorthogonality check forms the sparse product D*.D and
 compares it with the identity.  Everything is exact rational.
 
 Storage is one exact kernel, `funcs.IntVec`: integer numerators over one
-denominator per vector.  The c*, d* and prefix-row memos, a Point's
-solved values and the stage-matrix rows and columns are IntVecs, so the
-solve, the D*.D scatter, the analysis identity and the row norms run in
-`int` arithmetic; a solved value is reduced by its gcd before it meets
-its point's common denominator.  `Func` and `Fraction` stay the types at
-the boundary: d-coordinates and payloads come in as Funcs, and
-`c_star`, `d_star`, `prefix_estar`, the projections, `value`, `pair`,
-`nonzeros`, the biorthogonality defects and the row norms hand out Funcs
-and Fractions.
+denominator per vector.  The c* and prefix-row memos, each d* row, a
+Point's solved values and the stage-matrix rows and columns are
+IntVecs, so the solve, the D*.D scatter, the analysis identity and the
+row norms run in `int` arithmetic; a solved value is reduced by its
+gcd before it meets its point's common denominator.  `Func` and
+`Fraction` stay the types at the boundary: d-coordinates and payloads
+come in as Funcs, and `c_star`, `d_star`, `prefix_estar`, the
+projections, `value`, `pair`, `nonzeros`, the biorthogonality defects
+and the row norms hand out Funcs and Fractions.
 """
 
 from dataclasses import dataclass, field
@@ -116,7 +116,6 @@ class Engine:
     def __init__(self, registry):
         self.registry = registry
         self._c_star = {}
-        self._d_star = {}
         self._prefix = {}  # (q, gid) -> P*_{(0,q]} e*_gid
         self._users = []   # id -> ids whose c* mentions it, ascending
 
@@ -196,19 +195,18 @@ class Engine:
             stack.pop()
 
     def _d_vec(self, gid):
-        out = self._d_star.get(gid)
-        if out is None:
-            out = IntVec().axpy(-1, 1, self._c_vec(gid)).add(gid, 1, 1)
-            self._d_star[gid] = out
-        return out
+        """d*_gid = e*_gid - c*_gid, a new IntVec from the c* memo."""
+        return IntVec().axpy(-1, 1, self._c_vec(gid)).add(gid, 1, 1)
 
     def d_star(self, gid):
         return self._d_vec(gid).to_func()
 
     def d_star_l1(self, gid):
-        """||d*_gid||_1, read off the integer row without a Func."""
-        row = self._d_vec(gid)
-        return Fraction(sum(map(abs, row.values())), row.denominator)
+        """||d*_gid||_1 = ||c*_gid||_1 + 1, read off the integer c* row:
+        c*_gid mentions only older ids, never gid itself."""
+        row = self._c_vec(gid)
+        den = row.denominator
+        return Fraction(sum(map(abs, row.values())) + den, den)
 
     # -- ell_1-side projections ------------------------------------------------
 
@@ -277,7 +275,7 @@ class Engine:
         d_sum, window, tail = IntVec(), IntVec(), IntVec()
         prev_cut = 0
         for row in rows:
-            d_sum.axpy(1, 1, self._d_vec(row.id))
+            d_sum.axpy(-1, 1, self._c_vec(row.id)).add(row.id, 1, 1)
             below = self._project(prev_cut, row.payload)
             for side, piece in (
                     (window, self._project(row.rank - 1, row.payload)),

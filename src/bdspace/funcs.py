@@ -17,6 +17,7 @@ takes an lcm of denominators.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 
 def frac_str(q):
@@ -26,18 +27,27 @@ def frac_str(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
+def parse_int(v):
+    """The integer an input value spells, read through operator.index.
+    A bool (JSON true and false are no numbers), a float and a string
+    raise ValueError: the one rule for every integer that a schedule, a
+    point file or a forge spec gives."""
+    if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+        raise ValueError("expected an int, got %r" % (v,))
+    return index(v)
+
+
 def parse_frac(s):
-    """The rational a JSON value spells: an int, or a "p/q" or "n"
-    string.  Anything else, floats and booleans included, raises
-    ValueError, since a float is not an exact rational input."""
+    """The rational a JSON value spells: an int as `parse_int` reads it,
+    or a "p/q" or "n" string.  Anything else, floats and booleans
+    included, raises ValueError, since a float is not an exact rational
+    input."""
     if isinstance(s, str):
         if "/" in s:
             num, den = s.split("/")
             return Fraction(int(num), int(den))
         return Fraction(int(s))
-    if isinstance(s, int) and not isinstance(s, bool):
-        return Fraction(s)
-    raise ValueError("expected an int or a \"p/q\" string, got %r" % (s,))
+    return Fraction(parse_int(s))
 
 
 class Func(dict):
@@ -119,7 +129,7 @@ class Func(dict):
 
     @classmethod
     def from_json(cls, rows):
-        return cls((k, parse_frac(v)) for k, v in rows)
+        return cls((parse_int(k), parse_frac(v)) for k, v in rows)
 
     @classmethod
     def unit(cls, gid, coef=Fraction(1)):

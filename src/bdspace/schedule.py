@@ -10,9 +10,9 @@ growth conditions are downgraded to "reported" on toy schedules.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
 
 from .errors import IndexOutOfSchedule, ScheduleViolation
+from .funcs import parse_int
 
 ADMISSIBLE = "admissible"
 TOY = "toy"
@@ -67,19 +67,13 @@ def _growth_ok(m, n):
     return True
 
 
-def _integer(v):
-    """A schedule entry read through operator.index: a float, a string
-    and, as `funcs.parse_frac` has it, a bool raise ScheduleViolation."""
-    if isinstance(v, bool) or not hasattr(type(v), "__index__"):
-        raise ScheduleViolation("schedule entries must be integers, got %r"
-                                % (v,))
-    return index(v)
-
-
 def validate_schedule(m, n):
     """Classify (m, n) as admissible or toy; raise if neither fits."""
-    m = tuple(map(_integer, m))
-    n = tuple(map(_integer, n))
+    try:
+        m, n = tuple(map(parse_int, m)), tuple(map(parse_int, n))
+    except ValueError as exc:  # parse_int: "expected an int, got <value>"
+        raise ScheduleViolation("schedule entries must be integers, "
+                                + str(exc).partition(", ")[2]) from None
     if not m or not n or len(m) != len(n):
         raise ScheduleViolation("m and n must be nonempty lists of equal length")
     if any(v < 1 for v in m) or any(v < 1 for v in n):

@@ -1,8 +1,11 @@
 """The benchmark's span tracer (`perfbench/spans.py`) wraps library
 functions by name; a renamed or deleted one would stop every traced run
-with a KeyError."""
+with a KeyError.  The benchmark's self-check (`perfbench/selfcheck.py`)
+runs a smoke pass of each workload and checks that its gate bites."""
 
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -48,3 +51,12 @@ def test_traced_treelike_counts_every_forged_head(spans):
     finally:
         tracer.uninstall()
     assert tracer.counts["spaces.elements_forged"] == 2 * 4
+
+
+def test_benchmark_selfcheck_exits_0():
+    """The smoke pass of both workloads checks clean, and wrong digests,
+    a `violated` certificate and a wrong `mt_norm` value each count as
+    failed."""
+    run = subprocess.run([sys.executable, str(BENCH / "selfcheck.py")],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr

@@ -75,11 +75,13 @@ def test_invalid_fraction_rejected():
 @pytest.mark.parametrize("value", [0.1, 1.5, True, None, [1], "1.5", "1/2/3"])
 def test_parse_frac_takes_only_ints_and_fraction_strings(value):
     """Floats are no exact input, and a bool is no number: both raise
-    ValueError, as does any other shape."""
+    ValueError, as does any other shape, and none is a payload id."""
     with pytest.raises(ValueError):
         parse_frac(value)
     with pytest.raises(ValueError):
         Func.from_json([[1, value]])
+    with pytest.raises(ValueError):
+        Func.from_json([[value, "1/1"]])
 
 
 def test_parse_frac_accepts_ints_and_strings():

@@ -16,16 +16,20 @@ A stage-matrix column d_gamma is the same solve from the unit d-vector at
 gamma, and the biorthogonality check forms the sparse product D*.D and
 compares it with the identity.  Everything is exact rational.
 
+One memo holds the prefix rows P*_{(0,q]} e*_gamma; as P_{(0,n]} = i_n r_n,
+e*_gamma o P_{(0,n]} = c*_gamma for gamma in Delta_{n+1}, so the row at
+q = rank(gamma) - 1 is c*_gamma.
+
 Storage is one exact kernel, `funcs.IntVec`: integer numerators over one
-denominator per vector.  The c* and prefix-row memos, each d* row, a
-Point's solved values and the stage-matrix rows and columns are
-IntVecs, so the solve, the D*.D scatter, the analysis identity and the
-row norms run in `int` arithmetic; a solved value is reduced by its
-gcd before it meets its point's common denominator.  `Func` and
-`Fraction` stay the types at the boundary: d-coordinates and payloads
-come in as Funcs, and `c_star`, `d_star`, `prefix_estar`, the
-projections, `value`, `pair`, `nonzeros`, the biorthogonality defects
-and the row norms hand out Funcs and Fractions.
+denominator per vector.  The row memo, each d* row, a Point's solved
+values and the stage-matrix rows and columns are IntVecs, so the solve,
+the D*.D scatter, the analysis identity and the row norms run in `int`
+arithmetic; a solved value is reduced by its gcd before it meets its
+point's common denominator.  `Func` and `Fraction` stay the types at the
+boundary: d-coordinates and payloads come in as Funcs, and `c_star`,
+`d_star`, `prefix_estar`, the projections, `value`, `pair`, `nonzeros`,
+the biorthogonality defects and the row norms hand out Funcs and
+Fractions.
 """
 
 from dataclasses import dataclass, field
@@ -115,87 +119,74 @@ class Engine:
 
     def __init__(self, registry):
         self.registry = registry
-        self._c_star = {}
-        self._prefix = {}  # (q, gid) -> P*_{(0,q]} e*_gid
-        self._users = []   # id -> ids whose c* mentions it, ascending
+        self._rows = {}   # (q, gid) -> P*_{(0,q]} e*_gid; c*_gid at rank - 1
+        self._users = []  # id -> ids whose c* mentions it, ascending
 
     # -- BD-functionals and the dual basis ------------------------------------
 
     def _c_vec(self, gid):
-        out = self._c_star.get(gid)
-        if out is None:
-            self.registry.record(gid)  # UnknownGamma if dangling
-            self._fill((None, gid))
-            out = self._c_star[gid]
-        return out
+        return self._row(self.registry.rank_of(gid) - 1, gid)
 
     def c_star(self, gid):
         return self._c_vec(gid).to_func()
 
     def _fill(self, key):
-        """Memoize c*_gid (key (None, gid)) or P*_{(0,q]} e*_gid (key
-        (q, gid), q >= 1) and every memo entry it needs.
-
-        c*_gid needs the prefixes of its payload at its cut, and a prefix
-        of e*_gid above its rank needs c*_gid and the prefixes of its
-        entries.  A forged tower nests these once per chain link, deeper
-        than Python's recursion limit, so an explicit stack replaces the
+        """Memoize the row P*_{(0,q]} e*_gid of key (q, gid) and every row
+        it needs.  For q >= rank it is the unit row e*_gid; at q = rank - 1
+        it is c*_gid, as e*_gid o P_{(0,rank-1]} = c*_gid: 0 at the Base,
+        else beta (b* - P*_{(0,cut]} b*) + e*_xi from the rows of its
+        payload at its cut; below, the sum of c*_gid[h] P*_{(0,q]} e*_h.
+        A forged tower nests these once per chain link, deeper than
+        Python's recursion limit, so an explicit stack replaces the
         recursion; it visits the entries in the recursion's order."""
-        c_memo, p_memo = self._c_star, self._prefix
+        memo = self._rows
         records = self.registry.records
         stack = [key]
         while stack:
-            q, gid = stack[-1]
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            q, gid = key
             rec = records[gid]
-            if q is None:
-                if gid in c_memo:
-                    stack.pop()
+            rank = rec.rank
+            if q >= rank:
+                out = IntVec().add(gid, 1, 1)
+            elif rank == 1:
+                out = IntVec()
+            elif q == rank - 1:
+                cut = rec.cut
+                need = [(cut, h) for h in rec.payload
+                        if cut > 0 and (cut, h) not in memo]
+                if need:
+                    stack.extend(reversed(need))
                     continue
-                if rec.rank == 1:
-                    out = IntVec()
-                else:
-                    cut = rec.cut
-                    need = [(cut, h) for h in rec.payload
-                            if cut > 0 and (cut, h) not in p_memo]
-                    if need:
-                        stack.extend(reversed(need))
-                        continue
-                    # beta * (b* - P*_{(0,cut]} b*) + e*_predecessor
-                    tail = IntVec.from_func(rec.payload)
-                    if cut > 0:
-                        for hid, coef in rec.payload.items():
-                            tail.axpy(-coef.numerator, coef.denominator,
-                                      p_memo[(cut, hid)])
-                    beta = self.registry.schedule.weight_value(
-                        rec.weight_index)
-                    out = IntVec().axpy(beta.numerator, beta.denominator,
-                                        tail)
-                    if rec.predecessor is not None:
-                        out.add(rec.predecessor, 1, 1)
-                c_memo[gid] = out
+                tail = IntVec.from_func(rec.payload)
+                if cut > 0:
+                    for hid, coef in rec.payload.items():
+                        tail.axpy(-coef.numerator, coef.denominator,
+                                  memo[(cut, hid)])
+                beta = self.registry.schedule.weight_value(rec.weight_index)
+                out = IntVec().axpy(beta.numerator, beta.denominator, tail)
+                if rec.predecessor is not None:
+                    out.add(rec.predecessor, 1, 1)
             else:
-                if (q, gid) in p_memo:
-                    stack.pop()
+                cs = memo.get((rank - 1, gid))
+                if cs is None:
+                    stack.append((rank - 1, gid))
                     continue
-                if rec.rank <= q:
-                    out = IntVec().add(gid, 1, 1)
-                else:
-                    cs = c_memo.get(gid)
-                    if cs is None:
-                        stack.append((None, gid))
-                        continue
-                    need = [(q, h) for h in cs if (q, h) not in p_memo]
-                    if need:
-                        stack.extend(reversed(need))
-                        continue
-                    out = IntVec()
-                    for hid, coef in cs.items():
-                        out.axpy(coef, cs.denominator, p_memo[(q, hid)])
-                p_memo[(q, gid)] = out
+                need = [(q, h) for h in cs if (q, h) not in memo]
+                if need:
+                    stack.extend(reversed(need))
+                    continue
+                out = IntVec()
+                for hid, coef in cs.items():
+                    out.axpy(coef, cs.denominator, memo[(q, hid)])
+            memo[key] = out
             stack.pop()
 
     def _d_vec(self, gid):
-        """d*_gid = e*_gid - c*_gid, a new IntVec from the c* memo."""
+        """d*_gid = e*_gid - c*_gid, a new IntVec from the c* row."""
         return IntVec().axpy(-1, 1, self._c_vec(gid)).add(gid, 1, 1)
 
     def d_star(self, gid):
@@ -210,20 +201,20 @@ class Engine:
 
     # -- ell_1-side projections ------------------------------------------------
 
-    def _prefix_vec(self, q, gid):
-        """P*_{(0,q]} e*_gid for q >= 1, memoized."""
-        out = self._prefix.get((q, gid))
+    def _row(self, q, gid):
+        """P*_{(0,q]} e*_gid for q >= 0, memoized; c*_gid at rank - 1."""
+        out = self._rows.get((q, gid))
         if out is None:
             self.registry.record(gid)  # UnknownGamma if dangling
             self._fill((q, gid))
-            out = self._prefix[(q, gid)]
+            out = self._rows[(q, gid)]
         return out
 
     def prefix_estar(self, q, gid):
         """P*_{(0,q]} e*_gid."""
         if q <= 0:
             return Func()
-        return self._prefix_vec(q, gid).to_func()
+        return self._row(q, gid).to_func()
 
     def _project(self, q, f):
         """P*_{(0,q]} f for a Func f, as a new IntVec."""
@@ -231,7 +222,7 @@ class Engine:
         if q > 0:
             for gid, coef in f.items():
                 out.axpy(coef.numerator, coef.denominator,
-                         self._prefix_vec(q, gid))
+                         self._row(q, gid))
         return out
 
     def project_prefix(self, q, f):
@@ -318,7 +309,7 @@ class Engine:
         stage = max(stage, old_stage)
         records = self.registry.records
         users = self._index()
-        c_memo = self._c_star
+        rows = self._rows
         d = IntVec.from_func(point.d_coords)
 
         def fresh(gid):
@@ -339,7 +330,7 @@ class Engine:
             if gid == last:
                 continue
             last = gid
-            cs = c_memo[gid]
+            cs = rows[(records[gid].rank - 1, gid)]
             num, den = cs.dot(cache), cs.denominator * cache.denominator
             if gid in d:
                 num = num * d.denominator + d[gid] * den
@@ -448,7 +439,7 @@ class Engine:
         """Stage-n max-row-sums of every P_{(p,q]} and every tail P_{(p,inf)}.
 
         Returns ({(p, q): value}, {p: value}).  Row gamma of P_{(0,q]} in
-        e-coordinates is P*_{(0,q]} e*_gamma, read from the prefix memo
+        e-coordinates is P*_{(0,q]} e*_gamma, read from the row memo
         for q < rank(gamma); it is 0 at q = 0 and e*_gamma from
         q = rank(gamma) on, and "row n + 1" is the row e*_gamma of the
         identity that a tail subtracts from.  The rows of gamma are
@@ -469,7 +460,7 @@ class Engine:
         best = {}  # denominator -> [numerator of each gap], maximized
         for gid in self.registry.gammas_up_to(n):
             rank = self.registry.rank_of(gid)
-            rows = [self._prefix_vec(q, gid) for q in range(1, rank)]
+            rows = [self._row(q, gid) for q in range(1, rank)]
             den = common_denominator(rows)
             norms = [0]
             rows_at = {gid: [(q, den) for q in range(rank, n + 2)]}

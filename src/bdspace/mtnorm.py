@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BruteForceCapExceeded, IndexOutOfSchedule, require
-from .funcs import Func, IntVec, common_denominator
+from .funcs import Func, IntVec, common_denominator, parse_int
 
 ORACLE_BUDGET = 500000    # distinct subsets the exhaustive oracle scores
 
@@ -174,14 +174,22 @@ def norming_height(n, params):
     return max(1, n - c + 1)
 
 
+def read_vector(x):
+    """The nonzero entries of x as {int: Fraction}: coordinates read by
+    `parse_int`, and no float values, as a float is no exact rational."""
+    if any(isinstance(v, float) for v in dict(x).values()):
+        raise ValueError("expected exact rational values, got %r" % (x,))
+    return {parse_int(k): Fraction(v) for k, v in dict(x).items() if v}
+
+
 def mt_norm(x, params):
     """Exact mixed Tsirelson norm of a finitely supported rational vector.
 
-    x is a mapping coordinate -> rational.  Returns (value, tree) where
-    the tree is an attaining member of the norming set; the zero vector
-    yields (0, None).
+    x maps int coordinates to exact rationals (`read_vector`).  Returns
+    (value, tree) where the tree is an attaining member of the norming
+    set; the zero vector yields (0, None).
     """
-    entries = {int(k): Fraction(v) for k, v in dict(x).items() if v}
+    entries = read_vector(x)
     if not entries:
         return Fraction(0), None
     pos = sorted(entries)
@@ -293,7 +301,7 @@ def mt_norm_exhaustive(x, params):
     tiny supports: past ORACLE_BUDGET distinct pools scored it raises
     BruteForceCapExceeded.
     """
-    entries = {int(k): Fraction(v) for k, v in dict(x).items() if v}
+    entries = read_vector(x)
     if not entries:
         return Fraction(0)
     mags = [abs(entries[c]) for c in sorted(entries)]

@@ -107,7 +107,7 @@ class Registry:
     # -- lookups -------------------------------------------------------------
 
     def record(self, gid):
-        if not isinstance(gid, int) or not 0 <= gid < len(self.records):
+        if type(gid) is not int or not 0 <= gid < len(self.records):
             raise UnknownGamma("no element with id %r" % (gid,))
         return self.records[gid]
 

@@ -27,7 +27,9 @@ class FractionRecursion:
     predecessor, 0 at the Base), d*_gamma = e*_gamma - c*_gamma, and
     P*_{(0,q]} e*_gamma = e*_gamma at rank <= q, else the sum of
     c*_gamma[h] P*_{(0,q]} e*_h.  Plain recursion, for small
-    registries."""
+    registries.  It keeps c* and the prefix rows in two memos of its own
+    and never reads c*_gamma as the row at q = rank(gamma) - 1, so it
+    stays independent of the engine's one row memo."""
 
     def __init__(self, registry):
         self.registry = registry

@@ -40,6 +40,23 @@ def test_singleton_and_zero():
     assert tree == Leaf(sign=-1, k=5)
 
 
+@pytest.mark.parametrize("norm", [lambda x, p: mt_norm(x, p)[0],
+                                  mt_norm_exhaustive],
+                         ids=["dp", "oracle"])
+def test_coordinates_are_ints_and_values_exact(norm):
+    """Both routes read each coordinate by `parse_int`, so a float, bool
+    or string key raises ValueError instead of merging into the int it
+    truncates to (1.5 used to collapse onto 1 and read 1, not 3/2), and
+    a float value raises ValueError instead of being read as the binary
+    fraction it rounds to."""
+    params = MTParams(pairs=((2, Fraction(3, 4)),))
+    assert norm({1: 1, 2: 1}, params) == Fraction(3, 2)
+    for x in ({1: 1, 1.5: 1}, {1.0: 1}, {True: 1}, {"1": 1}, {1: 0.1},
+              {1: 1, 2: 0.0}):
+        with pytest.raises(ValueError):
+            norm(x, params)
+
+
 def test_unit_average_value():
     # three units under (A_3, 1/4): the weighted split attains 3/4 max coord
     x = {k: Fraction(1, 3) for k in range(3)}

@@ -107,6 +107,24 @@ def test_validation_errors():
                    payload=Func.unit(99))
 
 
+def test_bools_are_not_ids():
+    """An id is an int and no bool: `record` does not take True for
+    element 1, so `intern` admits no link whose stored predecessor is
+    True, which a stage table would write as `"predecessor": true`."""
+    reg = build_registry(validate_schedule((4, 16), (6, 1)), 3,
+                         discipline=BMT)
+    assert reg.records[1].rank == 2 and reg.records[1].weight_index == 1
+    for gid in (True, False):
+        with pytest.raises(UnknownGamma):
+            reg.record(gid)
+        with pytest.raises(UnknownGamma):
+            reg.rank_of(gid)
+    top = reg.gammas_up_to(3)[-1]
+    with pytest.raises(UnknownGamma):
+        reg.intern(4, 1, Func.unit(top), predecessor=True)
+    assert len(reg) == 25
+
+
 def test_age_cap():
     reg = fresh(validate_schedule((4, 16), (6, 1)))  # n_2 = 1
     head = reg.intern(rank=4, weight_index=2,
@@ -225,6 +243,8 @@ INTERN_FAULTS = {
                              "no element with id 99"),
     "non-int predecessor": ((9, 2, {0: 1}, "2"), UnknownGamma,
                             "no element with id '2'"),
+    "bool predecessor": ((9, 2, {0: 1}, True), UnknownGamma,
+                         "no element with id True"),
     "Base predecessor": ((3, 2, {0: 1}, 0), WeightMismatch,
                          "Base element cannot head a chain"),
     "weight mismatch": ((6, 4, {3: 1}, 2), WeightMismatch,
@@ -239,6 +259,8 @@ INTERN_FAULTS = {
                             "no element with id -1"),
     "non-int payload id": ((3, 2, {"0": 1}), UnknownGamma,
                            "no element with id '0'"),
+    "bool payload id": ((3, 2, {True: 1}), UnknownGamma,
+                        "no element with id True"),
     "payload id below the cut": ((5, 2, {0: 1}, 2), SupportOutOfWindow,
                                  "payload id 0 has rank 1 outside (3, 4]"),
     "payload id at the cut": ((5, 2, {2: 1}, 2), SupportOutOfWindow,

@@ -172,8 +172,17 @@ def assert_memos_match_recursion(engine, n):
 
 @pytest.mark.parametrize("name", ["stage6", "rich5"])
 def test_memos_match_fraction_recursion(request, name):
+    """The memos match the recursion, and c*_gamma is the prefix row at
+    q = rank(gamma) - 1: equal in the oracle, which builds the two by
+    separate rules, and one stored row in the engine."""
     registry, engine = request.getfixturevalue(name)
     assert_memos_match_recursion(engine, registry.max_rank())
+    oracle = FractionRecursion(registry)
+    for gid in registry.gammas_up_to(registry.max_rank()):
+        rank = registry.rank_of(gid)
+        if rank > 1:
+            assert oracle.c_star(gid) == oracle.prefix(rank - 1, gid)
+        assert engine._c_vec(gid) is engine._row(rank - 1, gid)
 
 
 @SETTINGS

@@ -40,7 +40,7 @@ from .errors import BDSpaceError, InputError
 from .funcs import Func, frac_str, parse_frac, parse_int
 from .mtnorm import MTParams, mt_norm, mt_norm_exhaustive, verify_norming_tree
 from .norms import sup_norm_interval
-from .registry import (BMT, ENFORCE, STAGE_CAP, Registry, WAIVE, XK,
+from .registry import (BMT, ENFORCE, STAGE_CAP, Registry, Rows, WAIVE, XK,
                        coded_weight, first_sigma)
 from .schedule import (geometric_toy_schedule, slow_toy_schedule,
                        validate_schedule)
@@ -603,12 +603,13 @@ def column_texts(column, texts):
 
 def write_rows(rows, out, fmt):
     """A table, as indented JSON or as CSV with list, tuple and dict
-    cells in compact JSON.  A table is a list of non-empty plain dicts
-    that have the keys of rows[0] (strings) in the same order, as every
-    table bdspace writes.  JSON is written ROW_BLOCK rows at a time, a
-    column at a time, by one %-template of the keys, byte for byte as
-    `json.dump(rows, indent=1)` and a newline; the texts of a block are
-    unnamed, so none outlives its write."""
+    cells in compact JSON.  A table is a sequence of non-empty plain
+    dicts that have the keys of rows[0] (strings) in the same order, as
+    every table bdspace writes.  JSON is written ROW_BLOCK rows at a
+    time, a column at a time, by one %-template of the keys, byte for
+    byte as `json.dump(list(rows), indent=1)` and a newline; the texts
+    of a block are unnamed, so none outlives its write, and a `Rows`
+    table builds the rows of a block only when its slice is read."""
     if fmt == "csv":
         if not rows:
             return
@@ -755,9 +756,10 @@ def cmd_export(args):
     options = registry_options(args)
     with rows_sink(args) as sink:  # an unwritable --out exits before the build
         engine = Engine(build_registry(*options))
-        rows = [{"xi": xi, "row": engine.d_star(xi).to_json()}
-                for xi in engine.registry.gammas_up_to(args.stage)]
-        write_rows(rows, sink, args.format)
+        write_rows(Rows(engine.registry.gammas_up_to(args.stage),
+                        lambda xi: {"xi": xi,
+                                    "row": engine.d_star(xi).to_json()}),
+                   sink, args.format)
     return 0
 
 

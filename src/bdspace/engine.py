@@ -135,7 +135,11 @@ class Engine:
         it needs.  For q >= rank it is the unit row e*_gid; at q = rank - 1
         it is c*_gid, as e*_gid o P_{(0,rank-1]} = c*_gid: 0 at the Base,
         else beta (b* - P*_{(0,cut]} b*) + e*_xi from the rows of its
-        payload at its cut; below, the sum of c*_gid[h] P*_{(0,q]} e*_h.
+        payload at its cut; below, the sum of c*_gid[h] P*_{(0,q]} e*_h,
+        except that a Type2 row at q <= cut is its predecessor xi's row,
+        the same object: P*_{(0,q]} P*_{(0,cut]} = P*_{(0,q]} cancels the
+        beta-term of c*_gid, leaving P*_{(0,q]} e*_xi.  Rows are never
+        mutated, so sharing one is safe.
         A forged tower nests these once per chain link, deeper than
         Python's recursion limit, so an explicit stack replaces the
         recursion; it visits the entries in the recursion's order."""
@@ -170,6 +174,11 @@ class Engine:
                 out = IntVec().axpy(beta.numerator, beta.denominator, tail)
                 if rec.predecessor is not None:
                     out.add(rec.predecessor, 1, 1)
+            elif rec.predecessor is not None and q <= rec.cut:
+                out = memo.get((q, rec.predecessor))
+                if out is None:
+                    stack.append((q, rec.predecessor))
+                    continue
             else:
                 cs = memo.get((rank - 1, gid))
                 if cs is None:

@@ -19,6 +19,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import index
 
+from .errors import UnknownGamma
+
 
 def frac_str(q):
     """Canonical "p/q" rendering, q > 0 and gcd(p, q) = 1."""
@@ -50,8 +52,22 @@ def parse_frac(s):
     return Fraction(parse_int(s))
 
 
+INEXACT = (float, bool)   # value types a Func refuses
+
+
+def refuse(key, value):
+    """The error for an entry that a Func refuses: UnknownGamma for an
+    id that is not an int, as `Registry.record` raises, else ValueError
+    for a float or bool value, as `parse_frac` raises."""
+    if type(key) is not int:
+        raise UnknownGamma("no element with id %r" % (key,))
+    raise ValueError("expected an exact rational, got %r" % (value,))
+
+
 class Func(dict):
-    """Finitely supported map id -> nonzero Fraction."""
+    """Finitely supported map id -> nonzero Fraction.  An id that is not
+    an int (a bool, a float, a string) and a float or bool value are
+    refused (`refuse`): a float is not an exact rational."""
 
     __slots__ = ()
 
@@ -71,6 +87,8 @@ class Func(dict):
 
     def iadd(self, key, coef):
         """Add coef at key, stripping a resulting zero."""
+        if type(key) is not int or type(coef) in INEXACT:
+            refuse(key, coef)
         v = self.get(key, Fraction(0)) + coef
         if v == 0:
             self.pop(key, None)
@@ -78,6 +96,8 @@ class Func(dict):
             dict.__setitem__(self, key, Fraction(v))
 
     def __setitem__(self, key, value):
+        if type(key) is not int or type(value) in INEXACT:
+            refuse(key, value)
         value = Fraction(value)
         if value == 0:
             self.pop(key, None)

@@ -31,6 +31,7 @@ of toy schedules.
 """
 
 from collections import defaultdict
+from collections.abc import Sequence
 from typing import NamedTuple, Optional
 
 from .errors import (AgeOverflow, OddWeightRuleViolation, ScheduleViolation,
@@ -338,24 +339,28 @@ class Registry:
     # -- export --------------------------------------------------------------
 
     def export_stage_table(self, n):
-        """The rows of the stage table of Gamma_n in (rank, id) order.
+        """The stage table of Gamma_n in (rank, id) order, as a `Rows`
+        view over the records of Gamma_n as they are now: each read
+        builds fresh row dicts, so a writer holds only the rows it reads,
+        and a record interned or given a sigma-code later changes no row.
 
         A payload is exported as a tuple of (id, "p/q") tuples, built once
-        per stored payload and shared by the rows that hold it; being
+        per stored payload and shared by every row that holds it; being
         immutable, no row can change another row or the registry."""
-        forms = {}  # id of a stored payload -> its exported form
-        rows = []
-        records = self.records
-        for gid in self.gammas_up_to(n):
-            _, rank, weight_index, age, cut, predecessor, payload, sigma = \
-                records[gid]
+        # id of a stored payload -> its exported form; the records the
+        # table holds keep each payload alive, so no id is reused
+        forms = {}
+
+        def row(rec):
+            gid, rank, weight_index, age, cut, predecessor, payload, sigma = \
+                rec
             if payload is not None:
                 form = forms.get(id(payload))
                 if form is None:
                     form = forms[id(payload)] = tuple(
                         map(tuple, payload.to_json()))
                 payload = form
-            rows.append({
+            return {
                 "id": gid,
                 "rank": rank,
                 "kind": kind_of(rank, predecessor),
@@ -365,5 +370,31 @@ class Registry:
                 "predecessor": predecessor,
                 "payload": payload,
                 "sigma": sigma,
-            })
-        return rows
+            }
+
+        records = self.records
+        return Rows([records[gid] for gid in self.gammas_up_to(n)], row)
+
+
+class Rows(Sequence):
+    """A read-only table: row(item) for each item of a list, built afresh
+    on every read, so only the rows a reader holds are alive.  It has a
+    length, int indices (negative too), slices, which read as lists of
+    rows, and iteration."""
+
+    __slots__ = ("_items", "_row")
+
+    def __init__(self, items, row):
+        self._items = items
+        self._row = row
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self._row, self._items[i]))
+        return self._row(self._items[i])
+
+    def __iter__(self):
+        return map(self._row, self._items)

@@ -7,6 +7,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import example, given, strategies as st
 
+from bdspace.errors import UnknownGamma
 from bdspace.funcs import (Func, IntVec, common_denominator, frac_str,
                            parse_frac)
 
@@ -82,6 +83,35 @@ def test_parse_frac_takes_only_ints_and_fraction_strings(value):
         Func.from_json([[1, value]])
     with pytest.raises(ValueError):
         Func.from_json([[value, "1/1"]])
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, True, False])
+def test_func_refuses_float_and_bool_values(value):
+    """A float would be stored as its binary fraction (0.1 as
+    3602879701896397/36028797018963968) and a bool as 1 or 0: both raise
+    ValueError, however the entry arrives."""
+    with pytest.raises(ValueError, match="exact rational"):
+        Func({1: value})
+    f = Func({1: Fraction(1, 2)})
+    with pytest.raises(ValueError, match="exact rational"):
+        f.iadd(1, value)
+    with pytest.raises(ValueError, match="exact rational"):
+        f[2] = value
+    assert f == Func({1: Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("key", [True, False, 1.0, "1"])
+def test_func_refuses_ids_that_are_not_ints(key):
+    """An id is an int: a bool, float or string key raises UnknownGamma,
+    as `Registry.record` does for it."""
+    with pytest.raises(UnknownGamma, match="no element with id"):
+        Func({key: 1})
+    f = Func()
+    with pytest.raises(UnknownGamma):
+        f.iadd(key, Fraction(1))
+    with pytest.raises(UnknownGamma):
+        f[key] = 1
+    assert f == Func()
 
 
 def test_parse_frac_accepts_ints_and_strings():

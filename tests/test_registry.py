@@ -1,6 +1,7 @@
 """Interning, structural validation, and the sigma-coding."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,14 @@ from bdspace.errors import (AgeOverflow, BDSpaceError, IndexOutOfSchedule,
                             ScheduleViolation, StageOverflow,
                             SupportOutOfWindow, UnknownGamma, WeightMismatch)
 from bdspace.certificates import canonical_json
-from bdspace.cli import build_registry, forge_arena
+from bdspace.cli import (ROW_BLOCK, build_registry, default_stage6_schedule,
+                         forge_arena, write_rows)
 from bdspace.funcs import Func
 from bdspace.registry import (BASE, BMT, ENFORCE, Registry, TYPE1, TYPE2,
                               WAIVE, XK, kind_of)
 from bdspace.schedule import slow_toy_schedule, validate_schedule
-from bdspace.spaces import forge_even, forge_odd_chain
+from bdspace.spaces import (SignedUnits, forge_even, forge_odd_chain,
+                            generate_up_to)
 
 
 def fresh(schedule=None):
@@ -489,20 +492,113 @@ def forged_registry():
     return reg
 
 
-@pytest.mark.parametrize("make", [
+TABLES = pytest.mark.parametrize("make", [
     lambda: build_registry(validate_schedule((4, 16), (6, 1)), 5),
     lambda: build_registry(validate_schedule((4, 16), (6, 1)), 5,
                            discipline=BMT),
     forged_registry,
 ], ids=["XK-stage5", "BmT-stage5", "forged"])
+
+
+@TABLES
 def test_export_matches_the_per_record_payloads(make):
     """Each row, after a JSON round trip, is the row with its payload
     exported per record; the shared tuples make the same JSON."""
     reg = make()
     n = reg.max_rank()
     rows = reg.export_stage_table(n)
-    assert json.loads(json.dumps(rows)) == per_record_table(reg, n)
+    assert json.loads(json.dumps(list(rows))) == per_record_table(reg, n)
     assert len(rows) == len(reg)
+
+
+def plain(rows):
+    """Rows as a JSON round trip reads them: tuples become lists."""
+    return json.loads(json.dumps(rows))
+
+
+@TABLES
+def test_stage_table_reads_as_a_sequence(make):
+    """Length, int and negative indices, slices and iteration read the
+    rows of the per-record table; within a read and across reads, rows
+    with equal payloads hold one tuple."""
+    reg = make()
+    n = reg.max_rank()
+    rows, table = reg.export_stage_table(n), per_record_table(reg, n)
+    assert len(rows) == len(table) > 2
+    assert plain(list(rows)) == table
+    for i in range(-len(table), len(table)):
+        assert plain(rows[i]) == table[i]
+    for cut in (slice(None), slice(1, 5), slice(-3, None), slice(None, -2, 3),
+                slice(5, 1)):
+        assert plain(rows[cut]) == table[cut]
+    with pytest.raises(IndexError):
+        rows[len(table)]
+    with pytest.raises(IndexError):
+        rows[-len(table) - 1]
+    forms = {}
+    for row in list(rows) + rows[::-1] + [rows[i] for i in range(len(rows))]:
+        if row["payload"] is not None:
+            assert forms.setdefault(row["payload"], row["payload"]) \
+                is row["payload"]
+    assert len(forms) == len({id(rec.payload) for rec in reg.records[1:]})
+
+
+def test_stage_table_keeps_the_records_it_was_read_from():
+    """Rows read after the registry has grown, by new elements of a
+    rank the table covers and by sigma-codes that the growth demands of
+    its records, read as before; a new export sees both."""
+    reg = build_registry(validate_schedule((4, 16), (6, 2)), 4)
+    rows = reg.export_stage_table(5)
+    before = plain(list(rows))
+    sigmas = [rec.sigma for rec in reg.records]
+    generate_up_to(reg, 5, SignedUnits())
+    assert plain(list(rows)) == before and len(rows) == len(sigmas)
+    assert [rec.sigma for rec in reg.records[:len(sigmas)]] != sigmas
+    assert plain(list(reg.export_stage_table(5))) == \
+        per_record_table(reg, 5) != before
+
+
+class Discard:
+    """A text sink that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def traced_peak(call):
+    """The tracemalloc peak of call(), above the memory traced before."""
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    call()
+    return tracemalloc.get_traced_memory()[1] - start
+
+
+def test_writer_holds_one_block_of_stage_table_rows():
+    """The writer reads the table a block of ROW_BLOCK rows at a time,
+    so the stage table of the default schedule at stage 8 never has all
+    its row dicts alive: writing it peaks lower than writing the same
+    rows from a list by more than half their size.  (The per-payload
+    memos of the table and the writer, 4,263 distinct payloads here,
+    are alive in both.)"""
+    reg = build_registry(default_stage6_schedule(), 8)
+    assert len(reg.gammas_up_to(8)) > 3 * ROW_BLOCK
+    tracemalloc.start()
+    try:
+        eager = list(reg.export_stage_table(8))
+        start = tracemalloc.get_traced_memory()[0]
+        copies = [dict(row) for row in eager]
+        size = tracemalloc.get_traced_memory()[0] - start
+        del eager, copies
+        listed = traced_peak(lambda: write_rows(
+            list(reg.export_stage_table(8)), Discard(), "json"))
+        streamed = traced_peak(lambda: write_rows(
+            reg.export_stage_table(8), Discard(), "json"))
+    finally:
+        tracemalloc.stop()
+    assert listed - streamed > size / 2
 
 
 def test_exported_rows_cannot_change_each_other():
@@ -524,7 +620,7 @@ def test_exported_rows_cannot_change_each_other():
     a["payload"] = ((0, "1/3"),)
     a["rank"] = 99
     assert json.dumps(b) == before
-    assert json.loads(json.dumps(reg.export_stage_table(4))) == \
+    assert json.loads(json.dumps(list(reg.export_stage_table(4)))) == \
         per_record_table(reg, 4)
     assert reg.revalidate() == len(reg)
 

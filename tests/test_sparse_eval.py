@@ -185,6 +185,22 @@ def test_memos_match_fraction_recursion(request, name):
         assert engine._c_vec(gid) is engine._row(rank - 1, gid)
 
 
+def test_rows_below_the_cut_are_the_predecessors(rich5):
+    """For a Type2 element of cut p and q <= p, P*_{(0,q]} e*_gamma =
+    P*_{(0,q]} e*_xi of its predecessor xi: the memo stores xi's row,
+    the same object (`test_memos_match_fraction_recursion` checks its
+    value against the plain recursion)."""
+    registry, engine = rich5
+    shared = 0
+    for rec in registry.records:
+        if rec.predecessor is not None:
+            for q in range(1, rec.cut + 1):
+                assert engine._row(q, rec.id) is \
+                    engine._row(q, rec.predecessor)
+                shared += 1
+    assert shared > 0
+
+
 @SETTINGS
 @given(seed=st.integers(0, 10 ** 6))
 def test_forged_tower_memos_match_fraction_recursion(seed):

@@ -146,20 +146,20 @@ def check_ris(engine, xs, C, js, N):
         raise StageOverflow("stage %d below max ran = %d" % (N, rans[-1][1]))
     sched = engine.registry.schedule
     norm_lowers = []
-    for x in xs:
-        lo = sup_norm_interval(engine, x, N).lower
-        norm_lowers.append([lo, lo <= C])
     cond2_ok = all(js[k + 1] > rans[k][1] for k in range(len(xs) - 1))
     violations = []
     for k, x in enumerate(xs):
+        lo = Fraction(0)   # the stage-N lower norm, over every nonzero
         for gid, v in engine.nonzeros(x, N):
+            v = abs(v)
+            lo = max(lo, v)
             i = engine.registry.records[gid].weight_index
             if i is None or i >= js[k]:
                 continue
             bound = C * sched.weight_value(i)
-            v = abs(v)
             if v > bound:
                 violations.append([k, gid, v, bound])
+        norm_lowers.append([lo, lo <= C])
     ok = cond2_ok and not violations and all(ok for _, ok in norm_lowers)
     return Check(judge(ok), {"C": C, "js": js, "stage": N,
                              "cond1": norm_lowers, "cond2": cond2_ok,
@@ -289,14 +289,15 @@ def make_exact_pair(engine, xs, j, eps, C):
         raise BDSpaceError("pair value %s != eps = %d" % (value, eps))
     max_d = max((abs(v) for v in x.d_coords.values()), default=Fraction(0))
     c1_bound = pair_constant * beta
-    norm_lower = sup_norm_interval(engine, x, N).lower
+    norm_lower = Fraction(0)   # the stage-N lower norm, over every nonzero
     violations = []
     for gid, v in engine.nonzeros(x, N):
+        v = abs(v)
+        norm_lower = max(norm_lower, v)
         i = registry.records[gid].weight_index
         if i is None or i == 2 * j:
             continue
         bound = pair_constant * (sched.weight_value(i) if i < 2 * j else beta)
-        v = abs(v)
         if v > bound:
             violations.append([gid, i, v, bound])
     ok = (max_d <= c1_bound and norm_lower <= pair_constant
@@ -656,9 +657,11 @@ def ris_average_report(engine, xs, j0, cert, lams):
     avg = _sum_point(engine, xs, lams).scaled(Fraction(1, n))
     N = registry.frontier()
     per_class = {}
+    norm_lower = Fraction(0)   # the stage-N lower norm, over every nonzero
     for gid, v in engine.nonzeros(avg, N):
         h = registry.records[gid].weight_index
         v = abs(v)
+        norm_lower = max(norm_lower, v)
         if h is not None and (h not in per_class or v > per_class[h][0]):
             per_class[h] = (v, gid)
     for gid in registry.gammas_up_to(N):   # a class where avg vanishes
@@ -678,6 +681,6 @@ def ris_average_report(engine, xs, j0, cert, lams):
         checks["ris-h=%d" % h] = _at_most(
             measured, bound, N, prereq and not toy_length, witness=at,
             prereq_ok=prereq, toy_length=toy_length)
-    checks["ris-norm"] = _at_most(sup_norm_interval(engine, avg, N).lower,
-                              6 * C * Fraction(1, m_j0), N, False)
+    checks["ris-norm"] = _at_most(norm_lower, 6 * C * Fraction(1, m_j0), N,
+                                  False)
     return checks

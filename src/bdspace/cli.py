@@ -37,7 +37,7 @@ from .analysis import (CARRIER_GAP, DEPENDENT_C, CarrierSource,
 from .certificates import Check, Ledger, judge, make_certificate
 from .engine import Engine
 from .errors import BDSpaceError, InputError
-from .funcs import Func, frac_str, parse_frac, parse_int
+from .funcs import Func, frac_str, parse_int
 from .mtnorm import MTParams, mt_norm, mt_norm_exhaustive, verify_norming_tree
 from .norms import sup_norm_interval
 from .registry import (BMT, ENFORCE, STAGE_CAP, Registry, Rows, WAIVE, XK,
@@ -76,17 +76,6 @@ def load_schedule(path):
     if path is None:
         return default_stage6_schedule()
     return read_input(path, lambda obj: validate_schedule(obj["m"], obj["n"]))
-
-
-def read_coordinates(path):
-    """{index: Fraction} from a JSON file [[k, "p/q"], ...], each index
-    given once."""
-    def parse(rows):
-        coords = {parse_int(k): parse_frac(v) for k, v in rows}
-        if len(coords) != len(rows):
-            raise ValueError("an index is given twice")
-        return coords
-    return read_input(path, parse)
 
 
 def parse_forge_spec(spec):
@@ -131,12 +120,19 @@ def at_least_one(value, option):
         raise InputError("--%s must be at least 1, got %d" % (option, value))
 
 
-def registry_options(args):
-    """(schedule, stage, net, cap) from the registry options of a
-    subcommand, checked, so bad input exits before anything is built."""
+def check_registry_options(args):
+    """InputError when a registry option that was given (not None) is
+    bad, so bad input exits before anything is built or emptied."""
     at_least_one(args.stage, "stage")
     at_least_one(args.cap, "cap")
-    net_policy(args.net)
+    if args.net is not None:
+        net_policy(args.net)
+
+
+def registry_options(args):
+    """(schedule, stage, net, cap) from the registry options of a
+    subcommand, checked."""
+    check_registry_options(args)
     return load_schedule(args.schedule), args.stage, args.net, args.cap
 
 
@@ -528,9 +524,12 @@ def probe_schedule(cases, length):
 
 
 def run_hi_probes(ledger, cases=10, length=5, seed=DEFAULT_SEED):
+    """Add a `hiprobe-<case>` certificate per case and the
+    `hiprobe-direction` tally of them; returns the ledger, whose
+    certificates `bdspace hiprobe` prints its lines from."""
     sched = probe_schedule(cases, length)
     rng = random.Random(seed)
-    rows = []
+    strict = 0
     for case in range(cases):
         engine = Engine(forge_arena(sched))
         registry = engine.registry
@@ -541,10 +540,7 @@ def run_hi_probes(ledger, cases=10, length=5, seed=DEFAULT_SEED):
         Y = CarrierSource(engine, companions=False)
         Z = CarrierSource(engine, companions=False)
         _, minus, probe = hi_probe(engine, Y, Z, j0=1, length=length)
-        rows.append({"case": case, "witness": probe.values["witness"],
-                     "minus_lower": probe.values["minus_lower"],
-                     "ratio": probe.values["ratio"],
-                     "strict": probe.detail["strict"]})
+        strict += probe.detail["strict"]
         ledger.add(make_certificate(
             "hiprobe-%d" % case,
             "stage-truncated difference norm against the exact chain "
@@ -555,7 +551,6 @@ def run_hi_probes(ledger, cases=10, length=5, seed=DEFAULT_SEED):
             {"case": case, "length": length, "gap": Y.gap,
              "first_even_j": 1, "seed": seed},
             probe, stage=minus.stage, odd_guard=WAIVE, seed=seed))
-    strict = sum(r["strict"] for r in rows)
     ledger.add(make_certificate(
         "hiprobe-direction",
         "the stage-truncated difference norm falls strictly below the "
@@ -565,7 +560,7 @@ def run_hi_probes(ledger, cases=10, length=5, seed=DEFAULT_SEED):
         Check(judge(strict * 10 >= cases * 9),
               {"strict": strict, "cases": cases}),
         odd_guard=WAIVE, seed=seed))
-    return ledger, rows
+    return ledger
 
 
 # -- file formats --------------------------------------------------------------
@@ -687,7 +682,7 @@ def cmd_forge(args):
 
 
 def cmd_norm(args):
-    coords = read_coordinates(args.point)
+    coords = read_input(args.point, Func.from_json)
     engine = Engine(registry_of(args))
     ni = sup_norm_interval(engine, engine.point_from_d(coords), args.stage)
     print(json.dumps(ni.to_json()))
@@ -707,7 +702,7 @@ def cmd_mtnorm(args):
         n = sched.length_value(int(j0))
         x = {k: Fraction(1, n) for k in range(1, n + 1)}
     elif args.point:
-        x = read_coordinates(args.point)
+        x = read_input(args.point, Func.from_json)
     else:
         raise InputError("mtnorm needs --point or --avg")
     params = MTParams.from_schedule(sched, factor=args.factor,
@@ -724,9 +719,8 @@ def cmd_verify(args):
     no parameter for is an InputError."""
     suite = SUITES[args.suite]
     takes = inspect.signature(suite).parameters
+    check_registry_options(args)
     at_least_one(args.cases, "cases")
-    at_least_one(args.stage, "stage")
-    at_least_one(args.cap, "cap")
     kw = {"seed": args.seed}
     for opt in ("schedule", "net", "stage", "cap", "cases"):
         value = getattr(args, opt)
@@ -744,11 +738,15 @@ def cmd_verify(args):
 def cmd_hiprobe(args):
     probe_schedule(args.cases, args.length)  # before --out is emptied
     ledger = open_output(args.out, lambda path: Ledger(path))
-    ledger, rows = run_hi_probes(ledger, cases=args.cases,
-                                 length=args.length, seed=args.seed)
-    for r in rows:
-        print(json.dumps({k: (frac_str(v) if isinstance(v, Fraction) else v)
-                          for k, v in r.items()}))
+    run_hi_probes(ledger, cases=args.cases, length=args.length,
+                  seed=args.seed)
+    *probes, _ = ledger.certificates   # the last is the direction
+    for case, cert in enumerate(probes):
+        v = cert.values
+        print(json.dumps({"case": case, "witness": v["witness"],
+                          "minus_lower": v["minus_lower"],
+                          "ratio": v["ratio"],
+                          "strict": cert.detail["strict"]}))
     return ledger.exit_code()
 
 

@@ -26,10 +26,9 @@ values and the stage-matrix rows and columns are IntVecs, so the solve,
 the D*.D scatter, the analysis identity and the row norms run in `int`
 arithmetic; a solved value is reduced by its gcd before it meets its
 point's common denominator.  `Func` and `Fraction` stay the types at the
-boundary: d-coordinates and payloads come in as Funcs, and `c_star`,
-`d_star`, `prefix_estar`, the projections, `value`, `pair`, `nonzeros`,
-the biorthogonality defects and the row norms hand out Funcs and
-Fractions.
+boundary: d-coordinates and payloads come in as Funcs, and `d_star`,
+the projections, `value`, `pair`, `nonzeros`, the biorthogonality
+defects and the row norms hand out Funcs and Fractions.
 """
 
 from dataclasses import dataclass, field
@@ -127,9 +126,6 @@ class Engine:
     def _c_vec(self, gid):
         return self._row(self.registry.rank_of(gid) - 1, gid)
 
-    def c_star(self, gid):
-        return self._c_vec(gid).to_func()
-
     def _fill(self, key):
         """Memoize the row P*_{(0,q]} e*_gid of key (q, gid) and every row
         it needs.  For q >= rank it is the unit row e*_gid; at q = rank - 1
@@ -218,12 +214,6 @@ class Engine:
             self._fill((q, gid))
             out = self._rows[(q, gid)]
         return out
-
-    def prefix_estar(self, q, gid):
-        """P*_{(0,q]} e*_gid."""
-        if q <= 0:
-            return Func()
-        return self._row(q, gid).to_func()
 
     def _project(self, q, f):
         """P*_{(0,q]} f for a Func f, as a new IntVec."""
@@ -395,7 +385,7 @@ class Engine:
 
     def eval_after_projection(self, gid, s, point):
         """<e*_gamma, P_{(s, infinity)} x> computed on the ell_1 side."""
-        return self.pair(Func.unit(gid) - self.prefix_estar(s, gid), point)
+        return self.pair(self.project_l1((s, None), Func.unit(gid)), point)
 
     def extend(self, q, u, stage):
         """i_q(u): the unique vector in span{d_gamma : gamma in Gamma_q}
@@ -404,7 +394,8 @@ class Engine:
         u_full = {g: Fraction(v) for g, v in u.items() if v}
         d = Func()
         for gid in self.registry.gammas_up_to(q):
-            val = u_full.get(gid, Fraction(0)) - self.c_star(gid).dot(u_full)
+            val = (u_full.get(gid, Fraction(0))
+                   - self._c_vec(gid).to_func().dot(u_full))
             if val:
                 d[gid] = val
         point = Point(d_coords=d)

@@ -149,7 +149,12 @@ class Func(dict):
 
     @classmethod
     def from_json(cls, rows):
-        return cls((parse_int(k), parse_frac(v)) for k, v in rows)
+        """The Func of a JSON list [[id, "p/q"], ...], read by
+        `parse_int` and `parse_frac`; ValueError when an id repeats."""
+        entries = [(parse_int(k), parse_frac(v)) for k, v in rows]
+        if len(dict(entries)) != len(entries):
+            raise ValueError("an id is given twice")
+        return cls(entries)
 
     @classmethod
     def unit(cls, gid, coef=Fraction(1)):

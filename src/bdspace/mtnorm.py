@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BruteForceCapExceeded, IndexOutOfSchedule, require
-from .funcs import Func, IntVec, common_denominator, parse_int
+from .funcs import INEXACT, Func, IntVec, common_denominator, parse_int
 
 ORACLE_BUDGET = 500000    # distinct subsets the exhaustive oracle scores
 
@@ -176,8 +176,9 @@ def norming_height(n, params):
 
 def read_vector(x):
     """The nonzero entries of x as {int: Fraction}: coordinates read by
-    `parse_int`, and no float values, as a float is no exact rational."""
-    if any(isinstance(v, float) for v in dict(x).values()):
+    `parse_int`, and no float or bool values (`INEXACT`), as `Func`
+    and `parse_frac` refuse them: neither is an exact rational."""
+    if any(isinstance(v, INEXACT) for v in dict(x).values()):
         raise ValueError("expected exact rational values, got %r" % (x,))
     return {parse_int(k): Fraction(v) for k, v in dict(x).items() if v}
 

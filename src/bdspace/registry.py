@@ -103,7 +103,6 @@ class Registry:
         self._stages = defaultdict(list)   # rank -> ids of that rank
         self._sigma_used = set()
         self.generated_stage = 0
-        self.waivers = []   # each waived rule once, in order of first use
 
     # -- lookups -------------------------------------------------------------
 
@@ -282,10 +281,6 @@ class Registry:
                     "4*sigma(xi) = %d" % coded_weight(self.sigma(predecessor)))
             raise OddWeightRuleViolation(
                 "target weight index %d is not %s" % (h, rule))
-        if predecessor is None and not self.guard_holds(h, weight_index):
-            waiver = ("odd_type1_guard", h, weight_index)
-            if waiver not in self.waivers:
-                self.waivers.append(waiver)
 
     def _admit(self, key, rec):
         self.records.append(rec)

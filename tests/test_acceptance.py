@@ -187,9 +187,9 @@ def test_08_dependent_sequences():
 def test_09_hi_probe_direction():
     """10 seeded probes: the stage-truncated difference norm falls
     strictly below the exact sum witness in at least 9 of 10."""
-    ledger, rows = run_hi_probes(Ledger(), cases=10, length=5, seed=7)
-    assert sum(1 for r in rows if r["strict"]) >= 9
-    summary = ledger.certificates[-1]
+    ledger = run_hi_probes(Ledger(), cases=10, length=5, seed=7)
+    *probes, summary = ledger.certificates
+    assert sum(1 for c in probes if c.detail["strict"]) >= 9
     assert summary.claim_id == "hiprobe-direction"
     assert summary.verdict == "verified"
     assert ledger_digest(ledger) == GOLDEN_HIPROBE

@@ -446,13 +446,31 @@ def test_unwritable_table_fails_before_the_build(argv, tmp_path, capsys,
     ["verify", "lowerest", "--cases", "0"],
     ["hiprobe", "--cases", "0"],
     ["hiprobe", "--length", "99"],
+    ["verify", "biorthogonality", "--net", "bogus"],
+    ["verify", "treelike", "--net", "dyadic:0"],
+    ["verify", "biorthogonality", "--stage", "0"],
+    ["verify", "treelike", "--cap", "0"],
+    ["verify", "lowerest", "--stage", "3"],
+    ["verify", "biorthogonality", "--schedule", "{missing}"],
+    ["gen", "--net", "bogus"],
+    ["gen", "--stage", "0"],
+    ["gen", "--cap", "0"],
+    ["gen", "--schedule", "{missing}"],
+    ["export", "--net", "bogus"],
+    ["export", "--stage", "0"],
+    ["export", "--cap", "0"],
+    ["export", "--schedule", "{missing}"],
 ])
-def test_bad_options_leave_the_ledger_file_alone(argv, tmp_path, capsys):
-    path = tmp_path / "l.jsonl"
+def test_option_errors_leave_the_out_file_alone(argv, tmp_path, capsys):
+    """Every subcommand with --out checks its options before it opens
+    the file, so an option error exits 2 and an existing file keeps its
+    bytes."""
+    path = tmp_path / "earlier.out"
     path.write_text("an earlier run\n")
+    argv = [a.format(missing=tmp_path / "missing.json") for a in argv]
     assert main(argv + ["--out", str(path)]) == 2
     assert path.read_text() == "an earlier run\n"
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("error: InputError: ")
 
 
 def test_usage_error():
@@ -536,6 +554,10 @@ def test_unread_options_are_rejected(argv):
     ["mtnorm", "--avg", "=1"],
     ["mtnorm", "--avg", "j0=\uff11"],
     ["gen", "--net", "dyadic:\uff11", "--stage", "2"],
+    # a payload id is given once, as a point file's index is
+    ["forge", "--stage", "1", "{spec_repeated_id}"],
+    ["forge", "--stage", "1", "{spec_cancelling_id}"],
+    ["norm", "--stage", "3", "{repeated}"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     unit = '[[0, "1/1"]]'
@@ -569,7 +591,12 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
              "spec_bool_target_cut": '{"odd": [{"j0": 1, '
                                      '"targets": [[true, 2]]}]}',
              "spec_bool_target": '{"odd": [{"j0": 1, '
-                                 '"targets": [[9, true]]}]}'}
+                                 '"targets": [[9, true]]}]}',
+             "spec_repeated_id": '{"even": [{"j": 1, "cuts": [7], '
+                                 '"payloads": [[[0, "1/2"], [0, "1/2"]]]}]}',
+             "spec_cancelling_id": '{"even": [{"j": 1, "cuts": [7], '
+                                   '"payloads": [[[0, "1/2"], '
+                                   '[0, "-1/2"]]]}]}'}
     paths = {"missing": str(tmp_path / "missing.json"),
              "unwritable": str(tmp_path / "no-such-dir" / "out.json")}
     for name, text in files.items():
@@ -591,6 +618,15 @@ def test_generation_caps_exit_2_with_one_line(argv, error, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("error: %s: " % error)
+
+
+def test_hiprobe_stdout_is_pinned(capsys):
+    """`hiprobe` prints one line per case, read off its certificates;
+    the lines of two cases at length 5 are pinned byte for byte."""
+    assert main(["hiprobe", "--cases", "2", "--length", "5"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9cef56243497621c9304bd31005ecec29c46a2b0b04a70fcc633f5c103ea1924")
 
 
 def test_hiprobe_long_tower(capsys):

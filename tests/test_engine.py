@@ -15,7 +15,7 @@ from bdspace.funcs import Func
 def test_base_functionals(stage6):
     registry, engine = stage6
     base = registry.base()
-    assert engine.c_star(base) == Func()
+    assert engine._c_vec(base).to_func() == Func()
     assert engine.d_star(base) == Func.unit(base)
 
 

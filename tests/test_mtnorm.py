@@ -48,11 +48,12 @@ def test_coordinates_are_ints_and_values_exact(norm):
     or string key raises ValueError instead of merging into the int it
     truncates to (1.5 used to collapse onto 1 and read 1, not 3/2), and
     a float value raises ValueError instead of being read as the binary
-    fraction it rounds to."""
+    fraction it rounds to, as a bool value does instead of reading as 1
+    or 0."""
     params = MTParams(pairs=((2, Fraction(3, 4)),))
     assert norm({1: 1, 2: 1}, params) == Fraction(3, 2)
     for x in ({1: 1, 1.5: 1}, {1.0: 1}, {True: 1}, {"1": 1}, {1: 0.1},
-              {1: 1, 2: 0.0}):
+              {1: 1, 2: 0.0}, {1: True}, {1: 1, 2: False}):
         with pytest.raises(ValueError):
             norm(x, params)
 

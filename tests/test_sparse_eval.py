@@ -162,10 +162,10 @@ def assert_memos_match_recursion(engine, n):
     registry = engine.registry
     oracle = FractionRecursion(registry)
     for gid in registry.gammas_up_to(n):
-        assert engine.c_star(gid) == oracle.c_star(gid)
+        assert engine._c_vec(gid).to_func() == oracle.c_star(gid)
         assert engine.d_star(gid) == oracle.d_star(gid)
         for q in range(0, n + 1):
-            prefix = engine.prefix_estar(q, gid)
+            prefix = engine.project_prefix(q, Func.unit(gid))
             assert prefix == oracle.prefix(q, gid)
             assert all(type(v) is Fraction for v in prefix.values())
 

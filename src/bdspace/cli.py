@@ -26,6 +26,7 @@ import random
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -572,24 +573,45 @@ FLAT = frozenset((int, str, bool, type(None)))
 # a column of flat values in one C call: no value's text holds "\0",
 # which the encoder spells \u0000 inside a string
 FLAT_COLUMN = json.JSONEncoder(separators=("\0", ": "), check_circular=False)
+LISTS = frozenset((list, tuple))
+# a list of nonempty flat lists in one C call: its items' separator
+# spells the line breaks between entries of an item at depth 3, and the
+# text ",\n    " joins items only after a "]", which no flat entry's
+# text ends with, so the breaks between items are mended by a replace
+NESTED = json.JSONEncoder(separators=(",\n    ", ": "), check_circular=False)
+
+
+def nested_text(value):
+    """The text at depth 2 of a nonempty list or tuple of nonempty flat
+    lists or tuples, as `json.dumps(value, indent=1)` spells it there,
+    such as the d* row [[id, "p/q"], ...] of an exported row; None for
+    any other value."""
+    if type(value) not in LISTS or not value or \
+            not LISTS.issuperset(map(type, value)) or not all(value) or \
+            not FLAT.issuperset(map(type, chain.from_iterable(value))):
+        return None
+    return "[\n   [\n    %s\n   ]\n  ]" % NESTED.encode(value)[2:-2].replace(
+        "],\n    [", "\n   ],\n   [\n    ")
 
 
 def column_texts(column, texts):
     """The text at depth 2 of each value of a column: a flat column in
-    one call of FLAT_COLUMN, any other value as `json.dumps(value,
-    indent=1)`, which escapes each newline inside a string, so every
-    newline of its text is a line break to indent.  `texts` keeps the
-    text of each tuple by identity for one write, so a payload that rows
-    share is spelled once; each entry holds its tuple, so no id is
-    reused and (1,) and (True,) never share a text.  Other values, as
-    the d* row list of each exported row, are not kept."""
+    one call of FLAT_COLUMN, a list of flat lists by `nested_text`, any
+    other value as `json.dumps(value, indent=1)`, which escapes each
+    newline inside a string, so every newline of its text is a line
+    break to indent.  `texts` keeps the text of each tuple by identity
+    for one write, so a payload that rows share is spelled once; each
+    entry holds its tuple, so no id is reused and (1,) and (True,) never
+    share a text.  Other values, as the d* row list of each exported
+    row, are not kept."""
     if FLAT.issuperset(map(type, column)):
         return FLAT_COLUMN.encode(column)[1:-1].split("\0")
     spelled = []
     for value in column:
         hit = texts.get(id(value))
         if hit is None:
-            hit = (value, json.dumps(value, indent=1).replace("\n", "\n  "))
+            hit = (value, nested_text(value) or
+                   json.dumps(value, indent=1).replace("\n", "\n  "))
             if type(value) is tuple:
                 texts[id(value)] = hit
         spelled.append(hit[1])

@@ -86,12 +86,16 @@ class Func(dict):
         return Fraction(0)
 
     def iadd(self, key, coef):
-        """Add coef at key, stripping a resulting zero."""
+        """Add coef at key, stripping a resulting zero.  A sum that is a
+        Fraction already is stored as it is."""
         if type(key) is not int or type(coef) in INEXACT:
             refuse(key, coef)
-        v = self.get(key, Fraction(0)) + coef
+        old = self.get(key)
+        v = coef if old is None else old + coef
         if v == 0:
             self.pop(key, None)
+        elif type(v) is Fraction:
+            dict.__setitem__(self, key, v)
         else:
             dict.__setitem__(self, key, Fraction(v))
 
@@ -108,11 +112,14 @@ class Func(dict):
         return Func(self)
 
     def accumulate(self, other, scalar=Fraction(1)):
-        """In-place self += scalar * other."""
+        """In-place self += scalar * other.  An exact scalar 1 adds
+        other's values as they are; a float 1.0 still makes products,
+        which `iadd` refuses."""
         if scalar == 0:
             return self
+        one = scalar == 1 and type(scalar) not in INEXACT
         for k, v in other.items():
-            self.iadd(k, scalar * v)
+            self.iadd(k, v if one else scalar * v)
         return self
 
     def __add__(self, other):

@@ -25,6 +25,13 @@ attains and is skipped.  When c covers the whole support the norm is
 the closed form max(max |x_t|, theta * sum |x_t|), in O(n) with no
 tables.
 
+The oracle scores in exact integers as well, but over a scale of its
+own, S = D * L^s for a support of s points: D and L are the products,
+not the lcms, of the distinct denominators of |x| and of the weights
+that can attain.  Its pieces are proper subsets of their pool, so its
+trees have at most s - 1 node levels and every product by a weight
+divides exactly; it shares no scaling helper with the DP it checks.
+
 Ties among optimal trees are broken towards the lexicographically
 smallest (weight index, split points), so results are reproducible.
 The candidates come in strictly increasing key order: a window's leaves
@@ -36,9 +43,11 @@ and the tree is rebuilt from these back-pointers.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Optional
 
-from .errors import BruteForceCapExceeded, IndexOutOfSchedule, require
+from .errors import (BruteForceCapExceeded, IndexOutOfSchedule,
+                     InvariantViolation, require)
 from .funcs import INEXACT, Func, IntVec, common_denominator, parse_int
 
 ORACLE_BUDGET = 500000    # distinct subsets the exhaustive oracle scores
@@ -50,6 +59,16 @@ class MTParams:
     excluded: Optional[int] = None
 
     def __post_init__(self):
+        if any(isinstance(th, INEXACT) or not isinstance(th, (int, Fraction))
+               for _, th in self.pairs):
+            raise ValueError("weights must be ints or Fractions, got %r"
+                             % (self.pairs,))
+        # caps and the excluded index are read by `parse_int`: no bool,
+        # float or string stands for an integer
+        object.__setattr__(self, "pairs", tuple(
+            (parse_int(l), th) for l, th in self.pairs))
+        if self.excluded is not None:
+            object.__setattr__(self, "excluded", parse_int(self.excluded))
         thetas = [th for _, th in self.pairs]
         if any(not 0 < th < 1 for th in thetas):
             raise ValueError("weights must lie in (0, 1)")
@@ -204,28 +223,32 @@ def mt_norm(x, params):
     for v in a:
         pre.append(pre[-1] + v)
 
-    def weigh(v, j):
-        """theta_j * v, an exact integer at this scale."""
-        th = params.theta(j)
-        q, r = divmod(v * th.numerator, th.denominator)
-        require(r == 0, "theta_%d times a window value leaves remainder %d "
-                "at the DP's integer scale" % (j, r))
-        return q
+    # per weight index j: its cap and theta_j = nums[j] / dens[j]
+    caps = [None] + [cap for cap, _ in params.pairs]
+    nums = [None] + [th.numerator for _, th in params.pairs]
+    dens = [None] + [th.denominator for _, th in params.pairs]
 
     def choose(i, k, t, plan, splits):
         """(value, decision) of the window [i, k) whose first largest
         entry is at t.  The candidates come in key order, the leaves by
         t and then the nodes by j, so only a strictly larger value
-        replaces the best.  A decision is j for a node, ~t for a leaf."""
+        replaces the best.  A decision is j for a node, ~t for a leaf.
+        theta_j times a window value is exact at this scale; a nonzero
+        remainder raises InvariantViolation."""
         best, dec = a[t], ~t
         for j in plan:
-            cap = params.cap(j)
+            cap = caps[j]
             if cap >= k - i:
-                v = weigh(pre[k] - pre[i], j)
+                v = pre[k] - pre[i]
             elif cap == 1:
                 continue        # theta_j times this window's own norm
             else:
-                v = weigh(splits[cap][k][i], j)
+                v = splits[cap][k][i]
+            v, r = divmod(v * nums[j], dens[j])
+            if r:
+                raise InvariantViolation(
+                    "theta_%d times a window value leaves remainder %d "
+                    "at the DP's integer scale" % (j, r))
             if v > best:
                 best, dec = v, j
         return best, dec
@@ -236,7 +259,7 @@ def mt_norm(x, params):
     def build(i, k, dec):
         if dec < 0:
             return leaf(~dec)
-        cap = params.cap(dec)
+        cap = caps[dec]
         if cap >= k - i:
             return Node(j=dec, children=tuple(leaf(t) for t in range(i, k)))
         bounds = [i]
@@ -247,40 +270,44 @@ def mt_norm(x, params):
             build(lo, hi, decs[lo][hi]) for lo, hi in zip(bounds, bounds[1:])))
 
     plan = params.active_indices(n)
-    if all(params.cap(j) >= n for j in plan):
+    if all(caps[j] >= n for j in plan):
         # the whole support is one ell_1 window: no tables
         value, dec = choose(0, n, a.index(max(a)), plan, None)
-        return Fraction(value, scale), build(0, n, dec)
-
-    # splits[p][k][i]: best sum over p pieces of [i, k), with its first
-    # cut in cuts[p][k][i]; splits[1][k][i] is the window's own value.
-    # A node of cap l < size takes exactly l pieces: refining a split
-    # never decreases the sum (triangle inequality).
-    top = max(params.cap(j) for j in plan if params.cap(j) < n)
-    plans = [None] + [params.active_indices(s) for s in range(1, n + 1)]
-    rows = [[0] * (n + 1) for _ in range(n)]
-    decs = [[0] * (n + 1) for _ in range(n)]
-    splits = [None] + [[[0] * k for k in range(n + 1)] for _ in range(top)]
-    cuts = [None, None] + [[[0] * k for k in range(n + 1)]
-                           for _ in range(top - 1)]
-    for i in range(n - 1, -1, -1):
-        row, t = rows[i], i
-        for k in range(i + 1, n + 1):
-            if a[k - 1] > a[t]:
-                t = k - 1
-            for p in range(2, min(top, k - i) + 1):
-                lo, hi = i + 1, k - p + 2
-                tail = splits[p - 1][k]
-                best, arg = -1, 0
-                for cut in range(lo, hi):
-                    v = row[cut] + tail[cut]
-                    if v > best:
-                        best, arg = v, cut
-                splits[p][k][i] = best
-                cuts[p][k][i] = arg
-            v, decs[i][k] = choose(i, k, t, plans[k - i], splits)
-            row[k] = splits[1][k][i] = v
-    return Fraction(rows[0][n], scale), build(0, n, decs[0][n])
+    else:
+        # splits[p][k][i]: best sum over p pieces of [i, k), with its first
+        # cut in cuts[p][k][i]; splits[1][k][i] is the window's own value.
+        # A node of cap l < size takes exactly l pieces: refining a split
+        # never decreases the sum (triangle inequality).
+        top = max(caps[j] for j in plan if caps[j] < n)
+        plans = [None] + [params.active_indices(s) for s in range(1, n + 1)]
+        rows = [[0] * (n + 1) for _ in range(n)]
+        decs = [[0] * (n + 1) for _ in range(n)]
+        splits = [None] + [[[0] * k for k in range(n + 1)] for _ in range(top)]
+        cuts = [None, None] + [[[0] * k for k in range(n + 1)]
+                               for _ in range(top - 1)]
+        for i in range(n - 1, -1, -1):
+            row, t = rows[i], i
+            for k in range(i + 1, n + 1):
+                if a[k - 1] > a[t]:
+                    t = k - 1
+                for p in range(2, min(top, k - i) + 1):
+                    lo, hi = i + 1, k - p + 2
+                    tail = splits[p - 1][k]
+                    best, arg = -1, 0
+                    for cut in range(lo, hi):
+                        v = row[cut] + tail[cut]
+                        if v > best:
+                            best, arg = v, cut
+                    splits[p][k][i] = best
+                    cuts[p][k][i] = arg
+                v, decs[i][k] = choose(i, k, t, plans[k - i], splits)
+                row[k] = splits[1][k][i] = v
+        value, dec = rows[0][n], decs[0][n]
+    tree = build(0, n, dec)
+    # build calls itself, a reference cycle that would keep the tables
+    # alive until the next cyclic garbage collection
+    del build
+    return Fraction(value, scale), tree
 
 
 def mt_norm_exhaustive(x, params):
@@ -301,6 +328,15 @@ def mt_norm_exhaustive(x, params):
     and most are memoized per pool and per (pool, k).  Only usable for
     tiny supports: past ORACLE_BUDGET distinct pools scored it raises
     BruteForceCapExceeded.
+
+    Scores are exact integers over one scale S = D * L^s, with s the
+    support size, D the product of the distinct denominators of |x| and
+    L that of the distinct denominators b of the weights theta = a/b
+    that can attain.  Every piece is a proper subset of its pool, so a
+    tree over s points has at most s - 1 node levels, and a score whose
+    tree has h levels is a multiple of L^(s - h): theta times a sum of
+    such scores is divmod(v * a, b) with remainder 0, and a nonzero
+    remainder raises InvariantViolation.  The norm is Fraction(best, S).
     """
     entries = read_vector(x)
     if not entries:
@@ -310,6 +346,11 @@ def mt_norm_exhaustive(x, params):
     for j, (cap, theta) in enumerate(params.pairs, 1):
         if j != params.excluded:
             weights.setdefault(cap, theta)
+    scale = prod({m.denominator for m in mags}) \
+        * prod({th.denominator for th in weights.values()}) ** len(mags)
+    ints = [m.numerator * (scale // m.denominator) for m in mags]
+    ratios = [(cap - 1, th.numerator, th.denominator)
+              for cap, th in weights.items()]
     best_memo, most_memo, split_memo = {}, {}, {}
     budget = [ORACLE_BUDGET]
 
@@ -345,15 +386,23 @@ def mt_norm_exhaustive(x, params):
         if budget[0] < 0:
             raise BruteForceCapExceeded(
                 "exhaustive oracle exceeds %d evaluations" % ORACLE_BUDGET)
-        out = max(m for i, m in enumerate(mags) if pool >> i & 1)
-        for cap, theta in weights.items():
+        out = max(m for i, m in enumerate(ints) if pool >> i & 1)
+        for more, num, den in ratios:
             # theta < 1, so the one-piece split into the pool never improves
-            v = theta * max((best(piece) + most(tail, cap - 1)
-                             for piece, tail in splits(pool)
-                             if piece != pool), default=0)
+            v, r = divmod(num * max((best(piece) + most(tail, more)
+                                     for piece, tail in splits(pool)
+                                     if piece != pool), default=0), den)
+            require(r == 0, "a weight of cap %d times a pool score leaves "
+                    "remainder %d at the oracle's integer scale"
+                    % (more + 1, r))
             if v > out:
                 out = v
         best_memo[pool] = out
         return out
 
-    return best((1 << len(mags)) - 1)
+    try:
+        return Fraction(best((1 << len(ints)) - 1), scale)
+    finally:
+        # best and most call each other, a reference cycle that would keep
+        # the memos alive until the next cyclic garbage collection
+        del best, most

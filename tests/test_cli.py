@@ -210,7 +210,15 @@ def test_json_row_writer_matches_json_dump(rows):
                                    {"a\n": {"o\n": "\u2028",
                                             "p": ("q\n", {"\n": 1})}},
                                    {"a\n": ["l\n", ("\u2028\n",),
-                                            {"m\u2028": "\n"}]}]])
+                                            {"m\u2028": "\n"}]}],
+                                  # lists of flat lists, as d* rows: strings
+                                  # spelling the item break, empty items, a
+                                  # float item, and items mixing types
+                                  [{"r": [[1, "],\n    ["], ["]", "[", "]["]]},
+                                   {"r": ([],)}, {"r": [[1], []]},
+                                   {"r": [[0.5, 1]]}, {"r": [(1,), [2]]},
+                                   {"r": ((True, None), [2 ** 70, "\u2028"])},
+                                   {"r": [[1, [2]]]}, {"r": [[1], {}]}]])
 def test_json_row_writer_edge_cases(rows):
     assert written(rows) == dumped(rows)
 

@@ -68,6 +68,45 @@ def test_accumulate_in_place():
     assert f == Func([(1, Fraction(-2)), (2, Fraction(1))])
 
 
+def assert_exact(f):
+    assert all(type(v) is Fraction and v for v in f.values())
+
+
+@pytest.mark.parametrize("coef", [1, -2, Fraction(3, 2), Fraction(-1, 3)])
+def test_iadd_stores_exact_fractions(coef):
+    """An int or Fraction coefficient is stored as a nonzero Fraction, at
+    a new key and at a held one, and an entry that cancels is dropped."""
+    f = Func({1: Fraction(1, 2)})
+    f.iadd(2, coef)
+    f.iadd(1, coef)
+    assert_exact(f)
+    assert f[1] == Fraction(1, 2) + coef and f[2] == coef
+    f.iadd(2, -coef)
+    f.iadd(1, -f[1])
+    assert f == Func() and not f
+
+
+@pytest.mark.parametrize("scalar", [1, Fraction(1), -1, Fraction(3, 2)])
+def test_accumulate_stores_exact_fractions(scalar):
+    """self += scalar * other for other holding ints and Fractions:
+    every stored value is a nonzero Fraction, and entries that cancel
+    are dropped."""
+    f = Func({1: Fraction(1, 2), 2: Fraction(1)})
+    other = {1: 2, 2: Fraction(-1) / scalar, 3: Fraction(1, 3)}
+    f.accumulate(other, scalar)
+    assert_exact(f)
+    assert f == Func({1: Fraction(1, 2) + 2 * scalar,
+                      3: Fraction(1, 3) * scalar})
+    assert 2 not in f
+    f.accumulate(f.copy(), Fraction(-1))
+    assert f == Func()
+
+
+def test_accumulate_refuses_a_float_scalar_of_one():
+    with pytest.raises(ValueError, match="exact rational"):
+        Func().accumulate(Func({1: Fraction(1, 3)}), 1.0)
+
+
 def test_invalid_fraction_rejected():
     with pytest.raises((ValueError, ZeroDivisionError)):
         Func([(1, Fraction(1, 0))])

@@ -1,5 +1,6 @@
 """Mixed Tsirelson norm: DP, oracle, and norming-tree verification."""
 
+import gc
 import random
 import tracemalloc
 from fractions import Fraction
@@ -31,6 +32,16 @@ def test_params_validation():
             MTParams(pairs=((3, Fraction(1, 4)),), excluded=excluded)
     with pytest.raises(IndexOutOfSchedule):
         PARAMS.theta(3)
+    # caps and the excluded index are read by `parse_int`, and a weight is
+    # an int or a Fraction: a float weight was scored in floats, a cap True
+    # acted as 1 and a cap 2.0 failed in the DP with TypeError
+    half = Fraction(1, 2)
+    for pairs, excluded in [(((2, 0.5),), None), (((2, True),), None),
+                            (((2, "1/2"),), None), (((True, half),), None),
+                            (((2.0, half),), None), (((2, half),), True),
+                            (((2, half),), 1.0), (((2, half),), "1")]:
+        with pytest.raises(ValueError):
+            MTParams(pairs=pairs, excluded=excluded)
 
 
 def test_singleton_and_zero():
@@ -220,9 +231,10 @@ def test_cap_one_pair_matches_exhaustive():
 
 
 @st.composite
-def mt_cases(draw):
-    """Random parameters and a vector with many ties: caps 1..5, weights
-    with non-unit numerators and mixed denominators, every exclusion."""
+def mt_cases(draw, max_size=12):
+    """Random parameters and a vector of at most max_size coordinates
+    with many ties: caps 1..5, weights with non-unit numerators and mixed
+    denominators, every exclusion."""
     thetas = sorted(draw(st.sets(st.builds(Fraction, st.integers(1, 5),
                                            st.integers(6, 24)),
                                  min_size=1, max_size=3)), reverse=True)
@@ -236,7 +248,7 @@ def mt_cases(draw):
         st.integers(0, 30),
         st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 4),
                          Fraction(5, 3)]),
-        min_size=1, max_size=12))
+        min_size=1, max_size=max_size))
     return params, {k: unit * v for k, v in coords.items()}
 
 
@@ -258,6 +270,51 @@ def test_height_bound_is_tight():
         value, tree = mt_norm(x, chain)
         assert (value, tree) == fraction_mt_norm(x, chain)
         assert tree_height(tree) == norming_height(n, chain) == n - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(mt_cases(max_size=6))
+def test_integer_oracle_matches_fraction_enumeration(case):
+    """The oracle's integer scores against the per-weight enumeration in
+    Fractions, on weights with non-unit numerators, cap 1, exclusions
+    and ties."""
+    params, x = case
+    assert mt_norm_exhaustive(x, params) == pieces_mt_norm(x, params)
+
+
+def test_integer_oracle_on_the_tallest_trees():
+    """The doubling chain under (2, 4/5), whose optimum has n - 1 node
+    levels over n points, the most the oracle's scale must hold."""
+    chain = MTParams(pairs=((2, Fraction(4, 5)),))
+    for n in range(1, 7):
+        x = {k: Fraction(2 ** k, 3) for k in range(n)}
+        assert mt_norm_exhaustive(x, chain) == fraction_mt_norm(x, chain)[0]
+
+
+def test_oracle_short_scale_raises_invariant_violation(monkeypatch):
+    """Without the weights' denominators in the scale, theta = 4/5 times
+    a pool score leaves a remainder, which is named."""
+    monkeypatch.setattr(mtnorm, "prod", lambda factors: 1)
+    chain = MTParams(pairs=((2, Fraction(4, 5)),))
+    with pytest.raises(InvariantViolation, match="oracle's integer scale"):
+        mt_norm_exhaustive({0: Fraction(1), 1: Fraction(2)}, chain)
+
+
+def test_calls_leave_no_reference_cycles():
+    """The DP's tree builder and the oracle's scorers call themselves;
+    both routes drop those closures on return, so their tables and memos
+    go at once and not at the next cyclic garbage collection."""
+    x = {k: Fraction(k + 1, 3) for k in range(6)}
+    calls = [lambda: mt_norm(x, PARAMS), lambda: mt_norm({1: 1, 2: 1}, PARAMS),
+             lambda: mt_norm_exhaustive(x, PARAMS)]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_short_scale_raises_invariant_violation(monkeypatch):

@@ -16,18 +16,21 @@ Everything else is exact rational arithmetic with zero tolerance.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 from .certificates import Check, judge
 from .errors import (AnnihilatorMissing, BDSpaceError, CutTooSmall,
                      EmptySupport, NotBlockSequence, NotCertifiedRIS,
                      NotSkippedBlock, SearchExhausted, StageOverflow, require)
-from .funcs import Func
+from .funcs import Func, common_denominator
 from .mtnorm import Leaf, MTParams, Node, tree_action, tree_support, \
     verify_norming_tree
 from .norms import sup_norm_interval
 from .spaces import forge_even
 
 DEPENDENT_C = Fraction(45)    # the constant C of the dependent sequences
+MINUS_ONE = Fraction(-1)      # the sign of a unit payload, shared
 
 
 # -- block sources -------------------------------------------------------------
@@ -67,7 +70,7 @@ class CarrierSource:
         if self.companions:
             forge_even(self.registry, 1, [rank - 1], [payload.copy()])
         carrier = forge_even(self.registry, w // 2, [rank], [payload])
-        return self.engine.point_from_d({carrier: Fraction(1)})
+        return self.engine.point_from_d(Func.unit(carrier))
 
 
 def suggested_js(engine, xs):
@@ -118,11 +121,44 @@ def _at_most(measured, bound, stage, decidable, **detail):
                  {"measured": measured, "bound": bound, "stage": stage}, detail)
 
 
+def _over_bounds(engine, den, nums, bound_of):
+    """[(gid, i, |x(gid)|, bound)] in the canonical (rank, id) order for
+    the values num / den of `nums` ({gid: num}, as `Engine.numerators`
+    gives them) whose magnitude exceeds bound_of(i), the bound of their
+    weight index i; bound_of returns None where no bound applies, and
+    Base elements carry none.  Magnitudes are compared as integers, and
+    a Fraction is made only for a value above its bound."""
+    records = engine.registry.records
+    scaled = {}   # i -> (numerator * den, denominator, bound) or None
+    over = []
+    for gid, v in nums.items():
+        i = records[gid].weight_index
+        if i is None:
+            continue
+        b = scaled.get(i, False)
+        if b is False:
+            bound = bound_of(i)
+            b = scaled[i] = None if bound is None else (
+                bound.numerator * den, bound.denominator, bound)
+        if b is not None and abs(v) * b[1] > b[0]:
+            over.append(gid)
+    over.sort(key=lambda gid: (records[gid].rank, gid))
+    return [(gid, records[gid].weight_index, Fraction(abs(nums[gid]), den),
+             scaled[records[gid].weight_index][2]) for gid in over]
+
+
+def _peak_value(den, nums):
+    """max |x(gamma)| over the values num / den of `nums`; 0 if none."""
+    return Fraction(max(map(abs, nums.values()), default=0), den)
+
+
 def _sum_point(engine, xs, coeffs=None):
     d = Func()
     for k, x in enumerate(xs):
-        d.accumulate(x.d_coords,
-                     Fraction(1) if coeffs is None else Fraction(coeffs[k]))
+        if coeffs is None:
+            d.accumulate(x.d_coords)
+        else:
+            d.accumulate(x.d_coords, Fraction(coeffs[k]))
     return engine.point_from_d(d)
 
 
@@ -149,16 +185,11 @@ def check_ris(engine, xs, C, js, N):
     cond2_ok = all(js[k + 1] > rans[k][1] for k in range(len(xs) - 1))
     violations = []
     for k, x in enumerate(xs):
-        lo = Fraction(0)   # the stage-N lower norm, over every nonzero
-        for gid, v in engine.nonzeros(x, N):
-            v = abs(v)
-            lo = max(lo, v)
-            i = engine.registry.records[gid].weight_index
-            if i is None or i >= js[k]:
-                continue
-            bound = C * sched.weight_value(i)
-            if v > bound:
-                violations.append([k, gid, v, bound])
+        den, nums = engine.numerators(x, N)
+        lo = _peak_value(den, nums)   # the stage-N lower norm
+        violations += [[k, gid, v, bound] for gid, _, v, bound in _over_bounds(
+            engine, den, nums,
+            lambda i: C * sched.weight_value(i) if i < js[k] else None)]
         norm_lowers.append([lo, lo <= C])
     ok = cond2_ok and not violations and all(ok for _, ok in norm_lowers)
     return Check(judge(ok), {"C": C, "js": js, "stage": N,
@@ -178,6 +209,14 @@ def lower_estimate_witness(engine, xs, j):
     1/2-sum-of-norms comparison, rhs/2: a skipped block vanishes up to
     the previous cut, so its norm over Gamma_{p_r - 1} is its maximum.
     """
+    gamma, check, _ = _lower_estimate(engine, xs, j)
+    return gamma, check
+
+
+def _lower_estimate(engine, xs, j):
+    """`lower_estimate_witness`, plus the block sum whose value at gamma
+    it checks: a Point solved up to the rank of gamma, which the exact
+    pair scales instead of solving the sum again."""
     registry = engine.registry
     rans, cuts = _skipped_cuts(engine, xs)
     if len(xs) >= 2 and 2 * j >= rans[1][0]:
@@ -187,32 +226,35 @@ def lower_estimate_witness(engine, xs, j):
     prev = 0
     for r, x in enumerate(xs):
         top = cuts[r] - 1
-        best_v, eta = None, None
-        for gid, v in engine.nonzeros(x, top):
-            if registry.rank_of(gid) > prev and (
-                    best_v is None or abs(v) > abs(best_v)):
-                best_v, eta = v, gid
+        # x vanishes below its range, so on ranks <= prev
+        den, nums = engine.numerators(x, top)
+        eta = engine.first_peak(nums)
         if eta is None:     # x vanishes on the window: its first element
             window = registry.window(prev, top)
             if not window:
                 raise BDSpaceError(
                     "window (%d, %d] holds no elements" % (prev, top))
-            eta, best_v = window[0], Fraction(0)
-        sign = Fraction(-1) if best_v < 0 else Fraction(1)
-        payloads.append(Func.unit(eta, sign))
+            eta, best = window[0], 0
+        else:
+            best = nums[eta]
+        payloads.append(Func.unit(eta, MINUS_ONE) if best < 0
+                        else Func.unit(eta))
         etas.append(eta)
-        maxima.append(abs(best_v))
+        maxima.append(Fraction(abs(best), den))
         prev = cuts[r]
     gamma = forge_even(registry, j, cuts, payloads)
     beta = registry.schedule.weight_value(2 * j)
     total = _sum_point(engine, xs)
     lhs = engine.pair(Func.unit(gamma), total)
-    rhs = beta * sum(maxima)
+    # the maxima summed as integers over their common denominator
+    den = common_denominator(maxima)
+    rhs = beta * Fraction(sum(v.numerator * (den // v.denominator)
+                              for v in maxima), den)
     half = rhs / 2
     return gamma, Check(
         judge(lhs == rhs),
         {"cuts": cuts, "etas": etas, "maxima": maxima, "lhs": lhs, "rhs": rhs},
-        {"half_sum": half, "half_ok": lhs >= half})
+        {"half_sum": half, "half_ok": lhs >= half}), total
 
 
 # -- exact pairs ----------------------------------------------------------------
@@ -256,12 +298,12 @@ def make_exact_pair(engine, xs, j, eps, C):
     if a != n2j:
         notes.append("toy length a = %d instead of n_{2j} = %d" % (a, n2j))
     if eps == 1:
-        gamma, wit = lower_estimate_witness(engine, xs, j)
+        gamma, wit, block_sum = _lower_estimate(engine, xs, j)
         total = wit.values["rhs"] / beta   # sum of window maxima
         if total == 0:
             raise SearchExhausted("every block vanishes on its window")
         theta = Fraction(a) / total
-        x = _sum_point(engine, xs).scaled(theta * m2j / a)
+        x = block_sum.scaled(theta * m2j / a)
         theta_ok = abs(theta) <= 2
         if not wit.detail["half_ok"]:
             notes.append("half-bound failed at stage scope; theta reported")
@@ -289,17 +331,13 @@ def make_exact_pair(engine, xs, j, eps, C):
         raise BDSpaceError("pair value %s != eps = %d" % (value, eps))
     max_d = max((abs(v) for v in x.d_coords.values()), default=Fraction(0))
     c1_bound = pair_constant * beta
-    norm_lower = Fraction(0)   # the stage-N lower norm, over every nonzero
-    violations = []
-    for gid, v in engine.nonzeros(x, N):
-        v = abs(v)
-        norm_lower = max(norm_lower, v)
-        i = registry.records[gid].weight_index
-        if i is None or i == 2 * j:
-            continue
-        bound = pair_constant * (sched.weight_value(i) if i < 2 * j else beta)
-        if v > bound:
-            violations.append([gid, i, v, bound])
+    den, nums = engine.numerators(x, N)
+    norm_lower = _peak_value(den, nums)   # the stage-N lower norm
+    above = pair_constant * beta   # the bound above weight index 2j
+    violations = [list(over) for over in _over_bounds(
+        engine, den, nums,
+        lambda i: None if i == 2 * j else (
+            pair_constant * sched.weight_value(i) if i < 2 * j else above))]
     ok = (max_d <= c1_bound and norm_lower <= pair_constant
           and not violations)
     check = Check(judge(ok), {
@@ -485,9 +523,14 @@ def hi_probe(engine, Y, Z, j0, length):
     rec = make_dependent_sequence(engine, j0, [Y, Z], eps=1, C=DEPENDENT_C,
                                   length=length, blocks_per_pair="weight")
     beta = engine.registry.schedule.weight_value(2 * j0 - 1)
-    y = _sum_point(engine, [x for i, x in enumerate(rec.xs, 1) if i % 2])
-    z = _sum_point(engine, [x for i, x in enumerate(rec.xs, 1) if not i % 2])
     N = engine.registry.frontier()
+    # each pair vector holds its values up to its gamma: catch them up to
+    # stage N, so that y, z, y + z and y - z add solved values
+    for x in rec.xs:
+        engine.evaluate(x, N)
+    zero = rec.xs[0].scaled(0)   # a zero point solved to stage N
+    y = reduce(add, rec.xs[0::2], zero)
+    z = reduce(add, rec.xs[1::2], zero)
     witness_value = length * beta
     ni_plus = sup_norm_interval(engine, y + z, N)
     ni_minus = sup_norm_interval(engine, y - z, N)
@@ -656,14 +699,17 @@ def ris_average_report(engine, xs, j0, cert, lams):
     n = len(xs)
     avg = _sum_point(engine, xs, lams).scaled(Fraction(1, n))
     N = registry.frontier()
-    per_class = {}
-    norm_lower = Fraction(0)   # the stage-N lower norm, over every nonzero
-    for gid, v in engine.nonzeros(avg, N):
+    den, nums = engine.numerators(avg, N)
+    norm_lower = _peak_value(den, nums)   # the stage-N lower norm
+    classes = {}   # h -> {gid: num} of weight index h
+    for gid, v in nums.items():
         h = registry.records[gid].weight_index
-        v = abs(v)
-        norm_lower = max(norm_lower, v)
-        if h is not None and (h not in per_class or v > per_class[h][0]):
-            per_class[h] = (v, gid)
+        if h is not None:
+            classes.setdefault(h, {})[gid] = v
+    per_class = {}
+    for h, values in classes.items():
+        at = engine.first_peak(values)
+        per_class[h] = (Fraction(abs(values[at]), den), at)
     for gid in registry.gammas_up_to(N):   # a class where avg vanishes
         h = registry.records[gid].weight_index
         if h is not None and h not in per_class:

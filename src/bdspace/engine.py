@@ -28,7 +28,9 @@ arithmetic; a solved value is reduced by its gcd before it meets its
 point's common denominator.  `Func` and `Fraction` stay the types at the
 boundary: d-coordinates and payloads come in as Funcs, and `d_star`,
 the projections, `value`, `pair`, `nonzeros`, the biorthogonality
-defects and the row norms hand out Funcs and Fractions.
+defects and the row norms hand out Funcs and Fractions.  Only
+`numerators` hands a point's values out as integers over its
+denominator, for the scans that compare magnitudes.
 """
 
 from dataclasses import dataclass, field
@@ -48,7 +50,12 @@ class Point:
     is complete for the elements that `covered` = (stage, size) names:
     those with rank <= stage and id < size, so a missing key there means
     zero.  Only the Engine reads and grows it (`evaluate`, `value`,
-    `nonzeros`).
+    `numerators`).
+
+    The solve is linear, so a multiple keeps the scaled cache, and a sum
+    or difference of two points with equal `covered` markers keeps the
+    sum of their caches under that marker; a sum of points solved to
+    different coverage starts unsolved.
     """
     d_coords: Func = field(default_factory=Func)
     e_cache: IntVec = field(default_factory=IntVec)
@@ -64,7 +71,11 @@ class Point:
         return Point(self.d_coords.scaled(scalar), cache, self.covered)
 
     def __add__(self, other):
-        return Point(d_coords=self.d_coords + other.d_coords)
+        d_coords = self.d_coords + other.d_coords
+        if self.covered != other.covered:
+            return Point(d_coords)
+        cache = IntVec().axpy(1, 1, self.e_cache).axpy(1, 1, other.e_cache)
+        return Point(d_coords, cache, self.covered)
 
     def __sub__(self, other):
         return self + other.scaled(-1)
@@ -126,22 +137,25 @@ class Engine:
     def _c_vec(self, gid):
         return self._row(self.registry.rank_of(gid) - 1, gid)
 
-    def _fill(self, key):
-        """Memoize the row P*_{(0,q]} e*_gid of key (q, gid) and every row
-        it needs.  For q >= rank it is the unit row e*_gid; at q = rank - 1
-        it is c*_gid, as e*_gid o P_{(0,rank-1]} = c*_gid: 0 at the Base,
-        else beta (b* - P*_{(0,cut]} b*) + e*_xi from the rows of its
-        payload at its cut; below, the sum of c*_gid[h] P*_{(0,q]} e*_h,
-        except that a Type2 row at q <= cut is its predecessor xi's row,
-        the same object: P*_{(0,q]} P*_{(0,cut]} = P*_{(0,q]} cancels the
-        beta-term of c*_gid, leaving P*_{(0,q]} e*_xi.  Rows are never
-        mutated, so sharing one is safe.
+    def _fill(self, keys):
+        """Memoize the rows P*_{(0,q]} e*_gid of some keys (q, gid), in
+        order, and every row they need.  For q >= rank it is the unit row
+        e*_gid, one object for every such q; at q = rank - 1 it is
+        c*_gid, as e*_gid o P_{(0,rank-1]} = c*_gid: 0 at the Base, else
+        beta (b* - P*_{(0,cut]} b*) + e*_xi from the rows of its payload
+        at its cut; below, the sum of c*_gid[h] P*_{(0,q]} e*_h, which is
+        c*_gid itself, the same object, when every h has rank <= q.  A
+        Type2 row at q <= cut is its predecessor xi's row, the same
+        object: P*_{(0,q]} P*_{(0,cut]} = P*_{(0,q]} cancels the beta-term
+        of c*_gid, leaving P*_{(0,q]} e*_xi.  Rows are never mutated, so
+        sharing one is safe.
         A forged tower nests these once per chain link, deeper than
         Python's recursion limit, so an explicit stack replaces the
         recursion; it visits the entries in the recursion's order."""
         memo = self._rows
         records = self.registry.records
-        stack = [key]
+        weights = self.registry.schedule.m
+        stack = keys[::-1]
         while stack:
             key = stack[-1]
             if key in memo:
@@ -150,24 +164,30 @@ class Engine:
             q, gid = key
             rec = records[gid]
             rank = rec.rank
-            if q >= rank:
+            if q > rank:   # the unit row at q = rank
+                out = memo.get((rank, gid))
+                if out is None:
+                    stack.append((rank, gid))
+                    continue
+            elif q == rank:
                 out = IntVec().add(gid, 1, 1)
             elif rank == 1:
                 out = IntVec()
             elif q == rank - 1:
                 cut = rec.cut
-                need = [(cut, h) for h in rec.payload
-                        if cut > 0 and (cut, h) not in memo]
-                if need:
-                    stack.extend(reversed(need))
-                    continue
-                tail = IntVec.from_func(rec.payload)
                 if cut > 0:
-                    for hid, coef in rec.payload.items():
-                        tail.axpy(-coef.numerator, coef.denominator,
-                                  memo[(cut, hid)])
-                beta = self.registry.schedule.weight_value(rec.weight_index)
-                out = IntVec().axpy(beta.numerator, beta.denominator, tail)
+                    need = [(cut, h) for h in rec.payload
+                            if (cut, h) not in memo]
+                    if need:
+                        stack.extend(reversed(need))
+                        continue
+                m = weights[rec.weight_index - 1]   # beta = 1 / m
+                out = IntVec()
+                for hid, coef in rec.payload.items():
+                    p, den = coef.numerator, coef.denominator * m
+                    out.add(hid, p, den)
+                    if cut > 0:
+                        out.axpy(-p, den, memo[(cut, hid)])
                 if rec.predecessor is not None:
                     out.add(rec.predecessor, 1, 1)
             elif rec.predecessor is not None and q <= rec.cut:
@@ -180,13 +200,16 @@ class Engine:
                 if cs is None:
                     stack.append((rank - 1, gid))
                     continue
-                need = [(q, h) for h in cs if (q, h) not in memo]
-                if need:
-                    stack.extend(reversed(need))
-                    continue
-                out = IntVec()
-                for hid, coef in cs.items():
-                    out.axpy(coef, cs.denominator, memo[(q, hid)])
+                if all(records[h].rank <= q for h in cs):
+                    out = cs   # P*_{(0,q]} keeps each e*_h
+                else:
+                    need = [(q, h) for h in cs if (q, h) not in memo]
+                    if need:
+                        stack.extend(reversed(need))
+                        continue
+                    out = IntVec()
+                    for hid, coef in cs.items():
+                        out.axpy(coef, cs.denominator, memo[(q, hid)])
             memo[key] = out
             stack.pop()
 
@@ -211,7 +234,7 @@ class Engine:
         out = self._rows.get((q, gid))
         if out is None:
             self.registry.record(gid)  # UnknownGamma if dangling
-            self._fill((q, gid))
+            self._fill([(q, gid)])
             out = self._rows[(q, gid)]
         return out
 
@@ -281,10 +304,17 @@ class Engine:
     def _index(self):
         """The reverse-dependency index, grown to the whole registry."""
         users = self._users
-        for gid in range(len(users), len(self.registry)):
-            users.append([])
-            for hid in self._c_vec(gid):
-                users[hid].append(gid)
+        start = len(users)
+        if start < len(self.registry):
+            records = self.registry.records
+            keys = [(records[gid].rank - 1, gid)
+                    for gid in range(start, len(records))]
+            self._fill(keys)
+            rows = self._rows
+            for key in keys:
+                users.append([])
+                for hid in rows[key]:
+                    users[hid].append(key[1])
         return users
 
     def evaluate(self, point, stage):
@@ -302,14 +332,15 @@ class Engine:
         cache."""
         cache = point.e_cache
         old_stage, old_size = point.covered
-        size = len(self.registry)
+        records = self.registry.records
+        size = len(records)
         if stage <= old_stage and size == old_size:
             return cache
-        stage = max(stage, old_stage)
-        records = self.registry.records
+        if stage < old_stage:
+            stage = old_stage
         users = self._index()
         rows = self._rows
-        d = IntVec.from_func(point.d_coords)
+        d = point.d_coords
 
         def fresh(gid):
             rank = records[gid].rank
@@ -317,7 +348,8 @@ class Engine:
 
         heap = []
         for gid in d:
-            self.registry.record(gid)  # UnknownGamma if dangling
+            if type(gid) is not int or not 0 <= gid < size:
+                self.registry.record(gid)  # UnknownGamma if dangling
             if fresh(gid):
                 heap.append(gid)
         for hid in cache:
@@ -331,9 +363,10 @@ class Engine:
             last = gid
             cs = rows[(records[gid].rank - 1, gid)]
             num, den = cs.dot(cache), cs.denominator * cache.denominator
-            if gid in d:
-                num = num * d.denominator + d[gid] * den
-                den *= d.denominator
+            c = d.get(gid)
+            if c is not None:
+                num = num * c.denominator + c.numerator * den
+                den *= c.denominator
             if num:
                 cache.add(gid, num, den)
                 for uid in users[gid]:
@@ -348,15 +381,41 @@ class Engine:
         cache = point.e_cache
         return Fraction(cache.get(gid, 0), cache.denominator)
 
+    def numerators(self, point, n):
+        """(den, {gid: num}) for the nonzero values x(gid) = num / den of
+        rank <= n, over the point's one denominator and in no particular
+        order: a new dict, which the caller may keep.  Scans compare
+        these integers and make a Fraction only for a value they
+        report."""
+        cache = self.evaluate(point, n)
+        if point.covered[0] <= n:   # nothing above rank n is solved
+            return cache.denominator, dict(cache)
+        records = self.registry.records
+        return cache.denominator, {gid: v for gid, v in cache.items()
+                                   if records[gid].rank <= n}
+
+    def first_peak(self, nums):
+        """The id of the largest |num| in a {gid: num} map, the first in
+        the canonical (rank, id) order among equal magnitudes; None for
+        an empty map."""
+        if not nums:
+            return None
+        mags = list(map(abs, nums.values()))
+        top = max(mags)
+        if mags.count(top) == 1:
+            return list(nums)[mags.index(top)]
+        records = self.registry.records
+        return min((gid for gid, v in nums.items() if abs(v) == top),
+                   key=lambda gid: (records[gid].rank, gid))
+
     def nonzeros(self, point, n):
         """[(gid, x(gid))] for the nonzero values of rank <= n, in the
         canonical (rank, id) order."""
-        cache = self.evaluate(point, n)
+        den, nums = self.numerators(point, n)
         records = self.registry.records
-        den = cache.denominator
-        return sorted(((gid, Fraction(v, den)) for gid, v in cache.items()
-                       if records[gid].rank <= n),
-                      key=lambda item: (records[item[0]].rank, item[0]))
+        return [(gid, Fraction(nums[gid], den))
+                for gid in sorted(nums, key=lambda gid: (records[gid].rank,
+                                                         gid))]
 
     def pair(self, f, point):
         """<f, x> for a Func f against a Point x."""
@@ -408,7 +467,7 @@ class Engine:
         if rng is None:
             return None, set()
         q = rng[1]
-        return rng, {gid for gid, _ in self.nonzeros(point, q)}
+        return rng, set(self.numerators(point, q)[1])
 
     # -- stage matrices and operator norms --------------------------------------
 

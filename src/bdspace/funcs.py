@@ -34,6 +34,8 @@ def parse_int(v):
     A bool (JSON true and false are no numbers), a float and a string
     raise ValueError: the one rule for every integer that a schedule, a
     point file or a forge spec gives."""
+    if type(v) is int:
+        return v
     if isinstance(v, bool) or not hasattr(type(v), "__index__"):
         raise ValueError("expected an int, got %r" % (v,))
     return index(v)
@@ -114,11 +116,13 @@ class Func(dict):
     def accumulate(self, other, scalar=Fraction(1)):
         """In-place self += scalar * other.  An exact scalar 1 adds
         other's values as they are; a float 1.0 still makes products,
-        which `iadd` refuses."""
+        which `iadd` refuses.  other may be self: its items are read
+        from a snapshot, so an entry that cancels does not break the
+        loop."""
         if scalar == 0:
             return self
         one = scalar == 1 and type(scalar) not in INEXACT
-        for k, v in other.items():
+        for k, v in (list(other.items()) if other is self else other.items()):
             self.iadd(k, v if one else scalar * v)
         return self
 

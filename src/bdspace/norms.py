@@ -28,22 +28,28 @@ class NormInterval:
 
 
 def sup_norm_interval(engine, x, n):
-    """Bracket the norm of a Point at stage n, with a witness for the lower value."""
+    """Bracket the norm of a Point at stage n, with a witness for the
+    lower value: the first element of largest |x(gamma)| in the canonical
+    (rank, id) order.  Magnitudes are compared as integer numerators over
+    the point's one denominator."""
     rng = engine.ran(x)
     if rng is None:
         return NormInterval(Fraction(0), Fraction(0), n, None)
     q = rng[1]
     if n < q:
         raise StageOverflow("stage %d does not cover ran x = %s" % (n, rng))
-    lower, witness = Fraction(0), None
-    local_max = Fraction(0)
-    for gid, v in engine.nonzeros(x, n):
-        v = abs(v)
-        if v > lower:
-            lower, witness = v, gid
-        if engine.registry.rank_of(gid) <= q and v > local_max:
-            local_max = v
-    upper = engine.registry.schedule.M * local_max
+    den, nums = engine.numerators(x, n)
+    witness = engine.first_peak(nums)
+    if witness is None:
+        return NormInterval(Fraction(0), Fraction(0), n, None)
+    top = abs(nums[witness])
+    records = engine.registry.records
+    if records[witness].rank <= q:
+        local_max = top
+    else:
+        local_max = max((abs(v) for gid, v in nums.items()
+                         if records[gid].rank <= q), default=0)
+    lower = Fraction(top, den)
+    upper = engine.registry.schedule.M * Fraction(local_max, den)
     return NormInterval(lower=lower, upper=max(upper, lower), stage=n,
                         witness=witness)
-

@@ -34,9 +34,9 @@ from collections import defaultdict
 from collections.abc import Sequence
 from typing import NamedTuple, Optional
 
-from .errors import (AgeOverflow, OddWeightRuleViolation, ScheduleViolation,
-                     StageOverflow, SupportOutOfWindow, UnknownGamma,
-                     WeightMismatch, require)
+from .errors import (AgeOverflow, InputError, OddWeightRuleViolation,
+                     ScheduleViolation, StageOverflow, SupportOutOfWindow,
+                     UnknownGamma, WeightMismatch, require)
 from .funcs import Func
 
 BASE = "Base"
@@ -101,6 +101,7 @@ class Registry:
         self._by_key = {}
         self._payloads = {}  # payload ratios -> (the same ratios, stored Func)
         self._stages = defaultdict(list)   # rank -> ids of that rank
+        self._max_rank = 0                 # the highest rank admitted
         self._sigma_used = set()
         self.generated_stage = 0
 
@@ -158,11 +159,11 @@ class Registry:
         return out
 
     def max_rank(self):
-        return max(self._stages) if self._stages else 0
+        return self._max_rank
 
     def frontier(self):
         """The highest stage materialized, generated or forged."""
-        return max(self.max_rank(), self.generated_stage)
+        return max(self._max_rank, self.generated_stage)
 
     def count_up_to(self, n):
         return sum(len(v) for q, v in self._stages.items() if q <= n)
@@ -243,8 +244,12 @@ class Registry:
                     "payload id %d has rank %d outside (%d, %d]"
                     % (gid, r, cut, rank - 1))
             ratios.append((gid,) + v.as_integer_ratio())
-        if (abs(ratios[0][1]) > ratios[0][2] if len(ratios) == 1
-                else payload.l1() > 1):
+        if len(ratios) == 1:
+            if abs(ratios[0][1]) > ratios[0][2]:
+                raise SupportOutOfWindow("payload ell_1-norm exceeds 1")
+        elif not ratios:
+            raise InputError("a Type1/Type2 element needs a nonzero payload")
+        elif payload.l1() > 1:
             raise SupportOutOfWindow("payload ell_1-norm exceeds 1")
 
         if self.discipline == XK and weight_index % 2 == 1:
@@ -286,6 +291,8 @@ class Registry:
         self.records.append(rec)
         self._by_key[key] = rec.id
         self._stages[rec.rank].append(rec.id)
+        if rec.rank > self._max_rank:
+            self._max_rank = rec.rank
         return rec.id
 
     def _next_sigma(self, rank):

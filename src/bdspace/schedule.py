@@ -10,6 +10,7 @@ growth conditions are downgraded to "reported" on toy schedules.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lt
 
 from .errors import IndexOutOfSchedule, ScheduleViolation
 from .funcs import parse_int
@@ -76,11 +77,11 @@ def validate_schedule(m, n):
                                 + str(exc).partition(", ")[2]) from None
     if not m or not n or len(m) != len(n):
         raise ScheduleViolation("m and n must be nonempty lists of equal length")
-    if any(v < 1 for v in m) or any(v < 1 for v in n):
+    if min(m) < 1 or min(n) < 1:
         raise ScheduleViolation("schedule entries must be positive integers")
     if m[0] < 4:
         raise ScheduleViolation("m_1 = %d < 4" % m[0])
-    if any(m[j] >= m[j + 1] for j in range(len(m) - 1)):
+    if not all(map(lt, m, m[1:])):
         raise ScheduleViolation("m must be strictly increasing")
     mode = ADMISSIBLE if _growth_ok(m, n) else TOY
     theta = Fraction(1, m[0])  # = max_j 1/m_j since m is increasing

@@ -16,6 +16,7 @@ the sigma-coding.
 import itertools
 from fractions import Fraction
 from math import factorial
+from operator import lt
 
 from .errors import (AgeOverflow, BDSpaceError, CombinatorialBlowup,
                      CutTooSmall, InputError, NetTooLarge, StageOverflow,
@@ -182,7 +183,7 @@ def _forge_chain(registry, w, links):
     cuts = [p for p, _ in links]
     if not cuts:
         raise InputError("a chain needs at least one link")
-    if any(a >= b for a, b in zip(cuts, cuts[1:])):
+    if not all(map(lt, cuts, cuts[1:])):
         raise InputError("cuts %s are not strictly increasing" % cuts)
     if cuts[0] < w:
         raise CutTooSmall("first cut %d below weight index %d" % (cuts[0], w))

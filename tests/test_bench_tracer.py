@@ -53,6 +53,22 @@ def test_traced_treelike_counts_every_forged_head(spans):
     assert tracer.counts["spaces.elements_forged"] == 2 * 4
 
 
+def test_traced_hiprobe_mtnorm_still_reports_its_layers(spans, tmp_path):
+    """The probe reads point values through `Engine.numerators` and adds
+    solved sums; a traced smoke pass still times `sup_norm_interval` and
+    the analysis layer and counts the `evaluate` calls."""
+    import worker
+    import workloads
+    inputs, units_fn = workloads.WORKLOADS["hiprobe-mtnorm"]
+    units = units_fn(inputs(workloads.DEFAULT_SEED, smoke=True))
+    tally = worker.Tally(units, workloads.DEFAULT_SEED, None)
+    layer = worker.traced_pass(units, tally, str(tmp_path / "trace.jsonl"))
+    assert tally.attempted > 0 and tally.failed == 0, tally.problems
+    for name in ("norms.sup_norm_s", "engine.evaluate_calls",
+                 "analysis.self_s"):
+        assert layer[name][0] > 0, name
+
+
 def test_benchmark_selfcheck_exits_0():
     """The smoke pass of both workloads checks clean, and wrong digests,
     a `violated` certificate and a wrong `mt_norm` value each count as

@@ -566,6 +566,9 @@ def test_unread_options_are_rejected(argv):
     ["forge", "--stage", "1", "{spec_repeated_id}"],
     ["forge", "--stage", "1", "{spec_cancelling_id}"],
     ["norm", "--stage", "3", "{repeated}"],
+    # a payload is never empty, also when its one entry is 0
+    ["forge", "--stage", "1", "{spec_empty_payload}"],
+    ["forge", "--stage", "1", "{spec_zero_payload}"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     unit = '[[0, "1/1"]]'
@@ -604,7 +607,11 @@ def test_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
                                  '"payloads": [[[0, "1/2"], [0, "1/2"]]]}]}',
              "spec_cancelling_id": '{"even": [{"j": 1, "cuts": [7], '
                                    '"payloads": [[[0, "1/2"], '
-                                   '[0, "-1/2"]]]}]}'}
+                                   '[0, "-1/2"]]]}]}',
+             "spec_empty_payload": '{"even": [{"j": 1, "cuts": [7], '
+                                   '"payloads": [[]]}]}',
+             "spec_zero_payload": '{"even": [{"j": 1, "cuts": [7], '
+                                  '"payloads": [[[0, "0"]]]}]}'}
     paths = {"missing": str(tmp_path / "missing.json"),
              "unwritable": str(tmp_path / "no-such-dir" / "out.json")}
     for name, text in files.items():

@@ -102,6 +102,17 @@ def test_accumulate_stores_exact_fractions(scalar):
     assert f == Func()
 
 
+@pytest.mark.parametrize("scalar", [Fraction(-1), Fraction(2)])
+def test_accumulate_with_itself(scalar):
+    """f += scalar * f reads f from a snapshot: entries that cancel are
+    dropped, as f - f drops them, and no other entry is read twice."""
+    f = Func({1: Fraction(1, 2), 2: Fraction(-3), 5: Fraction(2, 7)})
+    expected = {k: (1 + scalar) * v for k, v in f.items() if 1 + scalar}
+    f.accumulate(f, scalar)
+    assert_exact(f)
+    assert f == Func(expected)
+
+
 def test_accumulate_refuses_a_float_scalar_of_one():
     with pytest.raises(ValueError, match="exact rational"):
         Func().accumulate(Func({1: Fraction(1, 3)}), 1.0)

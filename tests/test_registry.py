@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from bdspace.errors import (AgeOverflow, BDSpaceError, IndexOutOfSchedule,
-                            InvariantViolation, OddWeightRuleViolation,
+                            InputError, InvariantViolation,
+                            OddWeightRuleViolation,
                             ScheduleViolation, StageOverflow,
                             SupportOutOfWindow, UnknownGamma, WeightMismatch)
 from bdspace.certificates import canonical_json
@@ -151,6 +152,36 @@ def test_frontier_is_the_higher_of_generated_and_forged():
     assert reg.max_rank() == 1 and reg.frontier() == 3
     reg.intern(rank=5, weight_index=2, payload=unit_payload(reg))
     assert reg.frontier() == 5
+
+
+def test_frontier_follows_towers_forged_out_of_rank_order():
+    """The frontier is kept as elements are admitted, so it equals the
+    largest rank of any element, whatever order the towers come in."""
+    reg = fresh()
+    for rank in (9, 4, 12, 7, 12, 3):
+        reg.intern(rank=rank, weight_index=2, payload=unit_payload(reg))
+        assert reg.frontier() == reg.max_rank() == max(
+            rec.rank for rec in reg.records)
+    forge_even(reg, 1, [5, 8], [unit_payload(reg),
+                                Func.unit(reg.gammas_up_to(7)[-1])])
+    assert reg.frontier() == max(rec.rank for rec in reg.records) == 12
+    reg.generated_stage = 20
+    assert reg.frontier() == 20
+
+
+@pytest.mark.parametrize("payload", [Func(), {}, Func({1: Fraction(0)})])
+def test_an_empty_payload_is_refused(payload):
+    """A Type1 or Type2 element needs a nonzero payload: one that is
+    empty, or whose only entry is 0, is a malformed draft, and nothing
+    is admitted."""
+    reg = fresh()
+    head = reg.intern(rank=3, weight_index=2, payload=unit_payload(reg))
+    size = len(reg)
+    for predecessor in (None, head):
+        with pytest.raises(InputError, match="nonzero payload"):
+            reg.intern(rank=5, weight_index=2, payload=payload,
+                       predecessor=predecessor)
+    assert len(reg) == size
 
 
 def test_sigma_lazy_injective_and_above_quarter_rank():

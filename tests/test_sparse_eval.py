@@ -76,6 +76,9 @@ def random_tower(seed, elements=14):
         first = registry.gammas_up_to(cut - 1)
         second = [g for g in registry.gammas_up_to(rank - 1)
                   if registry.rank_of(g) > cut]
+        if not second:   # no second link: a payload is never empty
+            forge_random(registry, rng, rank)
+            continue
         payloads = [Func({g: Fraction(1, 2) for g in rng.sample(
             pool, min(2, len(pool)))}) for pool in (first, second)]
         forge_even(registry, rng.randint(1, cut // 2), [cut, rank], payloads)
@@ -144,6 +147,59 @@ def test_registry_growth_below_covered_stage(seed):
         assert engine.value(x, new) == dense_values(engine, x, rank)[new]
     assert_matches_dense(engine, x, top)
     assert_matches_dense(engine, scaled, top)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 10 ** 6))
+@example(seed=0)
+def test_sums_of_points_solved_alike_keep_their_values(seed):
+    """x + y and x - y of points solved to the same (stage, size) add the
+    solved values and keep the coverage marker; their nonzeros equal a
+    fresh solve of the summed d-vector and the dense oracle.  A sum kept
+    this way catches up like any point when the registry grows."""
+    rng, registry, engine = random_tower(seed)
+    top = registry.max_rank()
+    ids = registry.gammas_up_to(top)
+    x, y = (random_point(engine, rng, ids, rng.randint(1, 3))
+            for _ in range(2))
+    n = rng.randint(max(engine.ran(x)[1], engine.ran(y)[1]), top)
+    engine.evaluate(x, n)
+    engine.evaluate(y, n)
+    sums = (x + y, x - y, y - x.scaled(Fraction(-1, 2)))
+    for z in sums:
+        assert z.covered == x.covered == y.covered
+        fresh = engine.point_from_d(z.d_coords)
+        assert engine.nonzeros(z, n) == engine.nonzeros(fresh, n)
+        assert_matches_dense(engine, z, n)
+    new = forge_random(registry, rng, rng.randint(2, top + 1))
+    for z in sums:
+        assert engine.value(z, new) == dense_values(
+            engine, z, registry.rank_of(new))[new]
+        assert_matches_dense(engine, z, registry.max_rank())
+
+
+@SETTINGS
+@given(seed=st.integers(0, 10 ** 6))
+def test_sums_keep_solved_values_only_under_one_marker(seed):
+    """Points solved to different stages, or before and after the
+    registry grew, sum to a point with no solved values, which evaluates
+    exactly; where the two markers agree, the sum keeps the values."""
+    rng, registry, engine = random_tower(seed)
+    top = registry.max_rank()
+    ids = registry.gammas_up_to(top)
+    x, y, w = (random_point(engine, rng, ids, rng.randint(1, 3))
+               for _ in range(3))
+    engine.evaluate(x, top)
+    engine.evaluate(y, engine.ran(y)[1])
+    engine.evaluate(w, top)
+    forge_random(registry, rng, rng.randint(2, top))
+    z = engine.point_from_d(y.d_coords)
+    engine.evaluate(z, top)   # solved as w was, unless the registry grew
+    for a, b in ((x, y), (w, z)):
+        for s in (a + b, b - a):
+            assert s.covered == (a.covered if a.covered == b.covered
+                                 else (0, 0))
+            assert_matches_dense(engine, s, registry.max_rank())
 
 
 def test_unknown_d_coordinate_is_named(stage6):

@@ -16,10 +16,9 @@ Everything else is exact rational arithmetic with zero tolerance.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import add
 
 from .certificates import Check, judge
+from .engine import Point, combination
 from .errors import (AnnihilatorMissing, BDSpaceError, CutTooSmall,
                      EmptySupport, NotBlockSequence, NotCertifiedRIS,
                      NotSkippedBlock, SearchExhausted, StageOverflow, require)
@@ -70,7 +69,7 @@ class CarrierSource:
         if self.companions:
             forge_even(self.registry, 1, [rank - 1], [payload.copy()])
         carrier = forge_even(self.registry, w // 2, [rank], [payload])
-        return self.engine.point_from_d(Func.unit(carrier))
+        return Point(Func.unit(carrier))
 
 
 def suggested_js(engine, xs):
@@ -150,16 +149,6 @@ def _over_bounds(engine, den, nums, bound_of):
 def _peak_value(den, nums):
     """max |x(gamma)| over the values num / den of `nums`; 0 if none."""
     return Fraction(max(map(abs, nums.values()), default=0), den)
-
-
-def _sum_point(engine, xs, coeffs=None):
-    d = Func()
-    for k, x in enumerate(xs):
-        if coeffs is None:
-            d.accumulate(x.d_coords)
-        else:
-            d.accumulate(x.d_coords, Fraction(coeffs[k]))
-    return engine.point_from_d(d)
 
 
 # -- RIS certification ---------------------------------------------------------
@@ -244,7 +233,7 @@ def _lower_estimate(engine, xs, j):
         prev = cuts[r]
     gamma = forge_even(registry, j, cuts, payloads)
     beta = registry.schedule.weight_value(2 * j)
-    total = _sum_point(engine, xs)
+    total = combination([(1, x) for x in xs])
     lhs = engine.pair(Func.unit(gamma), total)
     # the maxima summed as integers over their common denominator
     den = common_denominator(maxima)
@@ -260,18 +249,22 @@ def _lower_estimate(engine, xs, j):
 # -- exact pairs ----------------------------------------------------------------
 
 def _window_annihilator(engine, x, lo, hi):
-    """A unit-ball functional on ranks (lo, hi] with <b, x> = 0."""
-    values = dict(engine.nonzeros(x, hi))
+    """A unit-ball functional on ranks (lo, hi] with <b, x> = 0: e*_gid
+    at the first element of the window where x vanishes, else
+    (v2 e*_g1 - v1 e*_g2) / (|v1| + |v2|) at its first two, read from
+    the integer numerators v, over which x's denominator cancels."""
+    _, nums = engine.numerators(x, hi)
     nonzero = []
     for gid in engine.registry.window(lo, hi):
-        v = values.get(gid)
+        v = nums.get(gid)
         if v is None:
             return Func.unit(gid)
         nonzero.append((gid, v))
         if len(nonzero) == 2:
             (g1, v1), (g2, v2) = nonzero
             scale = abs(v1) + abs(v2)
-            return Func(((g1, v2 / scale), (g2, -v1 / scale)))
+            return Func(((g1, Fraction(v2, scale)),
+                         (g2, Fraction(-v1, scale))))
     raise AnnihilatorMissing(
         "window (%d, %d] admits no annihilator of the block" % (lo, hi))
 
@@ -317,7 +310,7 @@ def make_exact_pair(engine, xs, j, eps, C):
         gamma = forge_even(registry, j, cuts, payloads)
         theta = Fraction(1)
         theta_ok = True
-        x = _sum_point(engine, xs).scaled(Fraction(m2j, a))
+        x = combination([(Fraction(m2j, a), xr) for xr in xs])
         # the paper states the middle index as n_{2j}; the 2j-pattern of
         # the section suggests otherwise: the check uses 2j, the detail
         # records n_{2j} as the claimed index
@@ -491,9 +484,9 @@ def alternating_report(engine, rec, N):
         s = max(prefix) - min(prefix)
         if s > worst:
             worst, worst_at = s, gid
-    plain = _sum_point(engine, rec.xs).scaled(Fraction(1, n))
-    alt = _sum_point(engine, rec.xs,
-                     [(-1) ** i for i in range(1, n + 1)]).scaled(Fraction(1, n))
+    plain = combination([(Fraction(1, n), x) for x in rec.xs])
+    alt = combination([(Fraction((-1) ** i, n), x)
+                       for i, x in enumerate(rec.xs, start=1)])
     ni_plain = sup_norm_interval(engine, plain, N)
     ni_alt = sup_norm_interval(engine, alt, N)
     C = rec.C
@@ -525,15 +518,14 @@ def hi_probe(engine, Y, Z, j0, length):
     beta = engine.registry.schedule.weight_value(2 * j0 - 1)
     N = engine.registry.frontier()
     # each pair vector holds its values up to its gamma: catch them up to
-    # stage N, so that y, z, y + z and y - z add solved values
+    # stage N, so that y + z and y - z add solved values
     for x in rec.xs:
         engine.evaluate(x, N)
-    zero = rec.xs[0].scaled(0)   # a zero point solved to stage N
-    y = reduce(add, rec.xs[0::2], zero)
-    z = reduce(add, rec.xs[1::2], zero)
     witness_value = length * beta
-    ni_plus = sup_norm_interval(engine, y + z, N)
-    ni_minus = sup_norm_interval(engine, y - z, N)
+    ni_plus = sup_norm_interval(
+        engine, combination([(1, x) for x in rec.xs]), N)
+    ni_minus = sup_norm_interval(engine, combination(
+        [((-1) ** i, x) for i, x in enumerate(rec.xs)]), N)
     require(ni_plus.lower >= witness_value, "chain witness missing from stage")
     paper_bound = 12 * DEPENDENT_C * length * beta * beta
     return ni_plus, ni_minus, Check(
@@ -615,8 +607,7 @@ def basic_inequality_witness(engine, xs, lams, s, gamma, cert, j0=None):
                   and proj_range(k, lo)[1] >= prev_cut + 1]
             if Ir:
                 s_r = max(lo, prev_cut)
-                ysum = _sum_point(engine, [xs[k] for k in Ir],
-                                  [lams[k] for k in Ir])
+                ysum = combination([(lams[k], xs[k]) for k in Ir])
                 best_eta, best_v = None, None
                 for eta in sorted(row.payload,
                                   key=lambda g: (registry.rank_of(g), g)):
@@ -640,7 +631,7 @@ def basic_inequality_witness(engine, xs, lams, s, gamma, cert, j0=None):
         return k0, Node(j=h, children=tuple(t for _, t in children))
 
     k0, gstar = rec(gamma, list(range(len(xs))), s)
-    total = _sum_point(engine, xs, lams)
+    total = combination(zip(lams, xs))
     lhs = abs(engine.eval_after_projection(gamma, s, total))
     action = Fraction(0)
     tree_ok, tree_reason = True, ""
@@ -697,7 +688,7 @@ def ris_average_report(engine, xs, j0, cert, lams):
     sched = registry.schedule
     C = cert.values["C"]
     n = len(xs)
-    avg = _sum_point(engine, xs, lams).scaled(Fraction(1, n))
+    avg = combination([(Fraction(lam) / n, x) for lam, x in zip(lams, xs)])
     N = registry.frontier()
     den, nums = engine.numerators(avg, N)
     norm_lower = _peak_value(den, nums)   # the stage-N lower norm

@@ -36,7 +36,7 @@ from .analysis import (CARRIER_GAP, DEPENDENT_C, CarrierSource,
                        make_dependent_sequence, ris_average_report,
                        suggested_js)
 from .certificates import Check, Ledger, judge, make_certificate
-from .engine import Engine
+from .engine import Engine, Point
 from .errors import BDSpaceError, InputError
 from .funcs import Func, frac_str, parse_int
 from .mtnorm import MTParams, mt_norm, mt_norm_exhaustive, verify_norming_tree
@@ -706,7 +706,7 @@ def cmd_forge(args):
 def cmd_norm(args):
     coords = read_input(args.point, Func.from_json)
     engine = Engine(registry_of(args))
-    ni = sup_norm_interval(engine, engine.point_from_d(coords), args.stage)
+    ni = sup_norm_interval(engine, Point(coords), args.stage)
     print(json.dumps(ni.to_json()))
     return 0
 

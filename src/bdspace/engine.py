@@ -27,10 +27,11 @@ the D*.D scatter, the analysis identity and the row norms run in `int`
 arithmetic; a solved value is reduced by its gcd before it meets its
 point's common denominator.  `Func` and `Fraction` stay the types at the
 boundary: d-coordinates and payloads come in as Funcs, and `d_star`,
-the projections, `value`, `pair`, `nonzeros`, the biorthogonality
-defects and the row norms hand out Funcs and Fractions.  Only
-`numerators` hands a point's values out as integers over its
-denominator, for the scans that compare magnitudes.
+the projections, `value`, `pair`, the biorthogonality defects and the
+row norms hand out Funcs and Fractions.  Only `numerators` hands a
+point's values out as integers over its denominator, for the scans that
+compare magnitudes.  Multiples, sums and differences of Points are all
+`combination`s.
 """
 
 from dataclasses import dataclass, field
@@ -39,7 +40,7 @@ from heapq import heapify, heappop, heappush
 from operator import add, itemgetter
 
 from .errors import BaseHasNoAnalysis, StageOverflow
-from .funcs import Func, IntVec, common_denominator
+from .funcs import Func, IntVec, common_denominator, exact
 
 
 @dataclass
@@ -50,12 +51,9 @@ class Point:
     is complete for the elements that `covered` = (stage, size) names:
     those with rank <= stage and id < size, so a missing key there means
     zero.  Only the Engine reads and grows it (`evaluate`, `value`,
-    `numerators`).
-
-    The solve is linear, so a multiple keeps the scaled cache, and a sum
-    or difference of two points with equal `covered` markers keeps the
-    sum of their caches under that marker; a sum of points solved to
-    different coverage starts unsolved.
+    `pair`, `numerators`).  Multiples, sums and differences are
+    `combination`s, which decide what a result keeps of the solved
+    values.
     """
     d_coords: Func = field(default_factory=Func)
     e_cache: IntVec = field(default_factory=IntVec)
@@ -65,20 +63,29 @@ class Point:
         return not self.d_coords
 
     def scaled(self, scalar):
-        scalar = Fraction(scalar)
-        cache = IntVec().axpy(scalar.numerator, scalar.denominator,
-                              self.e_cache)
-        return Point(self.d_coords.scaled(scalar), cache, self.covered)
+        return combination([(scalar, self)])
 
     def __add__(self, other):
-        d_coords = self.d_coords + other.d_coords
-        if self.covered != other.covered:
-            return Point(d_coords)
-        cache = IntVec().axpy(1, 1, self.e_cache).axpy(1, 1, other.e_cache)
-        return Point(d_coords, cache, self.covered)
+        return combination([(1, self), (1, other)])
 
     def __sub__(self, other):
-        return self + other.scaled(-1)
+        return combination([(1, self), (-1, other)])
+
+
+def combination(terms):
+    """The Point sum of c x over the (c, x) pairs of `terms`; a float or
+    bool c raises ValueError (`funcs.exact`).  The solve is linear, so
+    when every x carries the same `covered` marker the result keeps the
+    sum of their scaled solved values under it; otherwise, and for no
+    terms, it starts unsolved."""
+    terms = [(exact(c), x) for c, x in terms]
+    solved = len({x.covered for _, x in terms}) == 1
+    point = Point(covered=terms[0][1].covered if solved else (0, 0))
+    for c, x in terms:
+        point.d_coords.accumulate(x.d_coords, c)
+        if solved:
+            point.e_cache.axpy(c.numerator, c.denominator, x.e_cache)
+    return point
 
 
 @dataclass
@@ -408,15 +415,6 @@ class Engine:
         return min((gid for gid, v in nums.items() if abs(v) == top),
                    key=lambda gid: (records[gid].rank, gid))
 
-    def nonzeros(self, point, n):
-        """[(gid, x(gid))] for the nonzero values of rank <= n, in the
-        canonical (rank, id) order."""
-        den, nums = self.numerators(point, n)
-        records = self.registry.records
-        return [(gid, Fraction(nums[gid], den))
-                for gid in sorted(nums, key=lambda gid: (records[gid].rank,
-                                                         gid))]
-
     def pair(self, f, point):
         """<f, x> for a Func f against a Point x."""
         if f:
@@ -434,10 +432,9 @@ class Engine:
     def fdd_project(self, interval, point):
         """P_I x: keep d-coordinates with rank in (lo, hi] (hi=None: infinity)."""
         lo, hi = interval
-        keep = self.point_from_d(
+        return self.point_from_d(
             {g: c for g, c in point.d_coords.items()
              if lo < self.registry.rank_of(g) and (hi is None or self.registry.rank_of(g) <= hi)})
-        return keep
 
     def point_from_d(self, d_coords):
         return Point(d_coords=Func(d_coords))
@@ -452,11 +449,9 @@ class Engine:
         self._require_stage(q)
         u_full = {g: Fraction(v) for g, v in u.items() if v}
         d = Func()
-        for gid in self.registry.gammas_up_to(q):
-            val = (u_full.get(gid, Fraction(0))
-                   - self._c_vec(gid).to_func().dot(u_full))
-            if val:
-                d[gid] = val
+        for gid in self.registry.gammas_up_to(q):   # zeros are not stored
+            d[gid] = (u_full.get(gid, Fraction(0))
+                      - self._c_vec(gid).to_func().dot(u_full))
         point = Point(d_coords=d)
         self.evaluate(point, max(q, stage))
         return point

@@ -57,13 +57,22 @@ def parse_frac(s):
 INEXACT = (float, bool)   # value types a Func refuses
 
 
+def exact(scalar):
+    """Fraction(scalar) for an exact rational; ValueError for a float or
+    bool, as `parse_frac` raises: the one rule for the scalars that
+    scale a Func or combine Points."""
+    if type(scalar) in INEXACT:
+        raise ValueError("expected an exact rational, got %r" % (scalar,))
+    return Fraction(scalar)
+
+
 def refuse(key, value):
     """The error for an entry that a Func refuses: UnknownGamma for an
-    id that is not an int, as `Registry.record` raises, else ValueError
-    for a float or bool value, as `parse_frac` raises."""
+    id that is not an int, as `Registry.record` raises, else the
+    ValueError of `exact` for a float or bool value."""
     if type(key) is not int:
         raise UnknownGamma("no element with id %r" % (key,))
-    raise ValueError("expected an exact rational, got %r" % (value,))
+    exact(value)
 
 
 class Func(dict):
@@ -133,12 +142,7 @@ class Func(dict):
         return self.copy().accumulate(other, Fraction(-1))
 
     def scaled(self, scalar):
-        scalar = Fraction(scalar)
-        out = Func()
-        if scalar != 0:
-            for k, v in self.items():
-                dict.__setitem__(out, k, scalar * v)
-        return out
+        return Func().accumulate(self, exact(scalar))
 
     def __neg__(self):
         return self.scaled(-1)

@@ -10,7 +10,9 @@ the oracle of the integer DP in `bdspace.mtnorm`, and the per-weight
 enumeration of every successive-subset split, the reference of the
 memoized brute force `mt_norm_exhaustive`.  None of them computes
 through the engine's memos or its integer kernel: a stage matrix is read
-as Funcs."""
+as Funcs.  The one exception is `fraction_listing`, a point's nonzero
+values as Fractions in (rank, id) order, which the tests' Fraction scans
+read from `Engine.numerators`."""
 
 from fractions import Fraction
 
@@ -95,6 +97,16 @@ def dense_sup_norm(engine, point, n):
             local_max = v
     upper = max(engine.registry.schedule.M * local_max, lower)
     return lower, upper, witness
+
+
+def fraction_listing(engine, point, n):
+    """[(gid, x(gid))] for the nonzero values of rank <= n, as Fractions
+    in the canonical (rank, id) order, read from `Engine.numerators`."""
+    den, nums = engine.numerators(point, n)
+    records = engine.registry.records
+    return [(gid, Fraction(nums[gid], den))
+            for gid in sorted(nums, key=lambda gid: (records[gid].rank,
+                                                     gid))]
 
 
 def dense_columns(ids, rows):

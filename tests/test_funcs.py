@@ -118,6 +118,15 @@ def test_accumulate_refuses_a_float_scalar_of_one():
         Func().accumulate(Func({1: Fraction(1, 3)}), 1.0)
 
 
+@pytest.mark.parametrize("scalar", [0.1, 1.0, 0.0, True, False])
+def test_scaled_refuses_float_and_bool_scalars(scalar):
+    """0.1 is no exact rational and True is no number: `scaled` raises
+    the ValueError that `accumulate` raises, not a binary expansion or a
+    silent 1."""
+    with pytest.raises(ValueError, match="exact rational"):
+        Func({1: Fraction(1, 2)}).scaled(scalar)
+
+
 def test_invalid_fraction_rejected():
     with pytest.raises((ValueError, ZeroDivisionError)):
         Func([(1, Fraction(1, 0))])

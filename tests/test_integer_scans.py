@@ -3,36 +3,40 @@
 `sup_norm_interval`, the window maxima of the lower estimate, the RIS
 conditions, the clauses 2 and 3 of an exact pair and the per-class
 maxima of an RIS average compare integer numerators over a point's one
-denominator (`Engine.numerators`).  The references here scan
-`Engine.nonzeros`, the Fraction listing in the canonical (rank, id)
-order, and keep the first maximum, as the scans did before.  Towers are
-seeded and forged out of rank order; blocks mix companions and carriers
-with ties of equal magnitude and negative maxima."""
+denominator (`Engine.numerators`), and so does the window annihilator
+of an eps = 0 exact pair.  The references here scan `fraction_listing`,
+the Fraction listing in the canonical (rank, id) order, and keep the
+first maximum, as the scans did before.  Towers are seeded and forged
+out of rank order; blocks mix companions and carriers with ties of
+equal magnitude and negative maxima."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from bdspace.analysis import (CarrierSource, check_ris,
-                              lower_estimate_witness, make_exact_pair,
-                              ris_average_report, suggested_js)
+from bdspace.analysis import (CarrierSource, _window_annihilator,
+                              check_ris, lower_estimate_witness,
+                              make_exact_pair, ris_average_report,
+                              suggested_js)
 from bdspace.cli import forge_arena
 from bdspace.engine import Engine
+from bdspace.errors import AnnihilatorMissing
 from bdspace.funcs import Func
 from bdspace.norms import sup_norm_interval
 from bdspace.schedule import slow_toy_schedule
 from bdspace.spaces import forge_even
+from dense_oracle import fraction_listing
 
 
 def fraction_sup_norm(engine, x, n):
-    """(lower, upper, witness) from a Fraction scan of `nonzeros`."""
+    """(lower, upper, witness) from a Fraction scan of the listing."""
     rng = engine.ran(x)
     if rng is None:
         return Fraction(0), Fraction(0), None
     q = rng[1]
     lower, witness, local = Fraction(0), None, Fraction(0)
-    for gid, v in engine.nonzeros(x, n):
+    for gid, v in fraction_listing(engine, x, n):
         v = abs(v)
         if v > lower:
             lower, witness = v, gid
@@ -42,10 +46,10 @@ def fraction_sup_norm(engine, x, n):
 
 
 def fraction_bound_scan(engine, x, n, bound_of):
-    """(max |x|, [[gid, i, |x(gid)|, bound]]) over `nonzeros`, for the
+    """(max |x|, [[gid, i, |x(gid)|, bound]]) over the listing, for the
     elements whose weight index i has a bound that |x(gid)| exceeds."""
     peak, over = Fraction(0), []
-    for gid, v in engine.nonzeros(x, n):
+    for gid, v in fraction_listing(engine, x, n):
         v = abs(v)
         peak = max(peak, v)
         i = engine.registry.records[gid].weight_index
@@ -62,7 +66,7 @@ def fraction_window_peaks(engine, xs):
     for x in xs:
         top = engine.ran(x)[1]
         best, eta = None, None
-        for gid, v in engine.nonzeros(x, top):
+        for gid, v in fraction_listing(engine, x, top):
             if engine.registry.rank_of(gid) > prev and (
                     best is None or abs(v) > abs(best)):
                 best, eta = v, gid
@@ -236,7 +240,7 @@ def test_ris_average_classes_match_the_fraction_scan(forge_arena):
          for g, v in x.d_coords.items()})
     N = registry.frontier()
     best = {}
-    for gid, v in engine.nonzeros(avg, N):
+    for gid, v in fraction_listing(engine, avg, N):
         h = registry.records[gid].weight_index
         if h is not None and (h not in best or abs(v) > best[h][0]):
             best[h] = (abs(v), gid)
@@ -246,3 +250,81 @@ def test_ris_average_classes_match_the_fraction_scan(forge_arena):
         assert (got.values["measured"], got.detail["witness"]) == (v, gid)
     peak, _ = fraction_bound_scan(engine, avg, N, lambda i: None)
     assert checks["ris-norm"].values["measured"] == peak
+
+
+def fraction_annihilator(engine, x, lo, hi):
+    """The window annihilator from a Fraction scan of the listing: e*_gid
+    at the first element of (lo, hi] where x vanishes, else
+    (v2 e*_g1 - v1 e*_g2) / (|v1| + |v2|) at the first two; None when the
+    window has neither."""
+    values = dict(fraction_listing(engine, x, hi))
+    window = engine.registry.window(lo, hi)
+    for k, gid in enumerate(window):
+        if gid not in values:
+            return Func.unit(gid)
+        if k == 1:
+            v1, v2 = values[window[0]], values[gid]
+            scale = abs(v1) + abs(v2)
+            return Func({window[0]: v2 / scale, gid: -v1 / scale})
+    return None
+
+
+def annihilator_kind(engine, x, lo, hi):
+    """The functional of `_window_annihilator`, checked against the
+    Fraction scan and for <b, x> = 0 and ||b||_1 = 1, and which case
+    made it: "unit", the signs (v1 > 0, v2 > 0) of a pair, or
+    "missing"."""
+    expected = fraction_annihilator(engine, x, lo, hi)
+    if expected is None:
+        with pytest.raises(AnnihilatorMissing):
+            _window_annihilator(engine, x, lo, hi)
+        return "missing"
+    b = _window_annihilator(engine, x, lo, hi)
+    assert b == expected and list(b) == list(expected)
+    assert engine.pair(b, x) == 0 and b.l1() == 1
+    if len(b) == 1:
+        return "unit"
+    g1, g2 = b
+    return (b[g2] < 0, b[g1] > 0)   # b = (v2, -v1) / scale
+
+
+def test_window_annihilator_matches_the_fraction_scan():
+    """Random points over random windows of seeded towers: unit windows,
+    pairs of every sign order and windows with no annihilator all
+    occur."""
+    kinds = set()
+    for seed in range(20):
+        rng, registry, engine = seeded_tower(seed)
+        top = registry.max_rank()
+        ids = registry.gammas_up_to(top)
+        for _ in range(6):
+            x = engine.point_from_d(
+                {g: Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+                 for g in rng.sample(ids, min(len(ids), rng.randint(1, 3)))})
+            lo = rng.randint(0, top - 1)
+            kinds.add(annihilator_kind(engine, x, lo,
+                                       rng.randint(lo + 1, top)))
+    assert kinds == {"unit", "missing"} | {
+        (a, b) for a in (True, False) for b in (True, False)}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eps0_pair_rows_are_the_fraction_annihilators(seed):
+    """An eps = 0 exact pair over mixed blocks above a seeded tower: the
+    payload of each analysis row of gamma is the annihilator the
+    Fraction scan finds on the block's window."""
+    _, registry, engine = seeded_tower(seed, elements=8)
+    xs = mixed_blocks(engine, PATTERNS)
+    cuts = [engine.ran(x)[1] + 1 for x in xs]
+    lows = [0] + cuts[:-1]
+    kinds = [annihilator_kind(engine, x, lo, cut - 1)
+             for x, lo, cut in zip(xs, lows, cuts)]
+    expected = [fraction_annihilator(engine, x, lo, cut - 1)
+                for x, lo, cut in zip(xs, lows, cuts)]
+    _, _, gamma, check = make_exact_pair(engine, xs, 1, 0, Fraction(1))
+    assert check.values["value_at_gamma"] == 0
+    assert [link.payload for link in registry.chain(gamma)] == expected
+    # the first window holds the tower, where x vanishes, and (0, 5)
+    # vanishes at its companion; the other blocks give their signs
+    assert kinds == ["unit", (True, False), (True, False), "unit",
+                     (False, True), (True, True)]

@@ -1,5 +1,6 @@
 """Source rules: checks are not asserts, verdicts have one home, the
-sparse e-coordinate cache of a Point stays private to the engine, only
+sparse e-coordinate cache of a Point stays private to the engine, sums
+of Points are built only by the engine's `combination`, only
 the integer kernel takes an lcm of denominators, the mixed-Tsirelson
 oracle names nothing of the DP it checks, an element's kind and
 sigma-code are read only in the registry, element records are built
@@ -43,7 +44,7 @@ def test_no_asserts_and_verdict_literals_only_in_certificates():
 def test_e_cache_stays_in_the_engine():
     """`Point.e_cache` holds nonzeros under a coverage marker; outside
     engine.py a missing key would be misread, so values go through the
-    engine's accessors (`value`, `pair`, `nonzeros`)."""
+    engine's accessors (`value`, `pair`, `numerators`)."""
     found = []
     for path in SOURCES:
         if path.name == "engine.py":
@@ -51,6 +52,21 @@ def test_e_cache_stays_in_the_engine():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Attribute) and node.attr == "e_cache":
                 found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
+
+
+def test_point_sums_have_one_home():
+    """`engine.combination` alone decides when a sum of Points keeps its
+    terms' solved values; outside engine.py no code sums d-vectors with
+    `accumulate(x.d_coords, ...)`, which would build a second sum that
+    drops them."""
+    found = ["%s:%d" % (path.name, node.lineno)
+             for path in SOURCES if path.name != "engine.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "accumulate"
+             and any(isinstance(arg, ast.Attribute)
+                     and arg.attr == "d_coords" for arg in node.args)]
     assert found == []
 
 

@@ -4,12 +4,13 @@ The c*, d* and prefix memos must equal the Fraction recursion read from
 the registry records.  Points are random sparse d-vectors over the
 generated stage-6 and rich stage-5 registries and over random forged
 towers, whose ids are not in rank order.  Values, the nonzero listing,
-norm intervals, sums, scalings and a registry grown after an evaluation
-must all agree exactly.  Stage matrices over the same registries must
-have the dense solve's columns, in order, and the sparse D*.D check must
-list the dense sweep's defects, also for deliberately corrupted
-matrices.  The FDD row norms and the basis constant read from the prefix
-memo must equal the outer-product sums over the dense columns."""
+norm intervals, combinations (sums, differences and scalings) and a
+registry grown after an evaluation must all agree exactly.  Stage
+matrices over the same registries must have the dense solve's columns,
+in order, and the sparse D*.D check must list the dense sweep's
+defects, also for deliberately corrupted matrices.  The FDD row norms
+and the basis constant read from the prefix memo must equal the
+outer-product sums over the dense columns."""
 
 import random
 from fractions import Fraction
@@ -19,14 +20,15 @@ from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
 from bdspace.cli import forge_arena
-from bdspace.engine import Engine, StageMatrix
+from bdspace.engine import Engine, StageMatrix, combination
 from bdspace.errors import UnknownGamma
 from bdspace.funcs import Func, IntVec
 from bdspace.norms import sup_norm_interval
 from bdspace.schedule import slow_toy_schedule
 from bdspace.spaces import forge_even
 from dense_oracle import (FractionRecursion, dense_columns, dense_defects,
-                          dense_fdd_row_norms, dense_sup_norm, dense_values)
+                          dense_fdd_row_norms, dense_sup_norm, dense_values,
+                          fraction_listing)
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -38,7 +40,8 @@ coefs = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(
 def assert_matches_dense(engine, x, n):
     """Every sparse read of x at stage n equals the dense oracle."""
     dense = dense_values(engine, x, n)
-    assert engine.nonzeros(x, n) == [(g, v) for g, v in dense.items() if v]
+    assert fraction_listing(engine, x, n) == [(g, v) for g, v in dense.items()
+                                              if v]
     for gid, v in dense.items():
         assert engine.value(x, gid) == v
     ni = sup_norm_interval(engine, x, n)
@@ -153,23 +156,27 @@ def test_registry_growth_below_covered_stage(seed):
 @given(seed=st.integers(0, 10 ** 6))
 @example(seed=0)
 def test_sums_of_points_solved_alike_keep_their_values(seed):
-    """x + y and x - y of points solved to the same (stage, size) add the
-    solved values and keep the coverage marker; their nonzeros equal a
-    fresh solve of the summed d-vector and the dense oracle.  A sum kept
-    this way catches up like any point when the registry grows."""
+    """Combinations of points solved to the same (stage, size) -- x + y,
+    x - y, three terms, a coefficient of 0 -- add the solved values and
+    keep the coverage marker; their nonzeros equal a fresh solve of the
+    combined d-vector and the dense oracle.  A sum kept this way catches
+    up like any point when the registry grows."""
     rng, registry, engine = random_tower(seed)
     top = registry.max_rank()
     ids = registry.gammas_up_to(top)
-    x, y = (random_point(engine, rng, ids, rng.randint(1, 3))
-            for _ in range(2))
-    n = rng.randint(max(engine.ran(x)[1], engine.ran(y)[1]), top)
-    engine.evaluate(x, n)
-    engine.evaluate(y, n)
-    sums = (x + y, x - y, y - x.scaled(Fraction(-1, 2)))
+    x, y, w = (random_point(engine, rng, ids, rng.randint(1, 3))
+               for _ in range(3))
+    n = rng.randint(max(engine.ran(p)[1] for p in (x, y, w)), top)
+    for p in (x, y, w):
+        engine.evaluate(p, n)
+    sums = (x + y, x - y, y - x.scaled(Fraction(-1, 2)),
+            combination([(2, x), (Fraction(-1, 3), y), (Fraction(5, 2), w)]),
+            combination([(0, x), (1, y), (-1, w)]))
     for z in sums:
-        assert z.covered == x.covered == y.covered
+        assert z.covered == x.covered == y.covered == w.covered
         fresh = engine.point_from_d(z.d_coords)
-        assert engine.nonzeros(z, n) == engine.nonzeros(fresh, n)
+        assert fraction_listing(engine, z, n) == fraction_listing(
+            engine, fresh, n)
         assert_matches_dense(engine, z, n)
     new = forge_random(registry, rng, rng.randint(2, top + 1))
     for z in sums:
@@ -183,7 +190,9 @@ def test_sums_of_points_solved_alike_keep_their_values(seed):
 def test_sums_keep_solved_values_only_under_one_marker(seed):
     """Points solved to different stages, or before and after the
     registry grew, sum to a point with no solved values, which evaluates
-    exactly; where the two markers agree, the sum keeps the values."""
+    exactly; where the two markers agree, the sum keeps the values.  One
+    term off the marker of the others is enough to start unsolved, and
+    no terms make the unsolved zero point."""
     rng, registry, engine = random_tower(seed)
     top = registry.max_rank()
     ids = registry.gammas_up_to(top)
@@ -200,6 +209,26 @@ def test_sums_keep_solved_values_only_under_one_marker(seed):
             assert s.covered == (a.covered if a.covered == b.covered
                                  else (0, 0))
             assert_matches_dense(engine, s, registry.max_rank())
+    unsolved = engine.point_from_d(y.d_coords)
+    assert x.covered == w.covered != unsolved.covered
+    s = combination([(1, x), (Fraction(-1, 2), w), (3, unsolved)])
+    assert s.covered == (0, 0)
+    assert_matches_dense(engine, s, registry.max_rank())
+    empty = combination([])
+    assert empty.is_zero() and empty.covered == (0, 0)
+    assert_matches_dense(engine, empty, registry.max_rank())
+
+
+@pytest.mark.parametrize("scalar", [0.1, 1.0, 0.0, True, False])
+def test_points_refuse_float_and_bool_scalars(stage6, scalar):
+    """A float is no exact rational and a bool no number: scaling a Point
+    or combining it with one raises ValueError, as `Func.scaled` does."""
+    registry, engine = stage6
+    x = engine.point_from_d({registry.gammas_up_to(2)[-1]: Fraction(1)})
+    with pytest.raises(ValueError, match="exact rational"):
+        x.scaled(scalar)
+    with pytest.raises(ValueError, match="exact rational"):
+        combination([(1, x), (scalar, x)])
 
 
 def test_unknown_d_coordinate_is_named(stage6):

@@ -22,7 +22,7 @@ from .engine import Point, combination
 from .errors import (AnnihilatorMissing, BDSpaceError, CutTooSmall,
                      EmptySupport, NotBlockSequence, NotCertifiedRIS,
                      NotSkippedBlock, SearchExhausted, StageOverflow, require)
-from .funcs import Func, common_denominator
+from .funcs import Func, common_denominator, exact
 from .mtnorm import Leaf, MTParams, Node, tree_action, tree_support, \
     verify_norming_tree
 from .norms import sup_norm_interval
@@ -550,7 +550,7 @@ def basic_inequality_witness(engine, xs, lams, s, gamma, cert, j0=None):
         raise NotCertifiedRIS("blocks lack a passing RIS certificate")
     registry = engine.registry
     C, js, stage = (cert.values[k] for k in ("C", "js", "stage"))
-    lams = [Fraction(l) for l in lams]
+    lams = [exact(l) for l in lams]
     if len(lams) != len(xs):
         raise ValueError("need one coefficient per block")
     rans = _block_ranges(engine, xs)
@@ -688,7 +688,7 @@ def ris_average_report(engine, xs, j0, cert, lams):
     sched = registry.schedule
     C = cert.values["C"]
     n = len(xs)
-    avg = combination([(Fraction(lam) / n, x) for lam, x in zip(lams, xs)])
+    avg = combination([(exact(lam) / n, x) for lam, x in zip(lams, xs)])
     N = registry.frontier()
     den, nums = engine.numerators(avg, N)
     norm_lower = _peak_value(den, nums)   # the stage-N lower norm

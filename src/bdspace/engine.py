@@ -447,7 +447,7 @@ class Engine:
         """i_q(u): the unique vector in span{d_gamma : gamma in Gamma_q}
         whose restriction to Gamma_q equals u; e-cache filled to `stage`."""
         self._require_stage(q)
-        u_full = {g: Fraction(v) for g, v in u.items() if v}
+        u_full = {g: exact(v) for g, v in u.items()}
         d = Func()
         for gid in self.registry.gammas_up_to(q):   # zeros are not stored
             d[gid] = (u_full.get(gid, Fraction(0))

@@ -123,14 +123,16 @@ class Func(dict):
         return Func(self)
 
     def accumulate(self, other, scalar=Fraction(1)):
-        """In-place self += scalar * other.  An exact scalar 1 adds
-        other's values as they are; a float 1.0 still makes products,
-        which `iadd` refuses.  other may be self: its items are read
-        from a snapshot, so an entry that cancels does not break the
-        loop."""
+        """In-place self += scalar * other.  A float or bool scalar
+        raises the ValueError of `exact` before anything is added, also
+        when it is 0 or 1 or other is empty; a scalar 1 adds other's
+        values as they are.  other may be self: its items are read from
+        a snapshot, so an entry that cancels does not break the loop."""
+        if type(scalar) in INEXACT:
+            exact(scalar)       # raises
         if scalar == 0:
             return self
-        one = scalar == 1 and type(scalar) not in INEXACT
+        one = scalar == 1
         for k, v in (list(other.items()) if other is self else other.items()):
             self.iadd(k, v if one else scalar * v)
         return self

@@ -32,13 +32,23 @@ that can attain.  Its pieces are proper subsets of their pool, so its
 trees have at most s - 1 node levels and every product by a weight
 divides exactly; it shares no scaling helper with the DP it checks.
 
+A node of cap l over a window of more than l points takes its best
+split into exactly l pieces, S_l: refining a split never decreases the
+sum (triangle inequality).  The (max, +) products over the cut
+are associative, S_p = S_ceil(p/2) (x) S_floor(p/2), so the DP tabulates
+only the closure of the caps under halving: {2, 4, 8} for caps
+(2, 4, 8), seven levels for (24, 8) where the chain S_p = S_1 (x) S_(p-1)
+would need 23.
+
 Ties among optimal trees are broken towards the lexicographically
 smallest (weight index, split points), so results are reproducible.
-The candidates come in strictly increasing key order: a window's leaves
-by position and then its nodes by weight index, a split's candidates by
-their first cut.  So a scan that replaces its best only on a strictly
-larger value keeps this tie-break, a split stores only its first cut,
-and the tree is rebuilt from these back-pointers.
+A window's candidates come in strictly increasing key order, its leaves
+by position and then its nodes by weight index, so a scan that replaces
+its best only on a strictly larger value keeps this tie-break.  Values
+do not depend on the split points, so the DP keeps none: they are
+recovered for the nodes of the returned tree only, by the chain over a
+first piece within that node's window, taking at each step the least
+cut that still attains the split value.
 """
 
 from dataclasses import dataclass
@@ -228,13 +238,14 @@ def mt_norm(x, params):
     nums = [None] + [th.numerator for _, th in params.pairs]
     dens = [None] + [th.denominator for _, th in params.pairs]
 
-    def choose(i, k, t, plan, splits):
+    def choose(i, k, t, plan, rows):
         """(value, decision) of the window [i, k) whose first largest
-        entry is at t.  The candidates come in key order, the leaves by
-        t and then the nodes by j, so only a strictly larger value
-        replaces the best.  A decision is j for a node, ~t for a leaf.
-        theta_j times a window value is exact at this scale; a nonzero
-        remainder raises InvariantViolation."""
+        entry is at t; rows[l][k] is its best sum over l pieces.  The
+        candidates come in key order, the leaves by t and then the nodes
+        by j, so only a strictly larger value replaces the best.  A
+        decision is j for a node, ~t for a leaf.  theta_j times a window
+        value is exact at this scale; a nonzero remainder raises
+        InvariantViolation."""
         best, dec = a[t], ~t
         for j in plan:
             cap = caps[j]
@@ -243,7 +254,7 @@ def mt_norm(x, params):
             elif cap == 1:
                 continue        # theta_j times this window's own norm
             else:
-                v = splits[cap][k][i]
+                v = rows[cap][k]
             v, r = divmod(v * nums[j], dens[j])
             if r:
                 raise InvariantViolation(
@@ -256,16 +267,44 @@ def mt_norm(x, params):
     def leaf(t):
         return Leaf(sign=1 if entries[pos[t]] > 0 else -1, k=pos[t])
 
+    def cuts(i, k, l, total):
+        """[i, c_1, ..., c_(l-1), k]: the lexicographically first cuts
+        of [i, k) into l pieces whose values sum to total.  tails[p][c]
+        is the best sum over p pieces of [c, k), by the chain over one
+        first piece, for the starts c that such a split can reach."""
+        value = ends[1]
+        tails = [None, value[k]]
+        for p in range(2, l):
+            prev, tail = tails[-1], [0] * k
+            for c in range(i + l - p, k - p + 1):
+                best = -1
+                for m in range(c + 1, k - p + 2):
+                    v = value[m][c] + prev[m]
+                    if v > best:
+                        best = v
+                tail[c] = best
+            tails.append(tail)
+        bounds = [i]
+        for p in range(l, 1, -1):
+            s, tail = bounds[-1], tails[p - 1]
+            c = next((c for c in range(s + 1, k - p + 2)
+                      if value[c][s] + tail[c] == total), None)
+            require(c is not None,
+                    "no cut of [%d, %d) into %d pieces attains the DP's "
+                    "split value %d" % (s, k, p, total))
+            bounds.append(c)
+            total = tail[c]
+        bounds.append(k)
+        return bounds
+
     def build(i, k, dec):
         if dec < 0:
             return leaf(~dec)
         cap = caps[dec]
         if cap >= k - i:
             return Node(j=dec, children=tuple(leaf(t) for t in range(i, k)))
-        bounds = [i]
-        for p in range(cap, 1, -1):
-            bounds.append(cuts[p][k][bounds[-1]])
-        bounds.append(k)
+        # the node's value is theta_j times its best split into cap pieces
+        bounds = cuts(i, k, cap, ends[1][k][i] * dens[dec] // nums[dec])
         return Node(j=dec, children=tuple(
             build(lo, hi, decs[lo][hi]) for lo, hi in zip(bounds, bounds[1:])))
 
@@ -274,35 +313,45 @@ def mt_norm(x, params):
         # the whole support is one ell_1 window: no tables
         value, dec = choose(0, n, a.index(max(a)), plan, None)
     else:
-        # splits[p][k][i]: best sum over p pieces of [i, k), with its first
-        # cut in cuts[p][k][i]; splits[1][k][i] is the window's own value.
-        # A node of cap l < size takes exactly l pieces: refining a split
-        # never decreases the sum (triangle inequality).
-        top = max(caps[j] for j in plan if caps[j] < n)
+        # S_p(i, k), the best sum over exactly p pieces of [i, k), for the
+        # closure of the caps below n; S_1 is the window's own value.  By
+        # i descending and k ascending, S_l(i, m) for m < k and S_r(m, k)
+        # for m > i are ready: rows[p][k] holds S_p(i, k) for the current
+        # i only, ends[p][k][i] for every i and right operands p only.
+        levels, todo = set(), {caps[j] for j in plan if 1 < caps[j] < n}
+        while todo:
+            p = todo.pop()
+            if p > 1 and p not in levels:
+                levels.add(p)
+                todo.update(((p + 1) // 2, p // 2))
+        levels = sorted(levels)
+        rows = {p: [0] * (n + 1) for p in [1] + levels}
+        ends = {p: [[0] * k for k in range(n + 1)]
+                for p in {1} | {p // 2 for p in levels}}
+        steps = [(p, (p + 1) // 2, p // 2, rows[(p + 1) // 2], ends[p // 2],
+                  rows[p], ends.get(p)) for p in levels]
         plans = [None] + [params.active_indices(s) for s in range(1, n + 1)]
-        rows = [[0] * (n + 1) for _ in range(n)]
         decs = [[0] * (n + 1) for _ in range(n)]
-        splits = [None] + [[[0] * k for k in range(n + 1)] for _ in range(top)]
-        cuts = [None, None] + [[[0] * k for k in range(n + 1)]
-                               for _ in range(top - 1)]
+        row, end = rows[1], ends[1]
         for i in range(n - 1, -1, -1):
-            row, t = rows[i], i
+            t, dec_row = i, decs[i]
             for k in range(i + 1, n + 1):
                 if a[k - 1] > a[t]:
                     t = k - 1
-                for p in range(2, min(top, k - i) + 1):
-                    lo, hi = i + 1, k - p + 2
-                    tail = splits[p - 1][k]
-                    best, arg = -1, 0
-                    for cut in range(lo, hi):
-                        v = row[cut] + tail[cut]
+                for p, l, r, head, tails, out, out_end in steps:
+                    if p > k - i:
+                        break
+                    tail, best = tails[k], -1
+                    for m in range(i + l, k - r + 1):
+                        v = head[m] + tail[m]
                         if v > best:
-                            best, arg = v, cut
-                    splits[p][k][i] = best
-                    cuts[p][k][i] = arg
-                v, decs[i][k] = choose(i, k, t, plans[k - i], splits)
-                row[k] = splits[1][k][i] = v
-        value, dec = rows[0][n], decs[0][n]
+                            best = v
+                    out[k] = best
+                    if out_end is not None:
+                        out_end[k][i] = best
+                v, dec_row[k] = choose(i, k, t, plans[k - i], rows)
+                row[k] = end[k][i] = v
+        value, dec = row[n], decs[0][n]
     tree = build(0, n, dec)
     # build calls itself, a reference cycle that would keep the tables
     # alive until the next cyclic garbage collection

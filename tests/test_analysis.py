@@ -232,6 +232,28 @@ def test_ris_average_report(forge_arena):
     assert all(c.verdict == REPORTED for c in out.values())
 
 
+def certified_blocks(forge_arena, n=3):
+    registry, engine, source, xs = escalating_blocks(forge_arena, n)
+    js = suggested_js(engine, xs)
+    return engine, xs, js, check_ris(engine, xs, Fraction(2), js,
+                                     registry.max_rank())
+
+
+def test_basic_inequality_refuses_float_coefficients(forge_arena):
+    """lambda_k is read by `funcs.exact`: 0.1 raises ValueError instead
+    of entering as its binary expansion."""
+    engine, xs, js, cert = certified_blocks(forge_arena)
+    gamma, _ = lower_estimate_witness(engine, xs, 1)
+    with pytest.raises(ValueError, match="exact rational, got 0.1"):
+        basic_inequality_witness(engine, xs, [1, 0.1, 1], 0, gamma, cert)
+
+
+def test_ris_average_refuses_float_coefficients(forge_arena):
+    engine, xs, js, cert = certified_blocks(forge_arena)
+    with pytest.raises(ValueError, match="exact rational, got 0.1"):
+        ris_average_report(engine, xs, js[0], cert, [1, 0.1, 1])
+
+
 def test_search_exhausted_past_schedule(forge_arena):
     registry, engine = forge_arena(16)
     source = CarrierSource(engine, companions=False)

@@ -141,6 +141,17 @@ def test_extend_restricts_to_identity(stage6):
         assert engine.value(y, gid) == u.get(gid, Fraction(0))
 
 
+@pytest.mark.parametrize("value", [0.1, 0.0, True])
+def test_extend_refuses_float_and_bool_values(stage6, value):
+    """u's values are read by `funcs.exact`: a float or bool raises
+    ValueError instead of entering as its binary expansion (or as 1),
+    also a 0.0 that used to be skipped."""
+    registry, engine = stage6
+    ids = registry.gammas_up_to(3)
+    with pytest.raises(ValueError, match="exact rational"):
+        engine.extend(3, {ids[1]: Fraction(1), ids[4]: value}, 5)
+
+
 def test_fdd_projection_partition(stage6):
     registry, engine = stage6
     ids = registry.gammas_up_to(5)

@@ -118,6 +118,19 @@ def test_accumulate_refuses_a_float_scalar_of_one():
         Func().accumulate(Func({1: Fraction(1, 3)}), 1.0)
 
 
+@pytest.mark.parametrize("scalar", [True, False, 0.0, 1.0])
+def test_accumulate_refuses_inexact_scalars_first(scalar):
+    """A float or bool scalar raises the ValueError of `exact`, naming
+    the scalar, before anything is added: True is not read as 1, and a
+    0 or an empty other does not return early without the error."""
+    f = Func({1: Fraction(1, 2)})
+    for other in (Func({1: Fraction(1, 2)}), Func()):
+        with pytest.raises(ValueError,
+                           match=r"exact rational, got %r$" % (scalar,)):
+            f.accumulate(other, scalar)
+        assert f == Func({1: Fraction(1, 2)})
+
+
 @pytest.mark.parametrize("scalar", [0.1, 1.0, 0.0, True, False])
 def test_scaled_refuses_float_and_bool_scalars(scalar):
     """0.1 is no exact rational and True is no number: `scaled` raises

@@ -231,14 +231,14 @@ def test_cap_one_pair_matches_exhaustive():
 
 
 @st.composite
-def mt_cases(draw, max_size=12):
+def mt_cases(draw, max_size=12, max_cap=5):
     """Random parameters and a vector of at most max_size coordinates
-    with many ties: caps 1..5, weights with non-unit numerators and mixed
-    denominators, every exclusion."""
+    with many ties: caps 1..max_cap, weights with non-unit numerators and
+    mixed denominators, every exclusion."""
     thetas = sorted(draw(st.sets(st.builds(Fraction, st.integers(1, 5),
                                            st.integers(6, 24)),
                                  min_size=1, max_size=3)), reverse=True)
-    caps = draw(st.lists(st.integers(1, 5), min_size=len(thetas),
+    caps = draw(st.lists(st.integers(1, max_cap), min_size=len(thetas),
                          max_size=len(thetas)))
     excluded = draw(st.sampled_from([None] + list(range(1, len(caps) + 1))))
     params = MTParams(pairs=tuple(zip(caps, thetas)), excluded=excluded)
@@ -259,6 +259,34 @@ def test_integer_dp_matches_fraction_dp(case):
     value, tree = mt_norm(x, params)
     assert (value, tree) == fraction_mt_norm(x, params)
     assert tree_height(tree) <= norming_height(len(x), params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mt_cases(max_size=16, max_cap=9))
+def test_doubled_levels_match_fraction_dp(case):
+    """Caps up to 9 need levels built from unequal halves (3 = 2 + 1,
+    5 = 3 + 2, 7 = 4 + 3, 9 = 5 + 4) and levels that no cap names."""
+    params, x = case
+    assert mt_norm(x, params) == fraction_mt_norm(x, params)
+
+
+@pytest.mark.parametrize("pairs", [
+    ((2, Fraction(1, 2)), (4, Fraction(1, 3)), (8, Fraction(1, 4))),
+    ((3, Fraction(2, 5)),), ((5, Fraction(1, 2)), (7, Fraction(1, 3))),
+    ((6, Fraction(3, 4)),),
+    MTParams.from_schedule(validate_schedule((4, 16), (6, 2))).pairs],
+    ids=["2-4-8", "3", "5-7", "6", "24-8"])
+def test_doubled_levels_on_ties(pairs):
+    """Entries in {+-1, +-2} make many splits attain: the cuts recovered
+    for the returned tree are the fraction DP's lexicographically first
+    ones.  Caps (24, 8) are `from_schedule`'s 4 n_j; past 24 points they
+    tabulate the levels 2, 3, 4, 6, 8, 12 and 24."""
+    rng = random.Random(len(pairs) * 100 + pairs[0][0])
+    params = MTParams(pairs=pairs)
+    for n in (20, 22, 24, 26):
+        x = {k: Fraction(rng.choice((1, -1, 2, -2)))
+             for k in rng.sample(range(3 * n), n)}
+        assert mt_norm(x, params) == fraction_mt_norm(x, params)
 
 
 def test_height_bound_is_tight():
@@ -300,6 +328,18 @@ def test_oracle_short_scale_raises_invariant_violation(monkeypatch):
         mt_norm_exhaustive({0: Fraction(1), 1: Fraction(2)}, chain)
 
 
+def test_unattained_split_raises_invariant_violation(monkeypatch):
+    """Node values one unit too large under theta = 1/2: the root's
+    split value read back from its node value, twice that value, exceeds
+    every split's sum, and the cut recovery names that instead of taking
+    some cut."""
+    monkeypatch.setattr(mtnorm, "divmod", lambda v, d: (v // d + 1, 0),
+                        raising=False)
+    with pytest.raises(InvariantViolation, match="no cut of"):
+        mt_norm({k: Fraction(1) for k in range(3)},
+                MTParams(pairs=((2, Fraction(1, 2)),)))
+
+
 def test_calls_leave_no_reference_cycles():
     """The DP's tree builder and the oracle's scorers call themselves;
     both routes drop those closures on return, so their tables and memos
@@ -328,6 +368,28 @@ def test_short_scale_raises_invariant_violation(monkeypatch):
     chain = MTParams(pairs=((2, Fraction(4, 5)),))
     with pytest.raises(InvariantViolation):
         mt_norm({k: Fraction(2 ** k) for k in range(5)}, chain)
+
+
+def test_dp_tables_stay_small():
+    """96 points under caps (2, 4, 8): the DP tabulates the levels 2, 4
+    and 8 only, by doubling, and keeps by-end tables for the right
+    operands 1, 2 and 4 alone.  Every level from 2 to 8 by the chain
+    S_p = S_1 (x) S_(p-1), with first-cut tables, peaked at 3.3 MB."""
+    rng = random.Random(96)
+    x = {k: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                     rng.randint(1, 4))
+         for k in rng.sample(range(384), 96)}
+    params = MTParams(pairs=((2, Fraction(1, 2)), (4, Fraction(1, 3)),
+                             (8, Fraction(1, 4))))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        value, tree = mt_norm(x, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2 ** 20
+    assert tree_action(tree, params).dot(x) == value
 
 
 def test_large_average_stays_linear():

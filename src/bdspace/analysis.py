@@ -114,6 +114,15 @@ def _skipped_cuts(engine, xs):
     return rans, [hi + 1 for _, hi in rans]
 
 
+def _window_witness(engine, xs, cuts, j, payload):
+    """Forge gamma of weight m_{2j} over the skipped cuts p_r = max ran
+    x_r + 1: row r carries payload(x_r, p_{r-1}, p_r - 1), a unit-ball
+    functional on the window (p_{r-1}, p_r - 1], with p_0 = 0."""
+    return forge_even(engine.registry, j, cuts,
+                      [payload(x, lo, cut - 1)
+                       for x, lo, cut in zip(xs, [0] + cuts, cuts)])
+
+
 def _at_most(measured, bound, stage, decidable, **detail):
     """The Check of measured <= bound at a stage."""
     return Check(judge(measured <= bound, decidable),
@@ -189,7 +198,8 @@ def check_ris(engine, xs, C, js, N):
 # -- lower estimates -----------------------------------------------------------
 
 def lower_estimate_witness(engine, xs, j):
-    """Forge gamma of weight m_{2j} witnessing the lower estimate.
+    """Forge gamma of weight m_{2j} witnessing the lower estimate;
+    returns (gamma, check, block sum).
 
     Cuts sit one rank above each block; each analysis row carries the
     signed unit functional at the block's max-abs element over its
@@ -197,41 +207,33 @@ def lower_estimate_witness(engine, xs, j):
     m_{2j}^{-1} sum_r |x_r(eta_r)|; its detail records the
     1/2-sum-of-norms comparison, rhs/2: a skipped block vanishes up to
     the previous cut, so its norm over Gamma_{p_r - 1} is its maximum.
+    The block sum is the Point sum x_r, solved up to the rank of gamma,
+    which the exact pair scales instead of solving the sum again.
     """
-    gamma, check, _ = _lower_estimate(engine, xs, j)
-    return gamma, check
-
-
-def _lower_estimate(engine, xs, j):
-    """`lower_estimate_witness`, plus the block sum whose value at gamma
-    it checks: a Point solved up to the rank of gamma, which the exact
-    pair scales instead of solving the sum again."""
     registry = engine.registry
     rans, cuts = _skipped_cuts(engine, xs)
     if len(xs) >= 2 and 2 * j >= rans[1][0]:
         raise CutTooSmall(
             "weight index %d not below min ran x_2 = %d" % (2 * j, rans[1][0]))
-    payloads, etas, maxima = [], [], []
-    prev = 0
-    for r, x in enumerate(xs):
-        top = cuts[r] - 1
-        # x vanishes below its range, so on ranks <= prev
-        den, nums = engine.numerators(x, top)
+    etas, maxima = [], []
+
+    def signed_peak(x, lo, hi):
+        # x vanishes below its range, so on ranks <= lo
+        den, nums = engine.numerators(x, hi)
         eta = engine.first_peak(nums)
         if eta is None:     # x vanishes on the window: its first element
-            window = registry.window(prev, top)
+            window = registry.window(lo, hi)
             if not window:
                 raise BDSpaceError(
-                    "window (%d, %d] holds no elements" % (prev, top))
+                    "window (%d, %d] holds no elements" % (lo, hi))
             eta, best = window[0], 0
         else:
             best = nums[eta]
-        payloads.append(Func.unit(eta, MINUS_ONE) if best < 0
-                        else Func.unit(eta))
         etas.append(eta)
         maxima.append(Fraction(abs(best), den))
-        prev = cuts[r]
-    gamma = forge_even(registry, j, cuts, payloads)
+        return Func.unit(eta, MINUS_ONE) if best < 0 else Func.unit(eta)
+
+    gamma = _window_witness(engine, xs, cuts, j, signed_peak)
     beta = registry.schedule.weight_value(2 * j)
     total = combination([(1, x) for x in xs])
     lhs = engine.pair(Func.unit(gamma), total)
@@ -273,8 +275,8 @@ def make_exact_pair(engine, xs, j, eps, C):
     """Build a (pair_constant, 2j, eps)-exact pair from a skipped-block RIS.
 
     eps = 1 scales the block sum so that x(gamma) = 1 exactly, gamma being
-    the lower-estimate witness.  eps = 0 forges gamma from annihilating
-    rows, one synthesized per window, so z(gamma) = 0 exactly.
+    the lower-estimate witness.  eps = 0 forges gamma by the same window
+    walk from annihilating rows, one per window, so z(gamma) = 0 exactly.
     Returns (theta, x, gamma, check); the check judges the definition's
     three clauses over the materialized prefix.
     """
@@ -291,7 +293,7 @@ def make_exact_pair(engine, xs, j, eps, C):
     if a != n2j:
         notes.append("toy length a = %d instead of n_{2j} = %d" % (a, n2j))
     if eps == 1:
-        gamma, wit, block_sum = _lower_estimate(engine, xs, j)
+        gamma, wit, block_sum = lower_estimate_witness(engine, xs, j)
         total = wit.values["rhs"] / beta   # sum of window maxima
         if total == 0:
             raise SearchExhausted("every block vanishes on its window")
@@ -303,11 +305,8 @@ def make_exact_pair(engine, xs, j, eps, C):
         default_claim = 2 * j
     else:
         _, cuts = _skipped_cuts(engine, xs)
-        payloads, prev = [], 0
-        for r, xr in enumerate(xs):
-            payloads.append(_window_annihilator(engine, xr, prev, cuts[r] - 1))
-            prev = cuts[r]
-        gamma = forge_even(registry, j, cuts, payloads)
+        gamma = _window_witness(engine, xs, cuts, j, lambda x, lo, hi:
+                                _window_annihilator(engine, x, lo, hi))
         theta = Fraction(1)
         theta_ok = True
         x = combination([(Fraction(m2j, a), xr) for xr in xs])
@@ -471,22 +470,15 @@ def alternating_report(engine, rec, N):
     # PlusMinus assertable
     (eta,) = registry.record(rec.xis[0]).payload
     guard_ok = registry.guard_holds(registry.record(eta).weight_index, w_odd)
-    worst = Fraction(0)
-    worst_at = None
-    for gid in registry.gammas_up_to(N):
-        if registry.records[gid].weight_index != w_odd:
-            continue
-        prefix = [Fraction(0)]
-        for i, x in enumerate(rec.xs, start=1):
-            v = engine.value(x, gid)
-            prefix.append(prefix[-1] + (v if i % 2 == 0 else -v))
+    signs = [(-1) ** i for i in range(1, n + 1)]
+    worst, worst_at = Fraction(0), None
+    for gid, prefix in _prefix_sums(engine, signs, rec.xs, w_odd, N):
         # the largest |prefix[hi] - prefix[lo]| over lo < hi
         s = max(prefix) - min(prefix)
         if s > worst:
             worst, worst_at = s, gid
     plain = combination([(Fraction(1, n), x) for x in rec.xs])
-    alt = combination([(Fraction((-1) ** i, n), x)
-                       for i, x in enumerate(rec.xs, start=1)])
+    alt = combination([(Fraction(c, n), x) for c, x in zip(signs, rec.xs)])
     ni_plain = sup_norm_interval(engine, plain, N)
     ni_alt = sup_norm_interval(engine, alt, N)
     C = rec.C
@@ -535,6 +527,18 @@ def hi_probe(engine, Y, Z, j0, length):
         {"strict": ni_minus.lower < witness_value})
 
 
+def _prefix_sums(engine, coefs, xs, w, N):
+    """(gid, prefix) for each element of weight index w in Gamma_N, in
+    (rank, id) order: prefix[i] sums c_k x_k(gid) over the first i terms."""
+    registry = engine.registry
+    for gid in registry.gammas_up_to(N):
+        if registry.records[gid].weight_index == w:
+            prefix = [Fraction(0)]
+            for c, x in zip(coefs, xs):
+                prefix.append(prefix[-1] + c * engine.value(x, gid))
+            yield gid, prefix
+
+
 # -- the basic inequality --------------------------------------------------------
 
 def basic_inequality_witness(engine, xs, lams, s, gamma, cert, j0=None):
@@ -559,19 +563,8 @@ def basic_inequality_witness(engine, xs, lams, s, gamma, cert, j0=None):
     if j0 is not None:
         _check_excluded_hypothesis(engine, xs, lams, C, j0, stage)
 
-    def argmax_lam(pool):
-        best = pool[0]
-        for k in pool[1:]:
-            if abs(lams[k]) > abs(lams[best]):
-                best = k
-        return best
-
-    def proj_range(k, lo):
-        """ran P_(lo,inf) x_k, or None if the projection kills the block."""
-        a, b = rans[k]
-        if b <= lo:
-            return None
-        return (max(a, lo + 1), b)
+    def argmax_lam(pool):   # the first largest |lam_k|
+        return max(pool, key=lambda k: abs(lams[k]))
 
     def rec(gid, idx, lo):
         record = registry.record(gid)
@@ -591,29 +584,24 @@ def basic_inequality_witness(engine, xs, lams, s, gamma, cert, j0=None):
         else:
             k0 = None
             idx_prime = idx
+        # ran P_(lo,inf) x_k of each block that the projection keeps
+        kept = [(k, max(rans[k][0], lo + 1), rans[k][1])
+                for k in idx_prime if rans[k][1] > lo]
         cutranks = [row.rank for row in rows]
-        I0, rest = [], []
-        for k in idx_prime:
-            pr = proj_range(k, lo)
-            if pr is None:
-                continue
-            (I0 if any(pr[0] <= p <= pr[1] for p in cutranks)
-             else rest).append(k)
+        I0 = [k for k, a, b in kept if any(a <= p <= b for p in cutranks)]
+        rest = [(k, a, b) for k, a, b in kept if k not in I0]
         children = [(k, Leaf(1, k)) for k in I0]
         prev_cut = 0
         for row in rows:
-            Ir = [k for k in rest
-                  if proj_range(k, lo)[0] <= row.rank - 1
-                  and proj_range(k, lo)[1] >= prev_cut + 1]
+            Ir = [k for k, a, b in rest if a < row.rank and b > prev_cut]
             if Ir:
                 s_r = max(lo, prev_cut)
                 ysum = combination([(lams[k], xs[k]) for k in Ir])
-                best_eta, best_v = None, None
-                for eta in sorted(row.payload,
-                                  key=lambda g: (registry.rank_of(g), g)):
-                    v = abs(engine.eval_after_projection(eta, s_r, ysum))
-                    if best_v is None or v > best_v:
-                        best_eta, best_v = eta, v
+                # the first eta in (rank, id) order where |P_(s_r,inf) y| peaks
+                etas = sorted(row.payload,
+                              key=lambda g: (registry.rank_of(g), g))
+                best_eta = max(etas, key=lambda g: abs(
+                    engine.eval_after_projection(g, s_r, ysum)))
                 k_r, g_r = rec(best_eta, Ir, s_r)
                 children.append((k_r, Leaf(1, k_r)))
                 if g_r is not None:
@@ -654,15 +642,8 @@ def basic_inequality_witness(engine, xs, lams, s, gamma, cert, j0=None):
 def _check_excluded_hypothesis(engine, xs, lams, C, j0, N):
     """The extra hypothesis of the excluded-index variant, exactly over
     Gamma_N: interval sums at weight-m_{j0} elements stay below 2C max."""
-    registry = engine.registry
     n = len(xs)
-    for gid in registry.gammas_up_to(N):
-        if registry.records[gid].weight_index != j0:
-            continue
-        vals = [lams[k] * engine.value(xs[k], gid) for k in range(n)]
-        prefix = [Fraction(0)]
-        for v in vals:
-            prefix.append(prefix[-1] + v)
+    for gid, prefix in _prefix_sums(engine, lams, xs, j0, N):
         for lo in range(n):
             for hi in range(lo + 1, n + 1):
                 cap = 2 * C * max(abs(lams[k]) for k in range(lo, hi))

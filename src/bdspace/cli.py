@@ -352,7 +352,7 @@ def _lowerest_case(case, rng, schedule):
         b = source.next_block()
         blocks.append(b.scaled(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
                                         rng.randint(1, 3))))
-    _, check = lower_estimate_witness(engine, blocks, 1)
+    _, check, _ = lower_estimate_witness(engine, blocks, 1)
     if not check.passed:
         return [frac_str(check.values["lhs"]), frac_str(check.values["rhs"])]
 
@@ -371,7 +371,7 @@ def _ris_blocks(rng, engine, fewest, most):
 def _basicineq_case(case, rng, schedule):
     engine = Engine(forge_arena(schedule))
     xs, ris, lams = _ris_blocks(rng, engine, 3, 5)
-    gamma, _ = lower_estimate_witness(engine, xs, 1)
+    gamma, _, _ = lower_estimate_witness(engine, xs, 1)
     s = rng.choice([0, engine.ran(xs[0])[0] - 1])
     _, _, check = basic_inequality_witness(
         engine, xs, lams, s, gamma, ris, j0=1 if case % 5 == 4 else None)

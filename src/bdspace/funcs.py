@@ -146,9 +146,6 @@ class Func(dict):
     def scaled(self, scalar):
         return Func().accumulate(self, exact(scalar))
 
-    def __neg__(self):
-        return self.scaled(-1)
-
     def l1(self):
         return sum((abs(v) for v in self.values()), Fraction(0))
 

@@ -12,12 +12,13 @@ from bdspace.analysis import (CarrierSource, alternating_report,
                               lower_estimate_witness, make_dependent_sequence,
                               make_exact_pair, ris_average_report,
                               suggested_js)
-from bdspace.certificates import REPORTED, VERIFIED, VIOLATED
+from bdspace.certificates import REPORTED, VERIFIED, VIOLATED, canonical_json
 from bdspace.errors import (CutTooSmall, InvariantViolation, NotBlockSequence,
                             NotCertifiedRIS, NotSkippedBlock, SearchExhausted)
 from bdspace.funcs import Func
 from bdspace.norms import sup_norm_interval
 from bdspace.spaces import forge_even
+from dense_oracle import dense_values, fraction_listing
 
 
 def escalating_blocks(forge_arena, n=3):
@@ -55,7 +56,7 @@ def test_ris_rejects_overlapping_blocks(forge_arena):
 def test_lower_estimate_identity(forge_arena):
     registry, engine, source, xs = escalating_blocks(forge_arena, n=3)
     xs = [x.scaled(c) for x, c in zip(xs, (1, Fraction(-1, 2), 2))]
-    gamma, report = lower_estimate_witness(engine, xs, 1)
+    gamma, report, _ = lower_estimate_witness(engine, xs, 1)
     assert report.passed
     beta = registry.schedule.weight_value(2)
     assert report.values["lhs"] == beta * sum(report.values["maxima"])
@@ -76,7 +77,7 @@ def test_lower_estimate_block_norms_are_window_maxima(forge_arena):
         hi = forge_even(registry, 1, [rank + 1],
                         [Func.unit(lo, Fraction(-1))])
         xs.append(engine.point_from_d({lo: Fraction(a), hi: Fraction(b)}))
-    _, report = lower_estimate_witness(engine, xs, 1)
+    _, report, _ = lower_estimate_witness(engine, xs, 1)
     maxima = report.values["maxima"]
     assert [sup_norm_interval(engine, x, p - 1).lower
             for x, p in zip(xs, report.values["cuts"])] == maxima
@@ -85,6 +86,9 @@ def test_lower_estimate_block_norms_are_window_maxima(forge_arena):
 
 
 def test_lower_estimate_needs_skipping(forge_arena):
+    """The block ranges are checked before the cut: a zero term raises
+    NotBlockSequence and an unskipped pair NotSkippedBlock, also when j
+    is too large for the second block."""
     registry, engine = forge_arena()
     source = CarrierSource(engine, companions=False)
     x1 = source.next_block()
@@ -93,8 +97,26 @@ def test_lower_estimate_needs_skipping(forge_arena):
                      [registry.max_rank() + 1],
                      [Func.unit(registry.base())])
     x2 = engine.point_from_d({nxt: Fraction(1)})
-    with pytest.raises(NotSkippedBlock):
-        lower_estimate_witness(engine, [x1, x2], 1)
+    for j in (1, engine.ran(x2)[0]):   # the second: 2j >= min ran x_2
+        with pytest.raises(NotSkippedBlock):
+            lower_estimate_witness(engine, [x1, x2], j)
+        with pytest.raises(NotBlockSequence):
+            lower_estimate_witness(engine, [x1, x2.scaled(0)], j)
+
+
+def test_lower_estimate_block_sum_is_solved_to_gamma(forge_arena):
+    """The returned block sum is sum x_r, marked solved to the rank of
+    gamma, with the values of a fresh Fraction solve there."""
+    registry, engine, source, xs = escalating_blocks(forge_arena, n=3)
+    xs = [x.scaled(c) for x, c in zip(xs, (1, Fraction(-1, 2), 2))]
+    gamma, _, total = lower_estimate_witness(engine, xs, 1)
+    rank = registry.rank_of(gamma)
+    assert total.covered[0] == rank
+    assert total.d_coords == sum((x.d_coords for x in xs), Func())
+    fresh = [(gid, v) for gid, v in dense_values(engine, total, rank).items()
+             if v]
+    assert fraction_listing(engine, total, rank) == fresh
+    assert total.covered[0] == rank   # the listing solved nothing more
 
 
 def test_lower_estimate_cut_too_small(forge_arena):
@@ -197,7 +219,7 @@ def test_basic_inequality(forge_arena):
     xs = [source.next_block() for _ in range(4)]
     js = suggested_js(engine, xs)
     cert = check_ris(engine, xs, Fraction(2), js, registry.max_rank())
-    gamma, _ = lower_estimate_witness(engine, xs, 1)
+    gamma, _, _ = lower_estimate_witness(engine, xs, 1)
     lams = [Fraction(1), Fraction(-1, 2), Fraction(2), Fraction(1, 3)]
     k0, gstar, wit = basic_inequality_witness(engine, xs, lams, 0, gamma,
                                               cert)
@@ -214,7 +236,7 @@ def test_basic_inequality_requires_certificate(forge_arena):
     js = suggested_js(engine, xs)
     bad = check_ris(engine, xs, Fraction(0), js, registry.max_rank())
     assert not bad.passed  # C = 0 fails condition (1)
-    gamma, _ = lower_estimate_witness(engine, xs, 1)
+    gamma, _, _ = lower_estimate_witness(engine, xs, 1)
     with pytest.raises(NotCertifiedRIS):
         basic_inequality_witness(engine, xs, [1, 1], 0, gamma, bad)
 
@@ -243,7 +265,7 @@ def test_basic_inequality_refuses_float_coefficients(forge_arena):
     """lambda_k is read by `funcs.exact`: 0.1 raises ValueError instead
     of entering as its binary expansion."""
     engine, xs, js, cert = certified_blocks(forge_arena)
-    gamma, _ = lower_estimate_witness(engine, xs, 1)
+    gamma, _, _ = lower_estimate_witness(engine, xs, 1)
     with pytest.raises(ValueError, match="exact rational, got 0.1"):
         basic_inequality_witness(engine, xs, [1, 0.1, 1], 0, gamma, cert)
 
@@ -260,3 +282,128 @@ def test_search_exhausted_past_schedule(forge_arena):
     with pytest.raises(SearchExhausted):
         for _ in range(20):
             source.next_block()
+
+
+# -- the basic inequality's branches, pinned ----------------------------------
+
+def nested_tower(forge_arena):
+    """gamma of weight index 4 whose two rows carry lower-estimate
+    witnesses of weight index 2, each over two skipped carrier blocks."""
+    registry, engine = forge_arena()
+    source = CarrierSource(engine, companions=False)
+    xs, etas = [], []
+    for _ in range(2):
+        pair = [source.next_block(), source.next_block()]
+        etas.append(lower_estimate_witness(engine, pair, 1)[0])
+        xs += pair
+    gamma = forge_even(registry, 2, [registry.rank_of(eta) + 1
+                                     for eta in etas],
+                       [Func.unit(eta) for eta in etas])
+    return engine, xs, gamma
+
+
+def high_tower(forge_arena):
+    """gamma of weight index 2 over three carrier blocks whose RIS
+    indices all exceed 2, so no block has small weight."""
+    registry, engine = forge_arena()
+    source = CarrierSource(engine, companions=False)
+    xs = [source.next_block(above=10) for _ in range(3)]
+    return engine, xs, lower_estimate_witness(engine, xs, 1)[0]
+
+
+def over_witness_tower(forge_arena):
+    """gamma of weight index 4 with one row, whose payload is the
+    weight-2 lower-estimate witness over the three blocks of
+    `high_tower`."""
+    engine, xs, eta = high_tower(forge_arena)
+    registry = engine.registry
+    return engine, xs, forge_even(registry, 2, [registry.rank_of(eta) + 1],
+                                  [Func.unit(eta)])
+
+
+def _top(engine, xs, gamma):
+    return engine.registry.rank_of(gamma)
+
+
+def _after_first(engine, xs, gamma):
+    return engine.ran(xs[0])[1]
+
+
+def _at_second(engine, xs, gamma):
+    return engine.ran(xs[1])[0]
+
+
+L4 = [Fraction(1), Fraction(-1, 2), Fraction(2), Fraction(1, 3)]
+L3 = [Fraction(2), Fraction(-1, 2), Fraction(1)]
+TIED = [Fraction(2), Fraction(-1), Fraction(1)]   # |lam_1| = |lam_2|
+
+# case: (tower, s, lams, j0, k0, tree JSON, Check values JSON)
+BASIC_INEQUALITY_BRANCHES = {
+    # a row's payload is a weight-2 element: a nested subtree
+    "nested-subtree": (
+        nested_tower, None, L4, None, 0,
+        '{"children":[{"leaf":{"k":2,"sign":1}},{"children":[{"leaf":'
+        '{"k":3,"sign":1}}],"j":2}],"j":4}',
+        '{"excluded":null,"gamma":10,"inequality_ok":true,"k0":0,'
+        '"lhs":"17/210","rhs":"272/21","s":0,"stage":12,"supp_ok":true,'
+        '"tree_ok":true,"weight_ok":true}'),
+    # the same payload at the excluded index: the j0 branch, and the
+    # hypothesis scans the weight-2 elements
+    "excluded-below-gamma": (
+        nested_tower, None, L4, 2, 0,
+        '{"children":[{"leaf":{"k":2,"sign":1}}],"j":4}',
+        '{"excluded":2,"gamma":10,"inequality_ok":true,"k0":0,'
+        '"lhs":"17/210","rhs":"90/7","s":0,"stage":12,"supp_ok":true,'
+        '"tree_ok":true,"weight_ok":true}'),
+    # gamma itself at the excluded index, blocks below s out of the
+    # pool, and the first of two equal |lam_k| taken
+    "excluded-at-gamma": (
+        high_tower, _at_second, TIED, 2, 1, 'null',
+        '{"excluded":2,"gamma":6,"inequality_ok":true,"k0":1,'
+        '"lhs":"1/5","rhs":"10/1","s":14,"stage":17,"supp_ok":true,'
+        '"tree_ok":true,"weight_ok":true}'),
+    # gamma at or below s: the base case, whatever the coefficients
+    "above-gamma": (
+        nested_tower, _top, L4[::-1], None, 0, 'null',
+        '{"excluded":null,"gamma":10,"inequality_ok":true,"k0":0,'
+        '"lhs":"0/1","rhs":"10/3","s":12,"stage":12,"supp_ok":true,'
+        '"tree_ok":true,"weight_ok":true}'),
+    # no block of small weight: k0 is the least contributing index
+    "no-small-block": (
+        high_tower, None, L3, None, 0,
+        '{"children":[{"leaf":{"k":1,"sign":1}},{"leaf":{"k":2,"sign":1}}],'
+        '"j":2}',
+        '{"excluded":null,"gamma":6,"inequality_ok":true,"k0":0,'
+        '"lhs":"1/2","rhs":"23/1","s":0,"stage":17,"supp_ok":true,'
+        '"tree_ok":true,"weight_ok":true}'),
+    # the projection removes the first block, which then stays out of
+    # the pool of the excluded index one level down
+    "projected-away-below-gamma": (
+        over_witness_tower, _after_first, L3, 2, 2, 'null',
+        '{"excluded":2,"gamma":7,"inequality_ok":true,"k0":2,'
+        '"lhs":"1/70","rhs":"10/1","s":12,"stage":18,"supp_ok":true,'
+        '"tree_ok":true,"weight_ok":true}'),
+    # the projection removes the first block
+    "projected-away": (
+        high_tower, _after_first, L3, None, 1,
+        '{"children":[{"leaf":{"k":2,"sign":1}}],"j":2}',
+        '{"excluded":null,"gamma":6,"inequality_ok":true,"k0":1,'
+        '"lhs":"1/10","rhs":"7/1","s":12,"stage":17,"supp_ok":true,'
+        '"tree_ok":true,"weight_ok":true}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BASIC_INEQUALITY_BRANCHES))
+def test_basic_inequality_branches_are_pinned(forge_arena, case):
+    """Each case reaches a branch of the recursion that the suites never
+    run; k0, the tree and the Check values are pinned."""
+    tower, at, lams, j0, k0, tree, values = BASIC_INEQUALITY_BRANCHES[case]
+    engine, xs, gamma = tower(forge_arena)
+    s = at(engine, xs, gamma) if at else 0
+    cert = check_ris(engine, xs, Fraction(2), suggested_js(engine, xs),
+                     engine.registry.max_rank())
+    got = basic_inequality_witness(engine, xs, lams, s, gamma, cert, j0)
+    assert got[0] == k0
+    assert canonical_json(got[1]).decode() == tree
+    assert canonical_json(got[2].values).decode() == values
+    assert got[2].passed

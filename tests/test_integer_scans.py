@@ -162,7 +162,7 @@ def test_lower_estimate_etas_and_signs_match_the_fraction_scan(forge_arena):
     registry, engine = forge_arena()
     xs = mixed_blocks(engine, PATTERNS)
     peaks = fraction_window_peaks(engine, xs)
-    gamma, check = lower_estimate_witness(engine, xs, 1)
+    gamma, check, _ = lower_estimate_witness(engine, xs, 1)
     assert check.passed
     assert check.values["etas"] == [eta for eta, _ in peaks]
     assert check.values["maxima"] == [abs(v) for _, v in peaks]

@@ -4,8 +4,9 @@ of Points are built only by the engine's `combination`, only
 the integer kernel takes an lcm of denominators, the mixed-Tsirelson
 oracle names nothing of the DP it checks, an element's kind and
 sigma-code are read only in the registry, element records are built
-only by the registry's two constructors, the engine has no |Gamma|^2
-sweep over a stage matrix's ids, no code is reachable from the tests
+only by the registry's two constructors, the witness layer forges over
+skipped windows in one walk, the engine has no |Gamma|^2 sweep over a
+stage matrix's ids, no code is reachable from the tests
 alone, and no defaulted parameter keeps a value that no caller
 changes."""
 
@@ -138,18 +139,17 @@ def test_sigma_coding_stays_in_the_registry():
 RECORD_BUILDERS = {"ElementRecord", "_make", "_replace"}
 
 
-def _record_builds(node, owner="<module>"):
-    """The innermost enclosing function of each call below node that
-    makes an element record: `ElementRecord(...)`, `_make` or
-    `_replace`."""
+def _callers(node, names, owner="<module>"):
+    """The innermost enclosing function of each call below node to one
+    of `names`, by the callee's name or last attribute."""
     for child in ast.iter_child_nodes(node):
         if (isinstance(child, ast.Call)
                 and getattr(child.func, "id", getattr(child.func, "attr",
                                                       None))
-                in RECORD_BUILDERS):
+                in names):
             yield owner
-        yield from _record_builds(
-            child, child.name if isinstance(
+        yield from _callers(
+            child, names, child.name if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
 
 
@@ -159,10 +159,22 @@ def test_records_are_built_only_by_the_registry():
     `Registry.intern` build records, and `Registry.sigma` fills in a
     sigma-code, so every record in an arena passed its checks."""
     found = {(path.name, owner) for path in SOURCES + BENCH
-             for owner in _record_builds(ast.parse(path.read_text(),
-                                                   str(path)))}
+             for owner in _callers(ast.parse(path.read_text(), str(path)),
+                                   RECORD_BUILDERS)}
     assert found == {("registry.py", "base"), ("registry.py", "intern"),
                      ("registry.py", "sigma")}
+
+
+def test_skipped_windows_are_forged_by_one_walk():
+    """In the witness layer, `forge_even` is called only by the carrier
+    source (a companion and a carrier) and by `_window_witness`, the
+    walk over the skipped windows through which the lower estimate and
+    the eps = 0 exact pair forge gamma; a second window walk would
+    build the same object a second way."""
+    path = SOURCES[0].parent / "analysis.py"
+    found = sorted(_callers(ast.parse(path.read_text(), str(path)),
+                            {"forge_even"}))
+    assert found == ["_window_witness", "next_block", "next_block"]
 
 
 def _sweeps_ids(node):
